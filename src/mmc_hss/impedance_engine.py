@@ -24,9 +24,7 @@ fixed low order shifts the sharp internal resonances.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,20 +102,6 @@ class Resonance:
     freq_hz: float
     magnitude: float
     kind: str  # "peak" or "notch"
-
-
-def workers_from_env() -> int:
-    """Worker cap for sweep evaluation, MMC_HSS_THREADS (default 1)."""
-    raw = os.environ.get("MMC_HSS_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MMC_HSS_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError("MMC_HSS_THREADS must be >= 1")
-    return n
 
 
 def _magnitudes(results) -> np.ndarray:
@@ -240,6 +224,20 @@ def _closed_loop_response(params, config, op, order, omega_p,
     return hss_core.HarmonicVector(order, 4, -(minv_f @ y + minv_u))
 
 
+def _order_for(params, order, op):
+    """order, or op.order when order is None; rejects an operating point
+    of other params or of lower order than requested."""
+    if op is None:
+        return order
+    if order is None:
+        order = op.order
+    if op.params != params or op.order < order:
+        raise ValueError(
+            "operating point must be for the same params and of at least "
+            "the requested order")
+    return order
+
+
 def impedance_at(params, config, freq_hz: float, order: int | None = None,
                  op=None) -> ImpedancePoint:
     """Small-signal ac-side impedance at one perturbation frequency.
@@ -255,12 +253,12 @@ def impedance_at(params, config, freq_hz: float, order: int | None = None,
         else the lowest order h >= 4 that agrees with order h + 2 within
         AUTO_ORDER_RTOL (order 16, with a RuntimeWarning, if none does).
     op : SteadyOperatingPoint, optional
-        Reuse a precomputed operating point (same params, order >= order).
+        Reuse a precomputed operating point (same params, order >= order);
+        ValueError otherwise.
     """
     if freq_hz <= 0.0:
         raise ValueError("perturbation frequency must be positive")
-    if order is None and op is not None:
-        order = op.order
+    order = _order_for(params, order, op)
     if order is None:
         _, (point,) = _auto_order(
             params, [freq_hz],
@@ -289,7 +287,8 @@ def impedance_at(params, config, freq_hz: float, order: int | None = None,
     return ImpedancePoint(freq_hz, -v_gp / i_gp, config.mode, order)
 
 
-def circulating_impedance_at(params, config, freq_hz: float, order: int = 4,
+def circulating_impedance_at(params, config, freq_hz: float,
+                             order: int | None = None,
                              op=None) -> ImpedancePoint:
     """Impedance of the circulating path seen by a common-mode
     insertion-index probe.
@@ -297,10 +296,18 @@ def circulating_impedance_at(params, config, freq_hz: float, order: int = 4,
     A probe delta_n = eps*cos(omega_p t) on both arms acts as a series arm
     EMF of amplitude -vdc*eps; the ratio to the circulating-current response
     is R + ra (low frequency) plus the arm L and stack-capacitance terms.
-    Active controller channels stay closed around the probe.
+    Active controller channels stay closed around the probe. order and op
+    work as in impedance_at, the automatic order included.
     """
     if freq_hz <= 0.0:
         raise ValueError("probe frequency must be positive")
+    order = _order_for(params, order, op)
+    if order is None:
+        _, (point,) = _auto_order(
+            params, [freq_hz],
+            lambda h, idx: [circulating_impedance_at(params, config,
+                                                     freq_hz, h)])
+        return point
     if op is None:
         op = mmc_model.steady_state(params, order)
     omega_p = 2.0 * math.pi * freq_hz
@@ -337,8 +344,7 @@ def sweep(params, config, freqs=None, order: int | None = None,
     RuntimeWarning, if none does); the result holds the order-h points and
     reports h as its order. Per-point numerical failures are recorded, not
     raised; the sweep raises only if more than a tenth of the points fail.
-    Points evaluate independently, optionally on MMC_HSS_THREADS workers,
-    and are always returned in frequency order.
+    Points are returned in frequency order.
     """
     if freqs is None:
         freqs = np.arange(5.0, 500.0 + 0.5, 1.0)
@@ -369,10 +375,6 @@ def sweep(params, config, freqs=None, order: int | None = None,
             except (ArithmeticError, ValueError) as exc:
                 return (f, f"{type(exc).__name__}: {exc}")
 
-        n_workers = workers_from_env()
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                return list(pool.map(one, freqs[idx]))
         return [one(f) for f in freqs[idx]]
 
     if order is None:

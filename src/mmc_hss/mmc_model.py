@@ -345,12 +345,6 @@ class FeedbackChannel:
     pickup: np.ndarray         # (2h+1, 4), row q+h dotted with X_q
     vp_pickup: np.ndarray      # (2h+1,), direct v_p term in the pickup
 
-    def injection_block(self, k: int) -> np.ndarray:
-        h = (self.injection.shape[0] - 1) // 2
-        if abs(k) > h:
-            return np.zeros(4, dtype=complex)
-        return self.injection[k + h]
-
 
 def _acv_injection(params: CircuitParams, op: SteadyOperatingPoint,
                    order: int) -> np.ndarray:

@@ -9,13 +9,15 @@ impedance_engine against an independent formulation, so it shares no
 linearization or harmonic-balance code with the rest of the package;
 everything here is plain time stepping.
 
-Impedance measurement follows a two-run protocol: a baseline run and a
-perturbed run integrate the identical schedule, phasors are extracted
-from both at the probe frequency, and the baseline phasor is subtracted
-so that steady-state harmonics cancel exactly and only the perturbation
-response remains. Probe frequencies must be commensurate with the
-fundamental so the measurement window holds an integer number of periods
-of both.
+A campaign settles once, then forks a baseline run and one probe run per
+frequency from the settled state (states and controller memory alike).
+Every fork integrates the identical schedule: the probe is ramped in,
+and the measurement window follows. Phasors are extracted from each
+probe run and from the baseline at the probe frequency, and the baseline
+phasor is subtracted so that steady-state harmonics cancel exactly and
+only the perturbation response remains. Probe frequencies must be
+commensurate with the fundamental so the measurement window holds an
+integer number of periods of all of them.
 
 Integration steps are aligned with control periods and cycle boundaries,
 so halving the step leaves every sampling instant in place; that keeps
@@ -49,16 +51,8 @@ _DEFAULT_INSERTION_PROBE = 0.002
 
 _CSV_HEADER = "t_s,i_c_a,v_cu_v,v_cl_v,i_g_a,v_g_v"
 
-_COLUMNS = {
-    "t": 0,
-    "i_c": 1,
-    "v_cu": 2,
-    "v_cl": 3,
-    "i_g": 4,
-    "v_g": 5,
-    "n_u": 6,
-    "n_l": 7,
-}
+# TimeSeries columns, in the order the kernel records them
+_COLUMNS = ("t", "i_c", "v_cu", "v_cl", "i_g", "v_g", "n_u", "n_l")
 
 
 @dataclass(frozen=True)
@@ -129,8 +123,7 @@ class TimeSeries:
     settle_cycles_used: int = 0
 
     def __post_init__(self):
-        for name in ("t", "i_c", "v_cu", "v_cl", "i_g", "v_g",
-                     "n_u", "n_l"):
+        for name in _COLUMNS:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -328,7 +321,7 @@ def _control_strides(params, config, dt, spc):
     if spc % every != 0:
         raise ValueError(
             "control sampling period must divide the fundamental period")
-    return every, spc // every
+    return every
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -379,13 +372,12 @@ class _Runner:
 
     def __init__(self, params, config, dt, vref, icref):
         self.params = params
-        self.config = config
         self.dt = dt
         self.spc = _steps_per_cycle(params, dt)
         use_acv = 1 if (config is not None and config.has_acv) else 0
         use_ccc = 1 if (config is not None and config.has_ccc) else 0
         if use_acv or use_ccc:
-            every, _ = _control_strides(params, config, dt, self.spc)
+            every = _control_strides(params, config, dt, self.spc)
             w1ts = params.omega1 * config.sampling_period
             rot_c = math.cos(w1ts)
             rot_s = math.sin(w1ts)
@@ -451,21 +443,18 @@ def _settle(runner, y, step, budget, tol):
 
 
 @functools.lru_cache(maxsize=8)
-def _reference_cycle(params: CircuitParams, dt: float, sampling_period: float,
+def _reference_cycle(params: CircuitParams, dt: float, every: int,
                      budget: int, tol: float):
-    """Settled open-loop cycle, sampled at the controller rate.
+    """Settled open-loop cycle, sampled every `every` steps (the controller
+    rate).
 
-    Returns (v_g samples, i_c samples, end state, residual, cycles used).
-    Cached because every closed-loop run at the same operating point needs
-    the same references.
+    Returns (v_g samples, i_c samples, end state). Cached because every
+    closed-loop campaign at the same operating point needs the same
+    references.
     """
-    runner = _Runner(params, None, dt, _ZERO_REF, _ZERO_REF)
-    every = int(round(sampling_period / dt))
-    if every < 1 or runner.spc % every != 0:
-        raise ValueError(
-            "control sampling period must divide the fundamental period")
-    y = np.array([0.0, params.vdc, params.vdc, 0.0])
-    step, residual, used = _settle(runner, y, 0, budget, tol)
+    runner, (y, _, step, _, _) = _settle_campaign(
+        params, None, SimConfig(dt=dt, settle_cycles=budget,
+                                periodicity_tol=tol))
     buf = np.empty((runner.spc, 8))
     runner.advance(y, step, runner.spc, rec=buf)
     _check_state(y, (step + runner.spc) * dt)
@@ -473,63 +462,66 @@ def _reference_cycle(params: CircuitParams, dt: float, sampling_period: float,
     icref = buf[::every, 1].copy()
     vref.setflags(write=False)
     icref.setflags(write=False)
-    return vref, icref, y.copy(), residual, used
+    return vref, icref, y
 
 
-def _run(params, config, sim, f_p, v_amp, probe_amp,
-         window_cycles=None) -> TimeSeries:
-    """One full schedule: settle, ramp the probe in, record a window.
+def _settle_campaign(params, config, sim):
+    """Settle once; returns the runner and the snapshot (y, ctrl, step,
+    residual, used) that every run of a campaign forks from.
 
-    The baseline run of a measurement pair uses the same schedule with
-    zero amplitude, so both runs share every sampling instant and any
-    residual settling error subtracts out exactly.
+    Open loop settles from a cold start, closed loops from the cached
+    open-loop reference cycle. The probe amplitude is zero until its ramp
+    starts, so settling is the same for the baseline and every probe.
     """
     dt = sim.dt
-    closed = config is not None and config.mode != "open"
-    if closed:
-        vref, icref, y0, _, _ = _reference_cycle(
-            params, dt, config.sampling_period,
-            sim.reference_settle_cycles, sim.periodicity_tol)
-        runner = _Runner(params, config, dt, vref, icref)
-        y = y0.copy()
+    if config is not None and config.mode != "open":
+        every = _control_strides(params, config, dt,
+                                 _steps_per_cycle(params, dt))
+        vref, icref, y = _reference_cycle(
+            params, dt, every, sim.reference_settle_cycles,
+            sim.periodicity_tol)
+        y = y.copy()
     else:
-        runner = _Runner(params, None if config is None else config, dt,
-                         _ZERO_REF, _ZERO_REF)
+        vref = icref = _ZERO_REF
         y = np.array([0.0, params.vdc, params.vdc, 0.0])
-    spc = runner.spc
-
+    runner = _Runner(params, config, dt, vref, icref)
     step, residual, used = _settle(
         runner, y, 0, sim.settle_cycles, sim.periodicity_tol)
+    return runner, (y, runner.ctrl.copy(), step, residual, used)
 
+
+def _run(runner, settled, sim, f_p, v_amp, probe_amp,
+         window_cycles) -> TimeSeries:
+    """One run forked from the settled snapshot: ramp the probe in (when
+    f_p > 0), then record window_cycles fundamental cycles.
+
+    States and controller memory are both restored from the snapshot,
+    because the kernel updates them in place. A baseline is the same
+    schedule at zero amplitude, so it shares every sampling instant with
+    the probe runs and residual settling error subtracts out exactly.
+    """
+    y, ctrl, step, residual, used = settled
+    y = y.copy()
+    runner.ctrl = ctrl.copy()
+    spc = runner.spc
     wp = 2.0 * math.pi * f_p
+    ramp_s0 = ramp_s1 = step
     if f_p > 0.0:
-        n_common = _common_cycles(params, (f_p,))
-        ramp_s0 = step
         ramp_s1 = step + sim.ramp_cycles * spc
         lead = (sim.ramp_cycles + sim.post_ramp_cycles) * spc
         if lead:
             step = runner.advance(y, step, lead, wp, v_amp, probe_amp,
                                   ramp_s0, ramp_s1)
-            _check_state(y, step * dt)
-    else:
-        n_common = 1
-        ramp_s0 = ramp_s1 = step
-    if window_cycles is None:
-        window_cycles = sim.measure_cycles * n_common
-    elif window_cycles % n_common:
-        raise ValueError("window does not hold whole probe periods")
+            _check_state(y, step * runner.dt)
 
-    n_win = window_cycles * spc
-    rec = np.empty((n_win, 8))
-    step = runner.advance(y, step, n_win, wp, v_amp, probe_amp,
+    rec = np.empty((window_cycles * spc, 8))
+    step = runner.advance(y, step, window_cycles * spc, wp, v_amp, probe_amp,
                           ramp_s0, ramp_s1, rec)
-    _check_state(y, step * dt)
+    _check_state(y, step * runner.dt)
 
-    return TimeSeries(
-        params=params, dt=dt, t=rec[:, 0],
-        i_c=rec[:, 1], v_cu=rec[:, 2], v_cl=rec[:, 3], i_g=rec[:, 4],
-        v_g=rec[:, 5], n_u=rec[:, 6], n_l=rec[:, 7],
-        periodicity_residual=residual, settle_cycles_used=used)
+    return TimeSeries(params=runner.params, dt=runner.dt,
+                      periodicity_residual=residual, settle_cycles_used=used,
+                      **dict(zip(_COLUMNS, rec.T)))
 
 
 def simulate(params: CircuitParams, config: ControlConfig | None,
@@ -551,7 +543,10 @@ def simulate(params: CircuitParams, config: ControlConfig | None,
         raise ValueError("perturbation needs a positive frequency")
     if f_p > 0.0 and amp <= 0.0:
         amp = _DEFAULT_PROBE_FRACTION * 0.5 * params.vdc
-    return _run(params, config, sim, f_p, amp, 0.0)
+    window = sim.measure_cycles * (
+        _common_cycles(params, (f_p,)) if f_p > 0.0 else 1)
+    runner, settled = _settle_campaign(params, config, sim)
+    return _run(runner, settled, sim, f_p, amp, 0.0, window)
 
 
 def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
@@ -577,6 +572,22 @@ def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
     return complex(2.0 / n * np.sum(x * kernel))
 
 
+def _responses(params, config, sim, freqs, v_amp, probe_amp, signals):
+    """Yields (f_p, baseline-subtracted phasors of signals) per frequency.
+
+    One settle, then a zero-amplitude baseline and one probe run per
+    frequency, all forked from the settled state and recorded over one
+    window that holds whole periods of every frequency.
+    """
+    window = sim.measure_cycles * _common_cycles(params, freqs)
+    runner, settled = _settle_campaign(params, config, sim)
+    base = _run(runner, settled, sim, max(freqs), 0.0, 0.0, window)
+    for f_p in freqs:
+        pert = _run(runner, settled, sim, f_p, v_amp, probe_amp, window)
+        yield f_p, [extract_phasor(pert, s, f_p) - extract_phasor(base, s, f_p)
+                    for s in signals]
+
+
 def _probe_amplitude(params, sim):
     if sim.perturb_amplitude > 0.0:
         return sim.perturb_amplitude
@@ -592,8 +603,8 @@ def measure_impedance(params: CircuitParams, config: ControlConfig | None,
                       ) -> ImpedancePoint:
     """Terminal impedance at one probe frequency, by baseline subtraction.
 
-    Runs the schedule twice, once without and once with the series
-    voltage probe, extracts the probe-frequency phasors of terminal
+    Forks a baseline run and a run with the series voltage probe from one
+    settled state, extracts the probe-frequency phasors of terminal
     voltage and current from both, subtracts, and returns
     -delta_V / delta_I. The returned point carries order 0 because no
     harmonic truncation is involved.
@@ -601,16 +612,7 @@ def measure_impedance(params: CircuitParams, config: ControlConfig | None,
     f_p = sim.perturb_freq if freq_hz is None else float(freq_hz)
     if f_p <= 0.0:
         raise ValueError("measurement needs a positive probe frequency")
-    amp = _probe_amplitude(params, sim)
-    base = _run(params, config, sim, f_p, 0.0, 0.0)
-    pert = _run(params, config, sim, f_p, amp, 0.0)
-    v = extract_phasor(pert, "v_g", f_p) - extract_phasor(base, "v_g", f_p)
-    i = extract_phasor(pert, "i_g", f_p) - extract_phasor(base, "i_g", f_p)
-    if abs(i) < 1e-12 * amp / max(abs(params.load_impedance(
-            2.0 * math.pi * f_p)), 1.0):
-        raise DegenerateResponseError(
-            f"no measurable current response at {f_p:g} Hz")
-    return ImpedancePoint(f_p, -v / i, _mode_of(config), 0)
+    return measure_impedance_many(params, config, sim, [f_p])[f_p]
 
 
 def measure_impedance_many(params: CircuitParams,
@@ -619,25 +621,17 @@ def measure_impedance_many(params: CircuitParams,
     """Impedance at several probe frequencies sharing one baseline run.
 
     All frequencies and the fundamental must share a common period; the
-    measurement window is sized to hold all of them at once, so the
-    baseline needs to be integrated only once per campaign. Returns
+    measurement window is sized to hold all of them at once, so settling
+    and the baseline are integrated only once per campaign. Returns
     {frequency: ImpedancePoint}.
     """
     freqs = [float(f) for f in freqs]
     if not freqs:
         return {}
-    window = sim.measure_cycles * _common_cycles(params, freqs)
     amp = _probe_amplitude(params, sim)
-    base = _run(params, config, sim, max(freqs), 0.0, 0.0,
-                window_cycles=window)
     out = {}
-    for f_p in freqs:
-        pert = _run(params, config, sim, f_p, amp, 0.0,
-                    window_cycles=window)
-        v = extract_phasor(pert, "v_g", f_p) \
-            - extract_phasor(base, "v_g", f_p)
-        i = extract_phasor(pert, "i_g", f_p) \
-            - extract_phasor(base, "i_g", f_p)
+    for f_p, (v, i) in _responses(params, config, sim, freqs, amp, 0.0,
+                                  ("v_g", "i_g")):
         if abs(i) < 1e-12 * amp / max(abs(params.load_impedance(
                 2.0 * math.pi * f_p)), 1.0):
             raise DegenerateResponseError(
@@ -664,9 +658,8 @@ def measure_circulating_impedance(params: CircuitParams,
         raise ValueError("measurement needs a positive probe frequency")
     if probe <= 0.0:
         raise ValueError("probe amplitude must be positive")
-    base = _run(params, config, sim, f_p, 0.0, 0.0)
-    pert = _run(params, config, sim, f_p, 0.0, probe)
-    i = extract_phasor(pert, "i_c", f_p) - extract_phasor(base, "i_c", f_p)
+    ((_, (i,)),) = _responses(params, config, sim, [f_p], 0.0, probe,
+                              ("i_c",))
     if abs(i) < 1e-12 * probe * params.vdc:
         raise DegenerateResponseError(
             f"no measurable circulating response at {f_p:g} Hz")

@@ -175,6 +175,20 @@ def test_impedance_at_validation(params):
         ie.circulating_impedance_at(params, OPEN, 0.0)
 
 
+def test_operating_point_must_match(params, op):
+    # an operating point of other params, or of lower order than asked
+    # for, would silently truncate the controller injections
+    other = mm.steady_state(
+        mm.CircuitParams(**{**vars(params), "load_resistance": 500.0}), 4)
+    for point in (ie.impedance_at, ie.circulating_impedance_at):
+        with pytest.raises(ValueError):
+            point(params, ACV, 37.0, order=6, op=op)
+        with pytest.raises(ValueError):
+            point(params, ACV, 37.0, op=other)
+        # a higher-order operating point is fine
+        assert point(params, ACV, 37.0, order=3, op=op).order == 3
+
+
 def test_degenerate_response_detected(params, monkeypatch):
     def no_response(a, n_p, u, b=None):
         return hss_core.HarmonicVector(4, 4, np.zeros(36, dtype=complex))
@@ -239,6 +253,19 @@ def test_auto_order_is_lowest_converged_order(params, op):
     # a given operating point fixes the order
     assert ie.impedance_at(params, ACV, 37.0, op=op) \
         == ie.impedance_at(params, ACV, 37.0, order=4, op=op)
+    # the circulating-path probe follows the same rule
+    zc = ie.circulating_impedance_at(params, OPEN, 151.0)
+    mags = {h: ie.circulating_impedance_at(params, OPEN, 151.0,
+                                           order=h).magnitude
+            for h in range(4, zc.order + 3)}
+    assert abs(mags[zc.order] - mags[zc.order + 2]) \
+        <= ie.AUTO_ORDER_RTOL * mags[zc.order + 2]
+    for h in range(4, zc.order):
+        assert abs(mags[h] - mags[h + 2]) > ie.AUTO_ORDER_RTOL * mags[h + 2]
+    assert zc.impedance == ie.circulating_impedance_at(
+        params, OPEN, 151.0, order=zc.order).impedance
+    assert ie.circulating_impedance_at(params, CCC, 37.0, op=op) \
+        == ie.circulating_impedance_at(params, CCC, 37.0, order=4, op=op)
 
 
 def test_auto_order_accepts_exact_zero_impedance(params):
@@ -297,28 +324,6 @@ def test_sweep_raises_when_too_many_points_fail(params, monkeypatch):
     monkeypatch.setattr(ie, "impedance_at", broken)
     with pytest.raises(DegenerateResponseError):
         ie.sweep(params, OPEN, freqs=np.arange(10.0, 20.0, 1.0))
-
-
-def test_sweep_threaded_matches_sequential(params, monkeypatch):
-    grid = np.arange(30.0, 50.0, 1.0)
-    seq = ie.sweep(params, OPEN, freqs=grid)
-    monkeypatch.setenv("MMC_HSS_THREADS", "3")
-    par = ie.sweep(params, OPEN, freqs=grid)
-    np.testing.assert_array_equal(par.frequencies, seq.frequencies)
-    np.testing.assert_array_equal(par.impedances, seq.impedances)
-
-
-def test_workers_from_env(monkeypatch):
-    monkeypatch.delenv("MMC_HSS_THREADS", raising=False)
-    assert ie.workers_from_env() == 1
-    monkeypatch.setenv("MMC_HSS_THREADS", "4")
-    assert ie.workers_from_env() == 4
-    monkeypatch.setenv("MMC_HSS_THREADS", "zero")
-    with pytest.raises(ValueError):
-        ie.workers_from_env()
-    monkeypatch.setenv("MMC_HSS_THREADS", "0")
-    with pytest.raises(ValueError):
-        ie.workers_from_env()
 
 
 # ----------------------------------------------------------------- resonances

@@ -314,6 +314,21 @@ def test_measure_many_shares_one_baseline(params):
             < 5e-3 * abs(z_an.impedance)
 
 
+def test_forked_runs_do_not_leak_controller_state(params):
+    # every run of a campaign forks from one settled state; a probe run
+    # that inherited the controller memory of the run before it would make
+    # the result depend on the order of the frequencies
+    sim = td.SimConfig(settle_cycles=20, reference_settle_cycles=20,
+                       ramp_cycles=2, post_ramp_cycles=3, measure_cycles=1)
+    cfg = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
+                           sampling_period=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # short settling
+        forward = td.measure_impedance_many(params, cfg, sim, [35.0, 80.0])
+        backward = td.measure_impedance_many(params, cfg, sim, [80.0, 35.0])
+    assert forward == backward
+
+
 def test_measured_circulating_impedance(params_m0, params):
     # m = 0: one arm in closed form
     z = td.measure_circulating_impedance(params_m0, None, td.SimConfig(),
