@@ -1,9 +1,16 @@
 """AC-side impedance extraction on top of the harmonic converter models.
 
-One impedance point = one dense harmonic solve: force the perturbed system
-with a unit series voltage behind the load at f_p, read the output-current
-response at offset harmonic 0, and form Z = -v_gp / i_gp with
-v_gp = v_p + Z_load * i_gp.
+An impedance point forces the perturbed system with a unit series voltage
+behind the load at f_p, reads the output-current response at offset
+harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
+
+The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
+unperturbed one. One complex Schur form of M0 per (params, order) turns
+every frequency into a triangular solve (hss_core.ShiftedSolver): a sweep
+solves its grid in chunks of points at once, and single-point calls reuse
+the last factor. Open loop, ac-voltage loop, circulating loop and the
+circulating-path probe all take this one path; they differ only in their
+forcing, their readout row and their controller channels.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
@@ -23,6 +30,7 @@ fixed low order shifts the sharp internal resonances.
 
 from __future__ import annotations
 
+import collections
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,12 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hss_core, mmc_model
-from .errors import DegenerateResponseError
+from .errors import DegenerateResponseError, SingularSystemError
 
 DEFAULT_GUARD_BAND_HZ = 2.0
 
 # order=None picks the lowest order h >= 4 whose |Z| differs from order
-# h + 2 by at most this fraction at every evaluated point
+# h + 2 by less than this fraction at every evaluated point (0 accepts no
+# order: converged orders agree to roundoff, and bitwise only by chance)
 AUTO_ORDER_RTOL = 1e-3
 MAX_ORDER = 16
 
@@ -45,6 +54,13 @@ _ZERO_IMPEDANCE_RATIO = 1e-12
 
 # |i_gp| below this fraction of |v_p|/|Z_load| counts as no response
 _DEGENERATE_RATIO = 1e-15
+
+# points solved together are chunked to about this many bytes of work
+# arrays each, which bounds the memory a sweep adds
+_CHUNK_BYTES = 256 * 1024
+
+# Schur factors kept for the single-point calls that follow a sweep
+_RECENT_FACTORS = 1
 
 
 def _wrap_phase_deg(z: complex) -> float:
@@ -114,13 +130,15 @@ def _auto_order(params, freqs, evaluate):
     """Chosen order and its results for order=None.
 
     evaluate(h, idx) returns the order-h results at the indices idx into
-    freqs (ImpedancePoint or a failure record); each (order, point) is
-    evaluated once. The result is the lowest h >= 4 whose |Z| agrees with
-    order h + 2 within AUTO_ORDER_RTOL at every point that solved at both
-    orders. Each candidate is tried first at the point where the previous
-    one disagreed most, so a candidate that fails there costs two
-    evaluations. If no h <= MAX_ORDER - 2 converges, the order-MAX_ORDER
-    results are returned with a RuntimeWarning.
+    freqs (ImpedancePoint or a failure record). A point is evaluated once
+    per order, except that the whole grid is always solved in one call, so
+    the returned points are those of a sweep at that explicit order. The
+    result is the lowest h >= 4 whose |Z| agrees with order h + 2 within
+    AUTO_ORDER_RTOL at every point that solved at both orders. Each
+    candidate is tried first at the point where the previous one disagreed
+    most, so a candidate that fails there costs two evaluations. If no
+    h <= MAX_ORDER - 2 converges, the order-MAX_ORDER results are returned
+    with a RuntimeWarning.
     """
     cache = {}
     floors = np.array([_ZERO_IMPEDANCE_RATIO
@@ -131,6 +149,8 @@ def _auto_order(params, freqs, evaluate):
     def results(h, idx):
         have = cache.setdefault(h, {})
         todo = [i for i in idx if i not in have]
+        if todo and len(idx) == len(freqs):
+            todo = idx
         if todo:
             have.update(zip(todo, evaluate(h, todo)))
         return [have[i] for i in idx]
@@ -146,9 +166,9 @@ def _auto_order(params, freqs, evaluate):
     everything = list(range(len(freqs)))
     worst = 0
     for h in range(4, MAX_ORDER - 1):
-        if deviation(h, [worst])[0] <= AUTO_ORDER_RTOL:
+        if deviation(h, [worst])[0] < AUTO_ORDER_RTOL:
             dev, worst = deviation(h, everything)
-            if dev <= AUTO_ORDER_RTOL:
+            if dev < AUTO_ORDER_RTOL:
                 return h, results(h, everything)
     dev, worst = deviation(MAX_ORDER - 2, everything)
     warnings.warn(
@@ -161,67 +181,261 @@ def _auto_order(params, freqs, evaluate):
     return MAX_ORDER, results(MAX_ORDER, everything)
 
 
+class _Factor:
+    """Complex Schur form of the unperturbed operator M0 = A - N for one
+    (params, order), plus the periodic steady state and the last loop
+    set-up built around it."""
+
+    def __init__(self, params, order):
+        a, n, _ = mmc_model.build_base_hss(params, order)
+        m0 = a.matrix
+        m0[np.diag_indices_from(m0)] -= n.diagonal
+        self.solver = hss_core.ShiftedSolver(m0)
+        self.params = params
+        self.order = order
+        self._op = None
+        self._loop = None
+
+    def steady(self):
+        if self._op is None:
+            self._op = mmc_model.steady_state(self.params, self.order)
+        return self._op
+
+    def loop(self, config, op):
+        """The _Loop for config around op, rebuilt only when they change."""
+        last = self._loop
+        if last is None or last.config != config or last.op is not op:
+            last = self._loop = _Loop(self, config, op)
+        return last
+
+
+_recent_factors = collections.OrderedDict()
+
+
+def _factor(params, order, held=None):
+    """held, else the cached factor for (params, order), else a new one.
+
+    The last _RECENT_FACTORS factors stay cached, so the single-point calls
+    that follow a sweep (spots, probes) need no new Schur form.
+    """
+    key = (params, order)
+    factor = held or _recent_factors.pop(key, None)
+    _recent_factors.pop(key, None)
+    while len(_recent_factors) >= _RECENT_FACTORS:
+        # evicted before a new factor is built, so the two never coexist
+        _recent_factors.popitem(last=False)
+    factor = _recent_factors[key] = factor or _Factor(params, order)
+    return factor
+
+
+class _Loop:
+    """Once-per-sweep set-up of the perturbed leg with its control loops
+    closed, around one Schur factor.
+
+    Per point the leg solves (M0 - j w I) X + F c = bx together with the
+    channel law c_r = gain_r * (scale_r * X[pick_r] + vp_r * v_p) for every
+    controller output c_r (one per loop and source harmonic). X is
+    eliminated first, so the small channel system carries 1/gain and stays
+    exact on resonator poles. Built once: the injection map F and Q^H F,
+    the picked rows of Q. Per point, vectorised over the points of a
+    chunk: gains and pickup scales, the triangular solves, the channel
+    system and one refinement step of the whole system against
+    M0 - j w I.
+    """
+
+    def __init__(self, factor, config, op):
+        params, order = factor.params, factor.order
+        self.params, self.order = params, order
+        self.config, self.op = config, op
+        self.solver = solver = factor.solver
+        self.loops = mmc_model.active_loops(config)
+        n = 2 * order + 1
+        # harmonic offsets k = p - q of destination block p, source q
+        k = np.arange(n)[:, None] - np.arange(n)[None, :] + order
+        inside = (k >= 0) & (k < n)
+        self.f_map = np.zeros((n, 4, len(self.loops), n), dtype=complex)
+        self.picks = np.zeros((len(self.loops), n), dtype=int)
+        self.vp = np.zeros((len(self.loops), n))
+        for c, loop in enumerate(self.loops):
+            _, state, reads_vp = mmc_model.LOOP_WIRING[loop]
+            f = mmc_model._injection(params, op, order, loop)
+            # column q of channel c injects f_{p-q} into block p
+            self.f_map[:, :, c, :] = np.where(
+                inside[:, :, None], f[np.clip(k, 0, n - 1)], 0.0
+            ).transpose(0, 2, 1)
+            self.picks[c] = 4 * np.arange(n) + state
+            self.vp[c, order] = 1.0 if reads_vp else 0.0
+        self.f_map = self.f_map.reshape(4 * n, -1)
+        self.picks = self.picks.ravel()
+        self.vp = self.vp.ravel()
+        self.qf = solver.to_schur(self.f_map)
+        self.q_picks = solver.q[self.picks]
+        self.pending = {}  # primed responses by (probe, frequency)
+
+    def _gains(self, omegas):
+        """(gains, inverse gains, pickup scales), each (points, channels)."""
+        src = omegas[:, None] + (np.arange(-self.order, self.order + 1)
+                                 * self.params.omega1)
+        parts = [mmc_model.loop_gains(self.params, self.config, loop, src)
+                 for loop in self.loops] or [np.zeros((3, omegas.size, 0))]
+        return [np.concatenate(p, axis=1) for p in zip(*parts)]
+
+    def solve(self, omegas, bx, v_p, rows):
+        """X[rows] per point, (len(rows), points), and per point the
+        SingularSystemError that spoiled it, or None.
+
+        bx is the state forcing (right-hand side of the state rows), v_p
+        the series voltage the channel pickups see directly.
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        n4, m = self.f_map.shape
+        # complex values one point keeps live: its solve stack, channel
+        # systems with their inverses, and the state-sized refinement terms
+        per_point = 16 * ((n4 + 4 * m) * (m + 1) + 8 * n4)
+        size = max(1, _CHUNK_BYTES // per_point)
+        b = np.concatenate([self.qf, self.solver.to_schur(bx)[:, None]],
+                           axis=1)
+        out = np.empty((np.arange(n4)[rows].size, omegas.size), dtype=complex)
+        errors = []
+        for start in range(0, omegas.size, size):
+            chunk = omegas[start:start + size]
+            x, err = self._solve_chunk(chunk, b, bx, v_p)
+            out[:, start:start + chunk.size] = x[rows]
+            errors.extend(err)
+        return out, errors
+
+    def _solve_chunk(self, omegas, b, bx, v_p):
+        solver = self.solver
+        m = self.f_map.shape[1]
+        errors = []
+        for w in omegas:
+            try:
+                solver.check(w)
+                errors.append(None)
+            except SingularSystemError as exc:
+                errors.append(exc)
+        gains, inv_gains, scale = self._gains(omegas)
+        # row scaling: small gains keep alpha = 1, beta = gain; large or
+        # infinite ones switch to alpha = 1/gain, beta = 1 (same equation
+        # alpha*c - beta*scale*X[pick] = beta*vp*v_p)
+        small = np.isfinite(gains) & (np.abs(gains) <= 1.0)
+        alpha = np.where(small, 1.0, inv_gains)
+        beta = np.where(small, gains, 1.0)
+        pick_scale = beta * scale
+        bc = beta * self.vp * v_p
+        # a point flagged singular may divide by zero; its values are
+        # discarded with its error
+        with np.errstate(all="ignore"):
+            y = solver.solve(omegas, b)
+            yf = y[:, :, :m]
+            # picked rows of X for every column: t = picks(M^-1 F) and,
+            # in the last column, picks(M^-1 bx)
+            picked = (self.q_picks @ y.reshape(len(y), -1)).reshape(
+                m, omegas.size, m + 1).transpose(1, 0, 2)
+            sys = pick_scale[:, :, None] * picked[:, :, :m]
+            sys[:, np.arange(m), np.arange(m)] += alpha
+            sys_inv = _inverse(sys, errors)
+
+            def close(yb, picked_b, rc):
+                # states for the Schur-side solution yb of the state rows,
+                # its picked rows and the channel right-hand side rc
+                c = np.einsum("prc,pc->pr", sys_inv,
+                              rc + pick_scale * picked_b)
+                return c, solver.q @ (yb - np.einsum("ipc,pc->ip", yf, c))
+
+            c, x = close(y[:, :, m], picked[:, :, m], bc)
+            # one refinement step of the whole system against M0 - j w I
+            rx = (bx[:, None] - solver.m0 @ x + 1j * omegas * x
+                  - self.f_map @ c.T)
+            rc = bc - alpha * c + pick_scale * x[self.picks].T
+            yr = solver.solve(omegas, solver.to_schur(rx)[:, :, None])[:, :, 0]
+            x += close(yr, (self.q_picks @ yr).T, rc)[1]
+        return x, errors
+
+    def responses(self, freqs, probe):
+        """Readout per frequency, or the error that spoiled it.
+
+        probe "series": output current i_g per unit series voltage behind
+        the load. "circulating": circulating current i_c per unit
+        common-mode insertion-index probe.
+        """
+        order = self.order
+        if probe == "series":
+            bx = _series_forcing(self.params, order, 1.0)
+            v_p, row = 1.0, 4 * order + 3
+        else:
+            bx = -mmc_model.circulating_probe_forcing(
+                self.params, self.op, order).data
+            v_p, row = 0.0, 4 * order
+        omegas = 2.0 * math.pi * np.asarray(freqs, dtype=float)
+        x, errors = self.solve(omegas, bx, v_p, [row])
+        return [e or complex(v) for v, e in zip(x[0], errors)]
+
+    def prime(self, freqs, probe):
+        """Solve freqs in one batch for the response calls that follow."""
+        self.pending.update(zip([(probe, f) for f in freqs],
+                                self.responses(freqs, probe)))
+
+    def response(self, freq_hz, probe):
+        """One readout, primed or solved alone; raises its error."""
+        got = self.pending.pop((probe, freq_hz), None)
+        if got is None:
+            (got,) = self.responses([freq_hz], probe)
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+
+def _inverse(sys, errors):
+    """Inverses of the channel systems sys (points, m, m); a point whose
+    system is singular or too ill-conditioned gets a SingularSystemError
+    in errors."""
+    try:
+        inv = np.linalg.inv(sys)
+    except np.linalg.LinAlgError:
+        inv = np.zeros_like(sys)
+        for p, s in enumerate(sys):
+            try:
+                inv[p] = np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                inv[p] = np.nan
+    cond = (np.abs(sys).sum(axis=1).max(axis=1, initial=0.0)
+            * np.abs(inv).sum(axis=1).max(axis=1, initial=0.0))
+    for p in np.flatnonzero(~(cond <= hss_core.COND_LIMIT)):
+        if errors[p] is None:
+            errors[p] = SingularSystemError(
+                f"channel system too ill-conditioned (cond ~ {cond[p]:.3e})",
+                float(cond[p]))
+    return inv
+
+
+def _series_forcing(params, order, v_p):
+    """State forcing of a series voltage v_p behind the load: the U_p of
+    mmc_model.build_openloop_perturbation, negated (it moves to the right
+    of (A - N_p) X = -U_p)."""
+    bx = np.zeros(4 * (2 * order + 1), dtype=complex)
+    bx[4 * order + 3] = 2.0 * v_p / (params.arm_inductance
+                                     + 2.0 * params.load_inductance)
+    return bx
+
+
 def _closed_loop_response(params, config, op, order, omega_p,
                           v_p=1.0, extra_forcing=None):
     """Response stack with the active controller channels closed.
 
     Solves (A - N_p) X + F w + U = 0 together with the channel law
-    w_q = gain_q * (pickup_q . X_q + vp_pickup_q * v_p), eliminating X first
-    so the small channel system carries 1/gain and stays exact on resonator
-    poles. extra_forcing (a HarmonicVector) is added to the open-loop U, for
+    w_q = gain_q * (pickup_q . X_q + vp_pickup_q * v_p); see _Loop.
+    extra_forcing (a HarmonicVector) is added to the open-loop U, for
     probe injections that are not the series voltage source.
     """
-    a, n_p, u_dir = mmc_model.build_openloop_perturbation(
-        params, order, omega_p, v_p
-    )
-    u = u_dir.data.copy()
+    bx = _series_forcing(params, order, v_p)
     if extra_forcing is not None:
-        u = u + extra_forcing.data
-    m = hss_core.DenseFactor(a.matrix - n_p.matrix)
-    channels = mmc_model.feedback_channels(params, config, op, order, omega_p)
-    if not channels:
-        return hss_core.HarmonicVector(order, 4, -m.solve(u))
-
-    n = 2 * order + 1
-    nc = len(channels)
-    # channel injections as one dense map from stacked outputs to states
-    f_map = np.zeros((4 * n, nc * n), dtype=complex)
-    for c, chan in enumerate(channels):
-        for q in range(n):
-            for p in range(n):
-                k = p - q
-                if abs(k) <= order:
-                    f_map[4 * p:4 * p + 4, c * n + q] = chan.injection[k + order]
-    minv_f = m.solve(f_map)
-    minv_u = m.solve(u)
-
-    t = np.zeros((nc * n, nc * n), dtype=complex)
-    rhs = np.zeros(nc * n, dtype=complex)
-    gains = np.concatenate([chan.gains for chan in channels])
-    invg = np.concatenate([chan.inverse_gains for chan in channels])
-    for c, chan in enumerate(channels):
-        for q in range(n):
-            row = c * n + q
-            t[row] = chan.pickup[q] @ minv_f[4 * q:4 * q + 4]
-            rhs[row] = (chan.vp_pickup[q] * v_p
-                        - chan.pickup[q] @ minv_u[4 * q:4 * q + 4])
-
-    # per-row scaling: small gains keep (I + gain*T), large/infinite gains
-    # switch to (1/gain + T); both are the same equation
-    w_sys = np.empty_like(t)
-    w_rhs = np.empty_like(rhs)
-    for row in range(nc * n):
-        g = gains[row]
-        if np.isfinite(g) and abs(g) <= 1.0:
-            w_sys[row] = g * t[row]
-            w_sys[row, row] += 1.0
-            w_rhs[row] = g * rhs[row]
-        else:
-            w_sys[row] = t[row]
-            w_sys[row, row] += invg[row]
-            w_rhs[row] = rhs[row]
-    y = hss_core.solve_dense(w_sys, w_rhs)
-    return hss_core.HarmonicVector(order, 4, -(minv_f @ y + minv_u))
+        bx = bx - extra_forcing.data
+    x, (error,) = _factor(params, order).loop(config, op).solve(
+        [omega_p], bx, v_p, slice(None))
+    if error is not None:
+        raise error
+    return hss_core.HarmonicVector(order, 4, x[:, 0])
 
 
 def _order_for(params, order, op):
@@ -266,25 +480,17 @@ def impedance_at(params, config, freq_hz: float, order: int | None = None,
         return point
     if not 1 <= order <= MAX_ORDER:
         raise ValueError("order must lie in 1..16")
-    omega_p = 2.0 * math.pi * freq_hz
-    v_p = 1.0
-    if config.mode == "open":
-        a, n_p, u_p = mmc_model.build_openloop_perturbation(
-            params, order, omega_p, v_p
-        )
-        x = hss_core.solve_perturbation(a, n_p, u_p)
-    else:
-        if op is None:
-            op = mmc_model.steady_state(params, order)
-        x = _closed_loop_response(params, config, op, order, omega_p, v_p)
-    i_gp = complex(x.block(0)[3])
-    scale = max(abs(params.load_impedance(omega_p)), 1.0)
-    if abs(i_gp) < _DEGENERATE_RATIO * abs(v_p) / scale:
+    factor = _factor(params, order)
+    if op is None and config.mode != "open":
+        op = factor.steady()
+    i_gp = factor.loop(config, op).response(freq_hz, "series")
+    z_load = params.load_impedance(2.0 * math.pi * freq_hz)
+    if abs(i_gp) < _DEGENERATE_RATIO / max(abs(z_load), 1.0):
         raise DegenerateResponseError(
             f"no output-current response at {freq_hz} Hz"
         )
-    v_gp = v_p + params.load_impedance(omega_p) * i_gp
-    return ImpedancePoint(freq_hz, -v_gp / i_gp, config.mode, order)
+    return ImpedancePoint(freq_hz, -(1.0 + z_load * i_gp) / i_gp,
+                          config.mode, order)
 
 
 def circulating_impedance_at(params, config, freq_hz: float,
@@ -308,20 +514,14 @@ def circulating_impedance_at(params, config, freq_hz: float,
             lambda h, idx: [circulating_impedance_at(params, config,
                                                      freq_hz, h)])
         return point
-    if op is None:
-        op = mmc_model.steady_state(params, order)
-    omega_p = 2.0 * math.pi * freq_hz
-    n_hat = 1.0
-    probe = mmc_model.circulating_probe_forcing(params, op, order, n_hat)
-    x = _closed_loop_response(params, config, op, order, omega_p,
-                              v_p=0.0, extra_forcing=probe)
-    i_cp = complex(x.block(0)[0])
-    if abs(i_cp) < _DEGENERATE_RATIO * params.vdc * abs(n_hat):
+    factor = _factor(params, order)
+    i_cp = factor.loop(config, op or factor.steady()).response(
+        freq_hz, "circulating")
+    if abs(i_cp) < _DEGENERATE_RATIO * params.vdc:
         raise DegenerateResponseError(
             f"no circulating-current response at {freq_hz} Hz"
         )
-    return ImpedancePoint(freq_hz, -params.vdc * n_hat / i_cp,
-                          config.mode, order)
+    return ImpedancePoint(freq_hz, -params.vdc / i_cp, config.mode, order)
 
 
 def _guard_band(config) -> float:
@@ -362,12 +562,18 @@ def sweep(params, config, freqs=None, order: int | None = None,
     excluded = tuple(freqs[~keep])
     freqs = freqs[keep]
 
-    ops = {}
+    held = {}  # Schur factors of the orders the automatic rule may revisit
 
     def evaluate(h, idx):
-        if config.mode != "open" and h not in ops:
-            ops[h] = mmc_model.steady_state(params, h)
-        op = ops.get(h)
+        for done in [k for k in held if k < h - 2]:
+            del held[done]
+        factor = held[h] = _factor(params, h, held.get(h))
+        op = factor.steady() if config.mode != "open" else None
+        loop = factor.loop(config, op)
+        fs = freqs[idx]
+        # one batched solve of the grid; impedance_at reads each point
+        # back from it
+        loop.prime(fs, "series")
 
         def one(f):
             try:
@@ -375,7 +581,10 @@ def sweep(params, config, freqs=None, order: int | None = None,
             except (ArithmeticError, ValueError) as exc:
                 return (f, f"{type(exc).__name__}: {exc}")
 
-        return [one(f) for f in freqs[idx]]
+        try:
+            return [one(f) for f in fs]
+        finally:
+            loop.pending.clear()
 
     if order is None:
         order, results = _auto_order(params, freqs, evaluate)

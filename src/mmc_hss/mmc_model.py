@@ -30,6 +30,7 @@ state). The ac terminal voltage is v_g = v_p + Z_load*i_g.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -295,14 +296,47 @@ def control_transfer(config: ControlConfig, omega1: float, s: complex,
     return (config.kf + hv) * delay
 
 
-def _inverse_acv_gain(config: ControlConfig, omega1: float, s: complex
-                      ) -> complex:
-    """1 / control_transfer(..., loop="acv"), exact (0) on the resonator pole."""
+def _inverse_acv_gain(config: ControlConfig, omega1: float, s):
+    """1 / control_transfer(..., loop="acv"), exact (0) on the resonator pole
+    and inf where the loop is dead (all gains zero); s may be an array."""
+    s = np.asarray(s, dtype=complex)
     den = _resonator_denominator(config, omega1, s)
     num = (config.kf + config.kpv) * den + config.krv * s
-    if num == 0:
-        return complex(math.inf)
-    return den * cmath.exp(1.5 * config.sampling_period * s) / num
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = den * np.exp(1.5 * config.sampling_period * s) / num
+    return np.where(num == 0, complex(math.inf), inv)[()]
+
+
+def loop_gains(params: CircuitParams, config: ControlConfig, loop: str,
+               omegas):
+    """Gains, exact inverse gains and pickup scales of one loop at the
+    source frequencies omegas (rad/s, any array shape).
+
+    The ac-voltage loop regulates v_g with negative feedback; its insertion
+    perturbation is w = +G_v/V_dc * v_gp on the upper arm (opposite on the
+    lower), which opposes the terminal-voltage deviation, and its pickup
+    scale is the load impedance that turns i_g into v_g. The circulating
+    loop emulates a series arm resistance: w = ra*G_d/V_dc * i_cp on both
+    arms, pickup scale 1. On an undamped resonator pole the gain is
+    infinite and its inverse exactly 0; a dead loop has gain 0 and inverse
+    inf.
+    """
+    w = np.asarray(omegas, dtype=float)
+    inv = np.full(w.shape, complex(math.inf))
+    if loop == "acv":
+        inv_g = _inverse_acv_gain(config, params.omega1, 1j * w)
+        finite = np.isfinite(inv_g)
+        inv[finite] = params.vdc * inv_g[finite]
+        gains = np.zeros(w.shape, dtype=complex)
+        live = finite & (inv_g != 0)
+        gains[live] = 1.0 / inv[live]
+        gains[inv_g == 0] = math.inf
+        return gains, inv, params.load_impedance(w)
+    gains = (config.ra / params.vdc) * np.exp(
+        -1.5j * config.sampling_period * w)
+    nonzero = gains != 0
+    inv[nonzero] = 1.0 / gains[nonzero]
+    return gains, inv, np.ones(w.shape)
 
 
 # ------------------------------------------------- perturbation construction
@@ -346,95 +380,61 @@ class FeedbackChannel:
     vp_pickup: np.ndarray      # (2h+1,), direct v_p term in the pickup
 
 
-def _acv_injection(params: CircuitParams, op: SteadyOperatingPoint,
-                   order: int) -> np.ndarray:
-    """Injection blocks of a differential insertion perturbation
-    (upper +w, lower -w)."""
+# per loop: the lower-arm sign of its insertion perturbation (the upper arm
+# gets +w), the state its pickup reads, and whether v_p enters the pickup
+# directly (the voltage loop reads v_g = v_p + Z_load*i_g)
+LOOP_WIRING = {"acv": (-1.0, 3, True), "ccc": (1.0, 0, False)}
+
+
+def active_loops(config: ControlConfig) -> tuple:
+    """Names of the loops config.mode closes, voltage loop first."""
+    return tuple(loop for loop, on in (("acv", config.has_acv),
+                                       ("ccc", config.has_ccc)) if on)
+
+
+def _injection(params: CircuitParams, op: SteadyOperatingPoint, order: int,
+               loop: str) -> np.ndarray:
+    """Injection blocks f_k (row k + order) of one loop's insertion
+    perturbation: differential (upper +w, lower -w) for the voltage loop,
+    common mode (both +w) for the circulating loop."""
+    lower = LOOP_WIRING[loop][0]
     ind = params.arm_inductance
     cap = params.arm_capacitance
     l_eff = ind + 2.0 * params.load_inductance
+    h = min(order, op.order)
+    ic, vcu, vcl, ig = op.stack.data.reshape(-1, 4)[
+        op.order - h:op.order + h + 1].T
     f = np.zeros((2 * order + 1, 4), dtype=complex)
-    for k in range(-min(order, op.order), min(order, op.order) + 1):
-        vcu, vcl = op.coeff("v_cu", k), op.coeff("v_cl", k)
-        ic, ig = op.coeff("i_c", k), op.coeff("i_g", k)
-        f[k + order] = [
-            -(vcu - vcl) / (2.0 * ind),
-            (ic + 0.5 * ig) / cap,
-            -(ic - 0.5 * ig) / cap,
-            -(vcu + vcl) / l_eff,
-        ]
+    f[order - h:order + h + 1] = np.column_stack([
+        -(vcu + lower * vcl) / (2.0 * ind),
+        (ic + 0.5 * ig) / cap,
+        lower * (ic - 0.5 * ig) / cap,
+        -(vcu - lower * vcl) / l_eff,
+    ])
     return f
 
 
-def _ccc_injection(params: CircuitParams, op: SteadyOperatingPoint,
-                   order: int) -> np.ndarray:
-    """Injection blocks of a common-mode insertion perturbation
-    (both arms +w)."""
-    ind = params.arm_inductance
-    cap = params.arm_capacitance
-    l_eff = ind + 2.0 * params.load_inductance
-    f = np.zeros((2 * order + 1, 4), dtype=complex)
-    for k in range(-min(order, op.order), min(order, op.order) + 1):
-        vcu, vcl = op.coeff("v_cu", k), op.coeff("v_cl", k)
-        ic, ig = op.coeff("i_c", k), op.coeff("i_g", k)
-        f[k + order] = [
-            -(vcu + vcl) / (2.0 * ind),
-            (ic + 0.5 * ig) / cap,
-            (ic - 0.5 * ig) / cap,
-            -(vcu - vcl) / l_eff,
-        ]
-    return f
+_acv_injection = functools.partial(_injection, loop="acv")
+_ccc_injection = functools.partial(_injection, loop="ccc")
 
 
 def feedback_channels(params: CircuitParams, config: ControlConfig,
                       op: SteadyOperatingPoint, order: int, omega_p: float
                       ) -> list:
-    """Controller channels active for config.mode at offset omega_p.
-
-    The ac-voltage loop regulates v_g with negative feedback; its insertion
-    perturbation is w = +G_v/V_dc * v_gp on the upper arm (opposite on the
-    lower), which opposes the terminal-voltage deviation. The circulating
-    loop emulates a series arm resistance: w = ra*G_d/V_dc * i_cp on both
-    arms.
-    """
+    """Controller channels active for config.mode at offset omega_p, with
+    the gains of loop_gains at every source harmonic."""
+    freqs = omega_p + np.arange(-order, order + 1) * params.omega1
     channels = []
-    ks = np.arange(-order, order + 1)
-    freqs = omega_p + ks * params.omega1
-    if config.has_acv:
-        gains = np.empty(2 * order + 1, dtype=complex)
-        inv = np.empty(2 * order + 1, dtype=complex)
-        for i, w in enumerate(freqs):
-            inv_g = _inverse_acv_gain(config, params.omega1, 1j * w)
-            if not cmath.isfinite(inv_g):
-                # dead channel (all gains zero)
-                inv[i], gains[i] = complex(math.inf), 0.0
-            elif inv_g == 0:
-                # on the resonant pole: infinite gain, exact inverse 0
-                inv[i], gains[i] = 0.0, complex(math.inf)
-            else:
-                inv[i] = params.vdc * inv_g
-                gains[i] = 1.0 / inv[i]
+    for loop in active_loops(config):
+        _, state, reads_vp = LOOP_WIRING[loop]
+        gains, inv, scale = loop_gains(params, config, loop, freqs)
         pickup = np.zeros((2 * order + 1, 4), dtype=complex)
-        pickup[:, 3] = [params.load_impedance(w) for w in freqs]
+        pickup[:, state] = scale
         vp_pickup = np.zeros(2 * order + 1)
-        vp_pickup[order] = 1.0
+        vp_pickup[order] = 1.0 if reads_vp else 0.0
         channels.append(FeedbackChannel(
-            "acv", gains, inv, _acv_injection(params, op, order),
-            pickup, vp_pickup,
-        ))
-    if config.has_ccc:
-        delay = np.exp(-1.5j * config.sampling_period * freqs)
-        gains = (config.ra / params.vdc) * delay
-        inv = np.full_like(gains, np.inf)
-        nonzero = gains != 0
-        inv[nonzero] = 1.0 / gains[nonzero]
-        pickup = np.zeros((2 * order + 1, 4), dtype=complex)
-        pickup[:, 0] = 1.0
-        channels.append(FeedbackChannel(
-            "ccc", gains, inv.astype(complex),
-            _ccc_injection(params, op, order),
-            pickup, np.zeros(2 * order + 1),
-        ))
+            loop, gains, inv, _injection(params, op, order, loop),
+            pickup, vp_pickup))
     return channels
 
 
@@ -540,6 +540,6 @@ def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,
     common-mode injection blocks. The ratio -vdc*n_hat / I_c(omega_p) is the
     circulating-path impedance.
     """
-    f = _ccc_injection(params, op, order)
+    f = _injection(params, op, order, "ccc")
     blocks = {k: n_hat * f[k + order] for k in range(-order, order + 1)}
     return hss_core.HarmonicVector.from_blocks(order, 4, blocks)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -436,10 +437,18 @@ def _settle(runner, y, step, budget, tol):
                 break
         buf, prev = prev, buf
     else:
-        warnings.warn(
-            f"settling budget exhausted at residual {residual:.3e} "
-            f"(tolerance {tol:.1e})", RuntimeWarning, stacklevel=2)
+        _warn_caller(f"settling budget exhausted at residual {residual:.3e} "
+                     f"(tolerance {tol:.1e})")
     return step, residual, used
+
+
+def _warn_caller(message):
+    """RuntimeWarning that names the first line outside this module, i.e.
+    the code that called the public function, whatever the call depth."""
+    frame, level = sys._getframe(0), 1
+    while frame is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 @functools.lru_cache(maxsize=8)

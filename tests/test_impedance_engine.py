@@ -190,10 +190,11 @@ def test_operating_point_must_match(params, op):
 
 
 def test_degenerate_response_detected(params, monkeypatch):
-    def no_response(a, n_p, u, b=None):
-        return hss_core.HarmonicVector(4, 4, np.zeros(36, dtype=complex))
+    def no_response(self, omegas, b):
+        return np.zeros((len(self.t), np.size(omegas), b.shape[-1]),
+                        dtype=complex)
 
-    monkeypatch.setattr(ie.hss_core, "solve_perturbation", no_response)
+    monkeypatch.setattr(hss_core.ShiftedSolver, "solve", no_response)
     with pytest.raises(DegenerateResponseError):
         ie.impedance_at(params, OPEN, 35.0, order=4)
 
@@ -362,3 +363,73 @@ def test_open_loop_resonance_map(params):
     assert freqs == [21.1, 77.8, 99.3, 119.4]
     assert peaks[0].magnitude == pytest.approx(1896.0, rel=0.05)
     assert peaks[2].magnitude == pytest.approx(255.8, rel=0.05)
+
+
+# ------------------------------------------- randomised operating points
+
+
+def _random_leg(rng):
+    m = rng.uniform(0.6, 0.95)
+    return mm.CircuitParams(
+        vdc=rng.uniform(200e3, 640e3), arm_inductance=rng.uniform(0.1, 0.6),
+        arm_resistance=rng.uniform(0.2, 3.0),
+        sm_capacitance=rng.uniform(80e-6, 250e-6),
+        sm_per_arm=int(rng.integers(10, 41)), fundamental_freq=50.0,
+        modulation_index=m, modulation_phase=rng.uniform(-np.pi, np.pi),
+        modulation_index_2h=rng.uniform(0.0, 1.0 - m),
+        modulation_phase_2h=rng.uniform(-np.pi, np.pi),
+        load_resistance=rng.uniform(0.0, 800.0),
+        load_inductance=rng.uniform(0.0, 0.2),
+    )
+
+
+def _random_control(rng, mode):
+    return mm.ControlConfig(
+        mode=mode, kpv=rng.uniform(0.0, 2.0), krv=rng.uniform(0.0, 40.0),
+        kf=rng.uniform(0.0, 0.5),
+        resonant_damping=rng.choice([0.0, rng.uniform(1.0, 10.0)]),
+        ra=rng.uniform(-5.0, 40.0), sampling_period=rng.uniform(5e-5, 2e-4))
+
+
+def _dense_impedance(params, config, op, order, f):
+    # the assembled perturbed operator of each mode, solved densely
+    wp = 2.0 * np.pi * f
+    base, n_p, u = mm.build_openloop_perturbation(params, order, wp)
+    a, rhs = base.matrix, u.data
+    if config.has_acv:
+        a, b, u_acv = mm.build_acv_perturbation(params, config, op, order, wp)
+        rhs = b @ u_acv.data
+    if config.has_ccc:
+        a_ccc, _ = mm.build_ccc_perturbation(params, config, op, order, wp)
+        a = a + a_ccc - base.matrix
+    i_gp = np.linalg.solve(a - n_p.matrix, -rhs)[4 * order + 3]
+    return -(1.0 + params.load_impedance(wp) * i_gp) / i_gp
+
+
+def test_resolvent_matches_dense_solve_on_random_legs():
+    # the Schur resolvent path against a dense solve of the assembled
+    # operator, and sweep points against single-point calls: a point's
+    # value must not depend on which chunk of a batched solve it was in
+    rng = np.random.default_rng(20261018)
+    worst_dense = worst_chunk = 0.0
+    for _ in range(20):
+        params = _random_leg(rng)
+        for mode in mm.CONTROL_MODES:
+            config = _random_control(rng, mode)
+            for h in (4, 8):
+                op = mm.steady_state(params, h)
+                grid = np.sort(rng.uniform(5.0, 495.0, size=7))
+                res = ie.sweep(params, config, grid, order=h,
+                               guard_band_hz=0.0)
+                assert res.failures == ()
+                for p in res.points:
+                    z = ie.impedance_at(params, config, p.freq_hz, h, op=op)
+                    z_dense = _dense_impedance(params, config, op, h,
+                                               p.freq_hz)
+                    worst_dense = max(worst_dense, abs(z.impedance - z_dense)
+                                      / abs(z_dense))
+                    worst_chunk = max(worst_chunk,
+                                      abs(p.impedance - z.impedance)
+                                      / abs(z.impedance))
+    assert worst_dense <= 1e-9
+    assert worst_chunk <= 1e-12

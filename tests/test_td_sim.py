@@ -155,6 +155,27 @@ def test_settling_warns_when_budget_too_small(params):
                     td.SimConfig(settle_cycles=3, periodicity_tol=1e-12))
 
 
+def test_settling_warning_names_the_callers_line(params):
+    # the warning points at the code that called the public function, not
+    # at a line inside td_sim, whatever the depth of the call
+    sim = td.SimConfig(settle_cycles=2, reference_settle_cycles=2,
+                       periodicity_tol=1e-12, ramp_cycles=0,
+                       post_ramp_cycles=0, measure_cycles=1)
+    calls = [
+        lambda: td.simulate(params, None, sim),
+        lambda: td.measure_impedance(params, None, sim, 50.0),
+        lambda: td.measure_impedance_many(params, None, sim, [50.0]),
+        lambda: td.measure_circulating_impedance(params, None, sim, 50.0),
+        # closed loop: the cached open-loop reference cycle settles too
+        lambda: td.measure_impedance_many(params, ACV, sim, [50.0]),
+    ]
+    for call in calls:
+        td.reset_caches()
+        with pytest.warns(RuntimeWarning, match="settling budget") as record:
+            call()
+        assert [w.filename for w in record] == [__file__] * len(record)
+
+
 # --------------------------------------------------------------- trajectories
 
 
