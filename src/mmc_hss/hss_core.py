@@ -16,12 +16,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import (LinAlgWarning, get_blas_funcs, get_lapack_funcs,
+                          lu_factor, lu_solve)
 
 from .errors import SingularSystemError
 
 # Dense solves refuse to return garbage past this condition estimate.
 COND_LIMIT = 1e12
+
+_GEMM, _GEMV = get_blas_funcs(("gemm", "gemv"), dtype=complex)
 
 
 def _readonly(a):
@@ -272,13 +275,34 @@ class DenseFactor:
         x = lu_solve(self._lu, rhs)
         # one step of iterative refinement keeps residuals at roundoff level
         # even when cond approaches the guard
-        x += lu_solve(self._lu, rhs - self._m @ x)
+        mx = matmul(self._m, x.reshape(len(x), -1)).reshape(x.shape)
+        x += lu_solve(self._lu, rhs - mx)
         return x
 
 
 def solve_dense(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """One-shot guarded LU solve; see DenseFactor."""
     return DenseFactor(m).solve(rhs)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d complex arrays, through SciPy's BLAS.
+
+    NumPy and SciPy each bundle an OpenBLAS with its own worker threads. A
+    NumPy product big enough to be threaded leaves NumPy's workers
+    spinning, and the SciPy LAPACK calls that follow it (Schur forms,
+    condition estimates, factorisations) then wait for a free core: on a
+    2-core machine a 132-by-132 LU that takes 0.5 ms took 4 ms at the
+    median and up to 125 ms, at random. The engine's products therefore
+    go through here, so one thread pool serves all of its BLAS and LAPACK
+    work.
+    """
+    if 0 in a.shape or 0 in b.shape:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=complex)
+    if a.flags.c_contiguous:
+        # (b^T a^T)^T: a^T is Fortran-ordered, so a is not copied
+        return _GEMM(1.0, b.T, a.T).T
+    return _GEMM(1.0, a, b)
 
 
 class ShiftedSolver:
@@ -290,7 +314,7 @@ class ShiftedSolver:
     in Schur coordinates: right-hand sides go in through to_schur and
     solutions come out as q @ y. It back-substitutes all shifts of a call
     at once, one matrix-vector product per row, so no per-shift BLAS call
-    is made.
+    is made. Like matmul, it uses SciPy's BLAS only.
     """
 
     def __init__(self, m0: np.ndarray):
@@ -308,7 +332,9 @@ class ShiftedSolver:
 
     def to_schur(self, b: np.ndarray) -> np.ndarray:
         """Q^H b, without forming Q^H."""
-        return np.conj(self.q.T @ np.conj(b))
+        b = np.asarray(b, dtype=complex)
+        return _GEMM(1.0, self.q, b.reshape(len(b), -1),
+                     trans_a=2).reshape(b.shape)
 
     def check(self, omega: float) -> float:
         """1-norm condition estimate of T - j*omega*I.
@@ -343,7 +369,9 @@ class ShiftedSolver:
         pivots = np.diagonal(self.t)[:, None] - 1j * omegas
         y[n - 1] /= pivots[n - 1][:, None]
         for i in range(n - 2, -1, -1):
-            rows[i] -= self.t[i, i + 1:] @ rows[i + 1:]
+            # rows[i] -= t[i, i+1:] @ rows[i+1:], in place where SciPy can
+            rows[i] = _GEMV(-1.0, rows[i + 1:].T, self.t[i, i + 1:],
+                            beta=1.0, y=rows[i], overwrite_y=True)
             y[i] /= pivots[i][:, None]
         return y
 

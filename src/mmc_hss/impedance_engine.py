@@ -330,7 +330,8 @@ class _Loop:
             yf = y[:, :, :m]
             # picked rows of X for every column: t = picks(M^-1 F) and,
             # in the last column, picks(M^-1 bx)
-            picked = (self.q_picks @ y.reshape(len(y), -1)).reshape(
+            picked = hss_core.matmul(
+                self.q_picks, y.reshape(len(y), -1)).reshape(
                 m, omegas.size, m + 1).transpose(1, 0, 2)
             sys = pick_scale[:, :, None] * picked[:, :, :m]
             sys[:, np.arange(m), np.arange(m)] += alpha
@@ -341,15 +342,16 @@ class _Loop:
                 # its picked rows and the channel right-hand side rc
                 c = np.einsum("prc,pc->pr", sys_inv,
                               rc + pick_scale * picked_b)
-                return c, solver.q @ (yb - np.einsum("ipc,pc->ip", yf, c))
+                return c, hss_core.matmul(
+                    solver.q, yb - np.einsum("ipc,pc->ip", yf, c))
 
             c, x = close(y[:, :, m], picked[:, :, m], bc)
             # one refinement step of the whole system against M0 - j w I
-            rx = (bx[:, None] - solver.m0 @ x + 1j * omegas * x
-                  - self.f_map @ c.T)
+            rx = (bx[:, None] - hss_core.matmul(solver.m0, x)
+                  + 1j * omegas * x - hss_core.matmul(self.f_map, c.T))
             rc = bc - alpha * c + pick_scale * x[self.picks].T
             yr = solver.solve(omegas, solver.to_schur(rx)[:, :, None])[:, :, 0]
-            x += close(yr, (self.q_picks @ yr).T, rc)[1]
+            x += close(yr, hss_core.matmul(self.q_picks, yr).T, rc)[1]
         return x, errors
 
     def responses(self, freqs, probe):

@@ -241,6 +241,19 @@ def test_singular_system_raises_with_estimate():
     assert err.value.cond_estimate > 1e12
 
 
+def test_matmul_matches_numpy_for_every_layout():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    b = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    for a_ in (a, np.asfortranarray(a), a[:, ::-1]):
+        for b_ in (b, np.asfortranarray(b), b[::-1]):
+            np.testing.assert_allclose(hc.matmul(a_, b_), a_ @ b_,
+                                       rtol=1e-14, atol=1e-14)
+    assert hc.matmul(a[:, :0], b[:0]).shape == (7, 4)
+    assert not hc.matmul(a[:, :0], b[:0]).any()
+    assert hc.matmul(a[:0], b).shape == (0, 4)
+
+
 # ---------------------------------------------------------------- reconstruct
 
 
