@@ -329,6 +329,9 @@ class ShiftedSolver:
         if info != 0:
             raise SingularSystemError("Schur form did not converge",
                                       float("inf"))
+        # check's work copy of T: only its diagonal changes per shift
+        self._shifted = np.array(self.t, order="F")
+        self._diag = np.diagonal(self.t).copy()
 
     def to_schur(self, b: np.ndarray) -> np.ndarray:
         """Q^H b, without forming Q^H."""
@@ -342,8 +345,8 @@ class ShiftedSolver:
         Raises SingularSystemError (with the estimate attached) past
         COND_LIMIT, rather than letting the solve return noise.
         """
-        a = np.array(self.t, order="F")
-        a.flat[::len(a) + 1] -= 1j * omega
+        a = self._shifted
+        a.flat[::len(a) + 1] = self._diag - 1j * omega
         rcond, info = self._trcon(a)
         if info != 0 or not rcond > 0.0:
             raise SingularSystemError("shifted system matrix is singular",

@@ -7,17 +7,23 @@ and take effect one period after sampling, held constant in between. The
 module exists to cross-check the frequency-domain machinery in
 impedance_engine against an independent formulation, so it shares no
 linearization or harmonic-balance code with the rest of the package;
-everything here is plain time stepping.
+everything here is plain time stepping, finite differences of it and
+small dense solves.
 
-A campaign settles once, then forks a baseline run and one probe run per
-frequency from the settled state (states and controller memory alike).
-Every fork integrates the identical schedule: the probe is ramped in,
-and the measurement window follows. Phasors are extracted from each
-probe run and from the baseline at the probe frequency, and the baseline
-phasor is subtracted so that steady-state harmonics cancel exactly and
-only the perturbation response remains. Probe frequencies must be
-commensurate with the fundamental so the measurement window holds an
-integer number of periods of all of them.
+Periodic orbits are found by shooting (Aprille and Trick, Proc. IEEE
+60(1), 1972): Newton steps on the map that takes the state at one cycle
+boundary to the next, with the Jacobian taken by finite differences of
+the same kernel, one integrated cycle per column. A campaign settles
+once, on the unperturbed orbit, and forks one probe run per frequency
+from it (states and controller memory alike). A probe run switches the
+probe on at full amplitude and steps onto the orbit it forces, then
+records the measurement window there; no ramp, no waiting for
+transients. The unperturbed orbit repeats every cycle, so its phasor at
+the probe frequency comes from one recorded cycle: nonzero only at
+harmonics of the fundamental, where it is subtracted so that only the
+perturbation response remains. Probe frequencies must be commensurate
+with the fundamental so the measurement window holds an integer number
+of periods of all of them.
 
 Integration steps are aligned with control periods and cycle boundaries,
 so halving the step leaves every sampling instant in place; that keeps
@@ -61,13 +67,14 @@ class SimConfig:
     """Knobs for one simulation campaign.
 
     dt must divide the fundamental period into at least 200 steps; the
-    default resolves a 50 Hz cycle with 2000. settle_cycles is a budget,
-    not a fixed cost: settling stops early once consecutive cycles agree
-    to periodicity_tol (relative rms, per state). The perturbation is
-    faded in over ramp_cycles with a raised-cosine envelope, then
-    post_ramp_cycles are discarded before the measurement window opens.
-    measure_cycles counts common periods of the fundamental and the
-    probe, not fundamental cycles.
+    default resolves a 50 Hz cycle with 2000. settle_cycles and
+    reference_settle_cycles are budgets, not fixed costs: they count every
+    integrated cycle of settling, Jacobian columns included, and settling
+    stops once the orbit repeats to periodicity_tol (relative, per state).
+    Probe runs start on the forced orbit, so ramp_cycles and
+    post_ramp_cycles are validated but no longer used. measure_cycles
+    counts common periods of the fundamental and the probe, not
+    fundamental cycles.
     """
 
     dt: float = 1e-5
@@ -107,7 +114,8 @@ class TimeSeries:
     voltage including the series perturbation source, n_u and n_l the
     insertion indices actually applied, controller contributions and
     probes included. periodicity_residual reports the cycle-to-cycle
-    mismatch reached at the end of settling.
+    mismatch reached at the end of settling, settle_cycles_used the
+    cycles settling integrated.
     """
 
     params: CircuitParams
@@ -420,26 +428,187 @@ class _Runner:
         return step0 + n_steps
 
 
-def _settle(runner, y, step, budget, tol):
-    """Advance whole cycles until two agree to tol; returns diagnostics."""
-    spc = runner.spc
-    buf = np.empty((spc, 8))
-    prev = np.empty((spc, 8))
-    residual = math.inf
-    used = 0
-    for cyc in range(budget):
-        step = runner.advance(y, step, spc, rec=buf)
-        _check_state(y, step * runner.dt)
-        used = cyc + 1
-        if cyc > 0:
-            residual = _cycle_residual(buf, prev)
-            if residual <= tol:
+# A cycle-boundary state z holds the four plant states, then the controller
+# memory (xa, xb, vm_pend, vm_app, dn_pend, dn_app). Shooting solves only
+# for the plant and the memory the mode uses.
+_PLANT = (0, 1, 2, 3)
+_ACV_MEMORY = (4, 5, 6)   # xa, xb, vm_pend
+_CCC_MEMORY = (8,)        # dn_pend
+
+# finite-difference step of a Jacobian column, relative to the unknown's scale
+_FD_STEP = 1e-6
+
+# settling rebuilds the Jacobian when a chord step cuts the residual by less
+_CHORD_RATE = 0.01
+
+# chord-Newton steps a probe run may take after its first one; a run that
+# is still off its forced orbit then warns and records its window anyway
+_PROBE_STEPS = 6
+
+
+def _integrate(runner, z, step, cycles, probe=(0.0, 0.0, 0.0), rec=None):
+    """Integrate whole cycles from the boundary state z at step; returns the
+    end state. The first boundary applies the pending commands, so the
+    applied entries start equal to them; a probe is at full amplitude from
+    the first step."""
+    y = z[:4].copy()
+    runner.ctrl = z[4:].copy()
+    runner.ctrl[3] = runner.ctrl[2]
+    runner.ctrl[5] = runner.ctrl[4]
+    end = runner.advance(y, step, cycles * runner.spc, *probe, rec=rec)
+    _check_state(y, end * runner.dt)
+    return np.concatenate((y, runner.ctrl))
+
+
+def _series(orbit, rec) -> TimeSeries:
+    return TimeSeries(params=orbit.runner.params, dt=orbit.runner.dt,
+                      periodicity_residual=orbit.residual,
+                      settle_cycles_used=orbit.settle_cycles,
+                      **dict(zip(_COLUMNS, rec.T)))
+
+
+class _Orbit:
+    """Periodic orbit of one (params, config, dt), settled by shooting.
+
+    Settling integrates two cycles and stops there if they agree to tol.
+    Otherwise it takes Newton steps on the one-cycle map z -> P(z). The
+    unknowns are the plant states and the controller memory the mode uses;
+    an unused entry is a free constant of the map (Floquet multiplier
+    exactly 1), and moving it would select another orbit. The Jacobian phi
+    comes from finite differences of the kernel, one cycle per column, in
+    coordinates scaled per unknown. It is kept for chord steps while each
+    step cuts the residual a hundredfold and rebuilt when one does not.
+    Below tol, settling stops at the first step that no longer cuts it a
+    hundredfold, which leaves the orbit at roundoff level: it stands in
+    for an unperturbed baseline run. Every integrated cycle counts against
+    the budget; a budget too small for a Jacobian is spent on plain cycles
+    or chord steps.
+
+    z is the settled state and cycle the recorded cycle that ends there.
+    An orbit that settled without Newton gets phi at the start of that
+    cycle; those columns are not counted in settle_cycles.
+    """
+
+    def __init__(self, runner, z, free, budget, tol):
+        self.runner = runner
+        self.free = np.array(free)
+        self.tol = tol
+        self.phi = None
+        self.used = 0
+        spc = runner.spc
+        first, rec = np.empty((spc, 8)), np.empty((spc, 8))
+        base = self._cycle(z, first)
+        z = self._cycle(base, rec)
+        self.scale = np.concatenate((
+            np.maximum(np.sqrt(np.mean(rec[:, 1:5] ** 2, axis=0)), 1.0),
+            np.full(4, 0.5 * runner.params.vdc), np.ones(2)))
+        residual, last = _cycle_residual(rec, first), math.inf
+        while self.used < budget:
+            stalled = self.phi is None or residual > _CHORD_RATE * last
+            if stalled and residual <= tol:
                 break
-        buf, prev = prev, buf
+            if stalled and self.used + self.free.size < budget:
+                self._jacobian(base, z)
+            base = z if self.phi is None else self.newton(base, z, 1)
+            z = self._cycle(base, rec)
+            last, residual = residual, self.mismatch(base, z)
+        self.residual = residual
+        self.settle_cycles = self.used
+        if self.phi is None:
+            # an orbit that settled without Newton still gets its stability
+            # verdict, and probe runs need phi
+            self._jacobian(base, z)
+        # the orbit repeats every cycle, so runs may fork from any cycle
+        # boundary: they start where the budget ends, which keeps their
+        # time axis independent of how many cycles settling took
+        self.step = budget * spc
+        self.z = z
+        self.cycle = _series(self, rec)
+
+    def _cycle(self, z, rec=None):
+        end = _integrate(self.runner, z, self.used * self.runner.spc, 1,
+                         rec=rec)
+        self.used += 1
+        return end
+
+    def _jacobian(self, base, end):
+        """phi at base, whose image is end; raises DivergenceError when a
+        Floquet multiplier reaches the unit circle."""
+        s = self.scale[self.free]
+        cols = []
+        for j in self.free:
+            z = base.copy()
+            z[j] += _FD_STEP * self.scale[j]
+            cols.append((self._cycle(z) - end)[self.free] / (_FD_STEP * s))
+        self.phi = np.column_stack(cols)
+        mu = float(np.abs(np.linalg.eigvals(self.phi)).max())
+        if mu >= 1.0:
+            t = self.used * self.runner.spc * self.runner.dt
+            raise DivergenceError(
+                f"periodic orbit is unstable (Floquet multiplier of "
+                f"magnitude {mu:.4g}); found by t = {t:.6f} s", time=t)
+
+    def mismatch(self, z, end) -> float:
+        """Largest scaled difference of the unknowns between z and end."""
+        return float(np.max(np.abs(end - z)[self.free]
+                            / self.scale[self.free]))
+
+    def newton(self, z, end, cycles):
+        """Chord-Newton step towards a fixed point of the map over `cycles`
+        cycles, from z with image end, with phi**cycles as its Jacobian."""
+        s = self.scale[self.free]
+        jac = np.eye(self.free.size) - np.linalg.matrix_power(self.phi,
+                                                               cycles)
+        out = z.copy()
+        out[self.free] += s * np.linalg.solve(jac, (end - z)[self.free] / s)
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _orbit(params, config, dt, budget, tol, reference_budget):
+    """Settled orbit, cached per operating point and settling knobs.
+
+    Open loop (config None) settles from a cold start. A closed loop starts
+    from the open-loop orbit settled on reference_budget, whose cycle also
+    gives the controllers their sampled references.
+    """
+    free = _PLANT
+    if config is None:
+        vref = icref = _ZERO_REF
+        y = np.array([0.0, params.vdc, params.vdc, 0.0])
     else:
-        _warn_caller(f"settling budget exhausted at residual {residual:.3e} "
-                     f"(tolerance {tol:.1e})")
-    return step, residual, used
+        ref = _orbit(params, None, dt, reference_budget, tol, None)
+        every = _control_strides(params, config, dt, ref.runner.spc)
+        vref = ref.cycle.v_g[::every]
+        icref = ref.cycle.i_c[::every]
+        y = ref.z[:4]
+        free += (_ACV_MEMORY if config.has_acv else ()) \
+            + (_CCC_MEMORY if config.has_ccc else ())
+    runner = _Runner(params, config, dt, vref, icref)
+    return _Orbit(runner, np.concatenate((y, runner.ctrl)), free, budget, tol)
+
+
+def _settle_campaign(params, config, sim) -> _Orbit:
+    """The settled orbit every run of a campaign forks from.
+
+    Warns for each orbit, the open-loop reference included, that ran out of
+    budget, on every call and not only when the orbit is first settled.
+    """
+    dt, tol = sim.dt, sim.periodicity_tol
+    if config is None or config.mode == "open":
+        orbits = [_orbit(params, None, dt, sim.settle_cycles, tol, None)]
+    else:
+        # refuse a sampling period off the step grid before settling
+        _control_strides(params, config, dt, _steps_per_cycle(params, dt))
+        ref_budget = sim.reference_settle_cycles
+        orbits = [_orbit(params, None, dt, ref_budget, tol, None),
+                  _orbit(params, config, dt, sim.settle_cycles, tol,
+                         ref_budget)]
+    for orbit in orbits:
+        if orbit.residual > tol:
+            _warn_caller(f"settling budget exhausted at residual "
+                         f"{orbit.residual:.3e} (tolerance {tol:.1e})")
+    return orbits[-1]
 
 
 def _warn_caller(message):
@@ -451,98 +620,90 @@ def _warn_caller(message):
     warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
-@functools.lru_cache(maxsize=8)
-def _reference_cycle(params: CircuitParams, dt: float, every: int,
-                     budget: int, tol: float):
-    """Settled open-loop cycle, sampled every `every` steps (the controller
-    rate).
+def _forced_end(orbit, probe, period):
+    """Where the probe carries the settled state over `period` cycles.
 
-    Returns (v_g samples, i_c samples, end state). Cached because every
-    closed-loop campaign at the same operating point needs the same
-    references.
+    The series voltage source enters the plant additively, so the response
+    over cycle k from the settled state is, exactly in open loop and to
+    first order in closed loops, the response over cycle 0 with the
+    probe's phase advanced by k * phi, phi = 2*pi*f_p/f1: the responses
+    over cycles 0 and 1 give every cycle's, and phi carries each to the end
+    of the period. The insertion-index probe multiplies the capacitor
+    voltages, so its one-cycle response holds second-order terms as large
+    as the first-order ones; it is integrated over the period, as are
+    periods of one or two cycles, where the two phases coincide.
     """
-    runner, (y, _, step, _, _) = _settle_campaign(
-        params, None, SimConfig(dt=dt, settle_cycles=budget,
-                                periodicity_tol=tol))
-    buf = np.empty((runner.spc, 8))
-    runner.advance(y, step, runner.spc, rec=buf)
-    _check_state(y, (step + runner.spc) * dt)
-    vref = buf[::every, 5].copy()
-    icref = buf[::every, 1].copy()
-    vref.setflags(write=False)
-    icref.setflags(write=False)
-    return vref, icref, y
+    runner, spc, z = orbit.runner, orbit.runner.spc, orbit.z
+    wp, _, probe_amp = probe
+    if probe_amp != 0.0 or period <= 2:
+        return _integrate(runner, z, orbit.step, period, probe)
+    free, s = orbit.free, orbit.scale[orbit.free]
+    r0, r1 = ((_integrate(runner, z, orbit.step + k * spc, 1, probe) - z)
+              [free] / s for k in (0, 1))
+    phi = wp * runner.params.period
+    # r_k = r0 cos(k phi) - q sin(k phi); r1 fixes q
+    q = (r0 * math.cos(phi) - r1) / math.sin(phi)
+    drift = np.zeros(free.size)
+    for k in range(period):
+        drift = orbit.phi @ drift + r0 * math.cos(k * phi) \
+            - q * math.sin(k * phi)
+    end = z.copy()
+    end[free] += s * drift
+    return end
 
 
-def _settle_campaign(params, config, sim):
-    """Settle once; returns the runner and the snapshot (y, ctrl, step,
-    residual, used) that every run of a campaign forks from.
+def _run(orbit, f_p, v_amp, probe_amp, cycles) -> TimeSeries:
+    """One run forked from the settled orbit, recording `cycles` cycles.
 
-    Open loop settles from a cold start, closed loops from the cached
-    open-loop reference cycle. The probe amplitude is zero until its ramp
-    starts, so settling is the same for the baseline and every probe.
+    Without a probe the window continues the settled orbit. With one, the
+    run starts on the forced orbit instead of ramping towards it. The
+    forced orbit repeats after the common period of f1 and f_p, `period`
+    cycles, which divides the window. The map over one period has Jacobian
+    phi**period, exactly in open loop and to first order in the probe
+    amplitude in closed loop, so chord-Newton steps from the settled state
+    (the first one from _forced_end) converge on the forced orbit: open
+    loop needs one, closed loops a few. The steps stop once a period's end
+    state misses its start by less than tol relative to the probe's
+    displacement of the orbit; that last period is the head of the window.
+    A run still off its orbit after _PROBE_STEPS more steps warns.
     """
-    dt = sim.dt
-    if config is not None and config.mode != "open":
-        every = _control_strides(params, config, dt,
-                                 _steps_per_cycle(params, dt))
-        vref, icref, y = _reference_cycle(
-            params, dt, every, sim.reference_settle_cycles,
-            sim.periodicity_tol)
-        y = y.copy()
-    else:
-        vref = icref = _ZERO_REF
-        y = np.array([0.0, params.vdc, params.vdc, 0.0])
-    runner = _Runner(params, config, dt, vref, icref)
-    step, residual, used = _settle(
-        runner, y, 0, sim.settle_cycles, sim.periodicity_tol)
-    return runner, (y, runner.ctrl.copy(), step, residual, used)
-
-
-def _run(runner, settled, sim, f_p, v_amp, probe_amp,
-         window_cycles) -> TimeSeries:
-    """One run forked from the settled snapshot: ramp the probe in (when
-    f_p > 0), then record window_cycles fundamental cycles.
-
-    States and controller memory are both restored from the snapshot,
-    because the kernel updates them in place. A baseline is the same
-    schedule at zero amplitude, so it shares every sampling instant with
-    the probe runs and residual settling error subtracts out exactly.
-    """
-    y, ctrl, step, residual, used = settled
-    y = y.copy()
-    runner.ctrl = ctrl.copy()
-    spc = runner.spc
-    wp = 2.0 * math.pi * f_p
-    ramp_s0 = ramp_s1 = step
+    runner, spc = orbit.runner, orbit.runner.spc
+    period = _common_cycles(runner.params, (f_p,)) if f_p > 0.0 else 1
+    probe = (2.0 * math.pi * f_p, v_amp, probe_amp)
+    rec = np.empty((cycles * spc, 8))
+    head = rec[:period * spc]
+    z, step = orbit.z, orbit.step
     if f_p > 0.0:
-        ramp_s1 = step + sim.ramp_cycles * spc
-        lead = (sim.ramp_cycles + sim.post_ramp_cycles) * spc
-        if lead:
-            step = runner.advance(y, step, lead, wp, v_amp, probe_amp,
-                                  ramp_s0, ramp_s1)
-            _check_state(y, step * runner.dt)
-
-    rec = np.empty((window_cycles * spc, 8))
-    step = runner.advance(y, step, window_cycles * spc, wp, v_amp, probe_amp,
-                          ramp_s0, ramp_s1, rec)
-    _check_state(y, step * runner.dt)
-
-    return TimeSeries(params=runner.params, dt=runner.dt,
-                      periodicity_residual=residual, settle_cycles_used=used,
-                      **dict(zip(_COLUMNS, rec.T)))
+        z = orbit.newton(z, _forced_end(orbit, probe, period), period)
+        step += period * spc
+    end = _integrate(runner, z, step, period, probe, head)
+    steps = 0
+    while f_p > 0.0 and (orbit.mismatch(z, end)
+                         > orbit.tol * orbit.mismatch(orbit.z, z)):
+        if steps == _PROBE_STEPS:
+            _warn_caller(f"probe run at {f_p:g} Hz is still off its forced "
+                         f"orbit after {steps} Newton steps")
+            break
+        z = orbit.newton(z, end, period)
+        step += period * spc
+        end = _integrate(runner, z, step, period, probe, head)
+        steps += 1
+    _integrate(runner, end, step + period * spc, cycles - period, probe,
+               rec[period * spc:])
+    return _series(orbit, rec)
 
 
 def simulate(params: CircuitParams, config: ControlConfig | None,
              sim: SimConfig, perturb: tuple | None = None) -> TimeSeries:
-    """Integrate to periodic steady state, then record a window.
+    """Settle on the periodic orbit, then record a window.
 
     perturb is an optional (frequency_hz, amplitude_v) pair overriding the
     values in sim; the perturbation is a series voltage source at the
-    point of connection, faded in after settling. Without a perturbation
-    the window spans measure_cycles fundamental cycles of the settled
-    orbit. Raises DivergenceError if any state leaves physical range and
-    warns if the settling budget runs out before the orbit is periodic.
+    point of connection, and the window lies on the orbit it forces.
+    Without a perturbation the window spans measure_cycles fundamental
+    cycles of the settled orbit. Raises DivergenceError if any state leaves
+    physical range or the orbit is unstable, and warns if the settling
+    budget runs out before the orbit is periodic.
     """
     if perturb is not None:
         f_p, amp = perturb
@@ -554,8 +715,8 @@ def simulate(params: CircuitParams, config: ControlConfig | None,
         amp = _DEFAULT_PROBE_FRACTION * 0.5 * params.vdc
     window = sim.measure_cycles * (
         _common_cycles(params, (f_p,)) if f_p > 0.0 else 1)
-    runner, settled = _settle_campaign(params, config, sim)
-    return _run(runner, settled, sim, f_p, amp, 0.0, window)
+    orbit = _settle_campaign(params, config, sim)
+    return _run(orbit, f_p, amp, 0.0, window)
 
 
 def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
@@ -581,20 +742,29 @@ def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
     return complex(2.0 / n * np.sum(x * kernel))
 
 
-def _responses(params, config, sim, freqs, v_amp, probe_amp, signals):
-    """Yields (f_p, baseline-subtracted phasors of signals) per frequency.
+def _orbit_phasor(orbit, signal, f_p):
+    """Phasor of the settled orbit at f_p. The orbit repeats every cycle, so
+    over any window it has its one-cycle phasor at harmonics of f1 and none
+    elsewhere; this stands in for an unperturbed baseline run."""
+    if _common_cycles(orbit.runner.params, (f_p,)) != 1:
+        return 0j
+    return extract_phasor(orbit.cycle, signal, f_p)
 
-    One settle, then a zero-amplitude baseline and one probe run per
-    frequency, all forked from the settled state and recorded over one
-    window that holds whole periods of every frequency.
+
+def _responses(params, config, sim, freqs, v_amp, probe_amp, signals):
+    """Yields (f_p, phasors of signals net of the settled orbit) per
+    frequency.
+
+    One settle, then one probe run per frequency, each forked from the
+    settled orbit and recorded over one window that holds whole periods of
+    every frequency.
     """
     window = sim.measure_cycles * _common_cycles(params, freqs)
-    runner, settled = _settle_campaign(params, config, sim)
-    base = _run(runner, settled, sim, max(freqs), 0.0, 0.0, window)
+    orbit = _settle_campaign(params, config, sim)
     for f_p in freqs:
-        pert = _run(runner, settled, sim, f_p, v_amp, probe_amp, window)
-        yield f_p, [extract_phasor(pert, s, f_p) - extract_phasor(base, s, f_p)
-                    for s in signals]
+        pert = _run(orbit, f_p, v_amp, probe_amp, window)
+        yield f_p, [extract_phasor(pert, s, f_p)
+                    - _orbit_phasor(orbit, s, f_p) for s in signals]
 
 
 def _probe_amplitude(params, sim):
@@ -610,13 +780,13 @@ def _mode_of(config) -> str:
 def measure_impedance(params: CircuitParams, config: ControlConfig | None,
                       sim: SimConfig, freq_hz: float | None = None
                       ) -> ImpedancePoint:
-    """Terminal impedance at one probe frequency, by baseline subtraction.
+    """Terminal impedance at one probe frequency.
 
-    Forks a baseline run and a run with the series voltage probe from one
-    settled state, extracts the probe-frequency phasors of terminal
-    voltage and current from both, subtracts, and returns
-    -delta_V / delta_I. The returned point carries order 0 because no
-    harmonic truncation is involved.
+    Forks a run with the series voltage probe from the settled orbit,
+    extracts the probe-frequency phasors of terminal voltage and current,
+    subtracts those of the settled orbit, and returns -delta_V / delta_I.
+    The returned point carries order 0 because no harmonic truncation is
+    involved.
     """
     f_p = sim.perturb_freq if freq_hz is None else float(freq_hz)
     if f_p <= 0.0:
@@ -627,11 +797,12 @@ def measure_impedance(params: CircuitParams, config: ControlConfig | None,
 def measure_impedance_many(params: CircuitParams,
                            config: ControlConfig | None,
                            sim: SimConfig, freqs) -> dict:
-    """Impedance at several probe frequencies sharing one baseline run.
+    """Impedance at several probe frequencies sharing one settled orbit.
 
-    All frequencies and the fundamental must share a common period; the
-    measurement window is sized to hold all of them at once, so settling
-    and the baseline are integrated only once per campaign. Returns
+    All frequencies and the fundamental must share a common period; every
+    probe run records a window of the same length, sized to hold
+    all of them at once. Settling happens once per campaign and is cached
+    for later campaigns with the same settling knobs. Returns
     {frequency: ImpedancePoint}.
     """
     freqs = [float(f) for f in freqs]
@@ -660,7 +831,7 @@ def measure_circulating_impedance(params: CircuitParams,
     The probe here is a small common-mode wiggle added to both insertion
     indices (the same entry point a circulating-current controller uses),
     not a terminal voltage. The returned value is the loop impedance
-    -V_dc * delta_n / delta_I_c after baseline subtraction.
+    -V_dc * delta_n / delta_I_c net of the settled orbit.
     """
     f_p = sim.perturb_freq if freq_hz is None else float(freq_hz)
     if f_p <= 0.0:
@@ -676,8 +847,8 @@ def measure_circulating_impedance(params: CircuitParams,
 
 
 def reset_caches() -> None:
-    """Drop cached open-loop reference cycles (mainly for tests)."""
-    _reference_cycle.cache_clear()
+    """Drop cached settled orbits, open-loop references included."""
+    _orbit.cache_clear()
 
 
 __all__ = [

@@ -257,3 +257,29 @@ def test_argparse_usage_error_exits_nonzero():
         cli.main([])
     with pytest.raises(SystemExit):
         cli.main(["sweep"])  # missing required --config
+
+
+def test_dump_trajectory_reuses_the_settled_orbit(cfg_default, tmp_path,
+                                                  monkeypatch):
+    # the dump records its window from the campaign's settled orbit; it
+    # integrates nothing else
+    from mmc_hss import td_sim
+    steps = []
+    advance = td_sim._Runner.advance
+
+    def count(self, y, step0, n_steps, *args, **kwargs):
+        steps.append(n_steps)
+        return advance(self, y, step0, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(td_sim._Runner, "advance", count)
+    args = ["measure", "--config", cfg_default, "--freqs", "200",
+            "--out", str(tmp_path / "m.csv")]
+    td_sim.reset_caches()
+    assert cli.main(args) == 0
+    plain = sum(steps)
+    td_sim.reset_caches()
+    del steps[:]
+    assert cli.main(args + ["--dump-trajectory",
+                            str(tmp_path / "traj.csv")]) == 0
+    # measure_cycles = 2 fundamental cycles of 2000 steps
+    assert sum(steps) - plain == 2 * 2000

@@ -285,3 +285,19 @@ def test_real_signal_detection():
     bad = hc.HarmonicVector.from_blocks(1, 1, {1: [1 + 1j], -1: [1 + 1j]})
     assert good.is_real_signal()
     assert not bad.is_real_signal()
+
+
+def test_shifted_check_matches_a_fresh_copy_for_every_shift():
+    # check rewrites the diagonal of one work copy of T per shift; the
+    # estimate must be bit-identical to shifting a fresh copy, whatever
+    # shifts came before
+    rng = np.random.default_rng(3)
+    m0 = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    solver = hc.ShiftedSolver(m0)
+    t_before = solver.t.copy()
+    for omega in (0.0, 250.0, -3.5, 1e4, 250.0):
+        fresh = np.array(solver.t, order="F")
+        fresh.flat[::41] -= 1j * omega
+        rcond, _ = solver._trcon(fresh)
+        assert solver.check(omega) == 1.0 / rcond
+    np.testing.assert_array_equal(solver.t, t_before)

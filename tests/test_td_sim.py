@@ -365,3 +365,80 @@ def test_measured_circulating_impedance(params_m0, params):
     with pytest.raises(ValueError):
         td.measure_circulating_impedance(params_m0, None, td.SimConfig(),
                                          80.0, probe=0.0)
+
+
+# ------------------------------------------------------------------ shooting
+
+
+def test_acv_shooting_leaves_the_circulating_memory_alone(params, monkeypatch):
+    # acv alone never updates dn_pend: it is a free constant of the
+    # one-cycle map (Floquet multiplier exactly 1), and moving it would
+    # select another orbit, so neither settling nor a probe run may touch it
+    entry_ctrl = []
+    advance = td._Runner.advance
+
+    def spy(self, *args, **kwargs):
+        entry_ctrl.append(self.ctrl.copy())
+        return advance(self, *args, **kwargs)
+
+    monkeypatch.setattr(td._Runner, "advance", spy)
+    td.reset_caches()
+    td.measure_impedance(params, ACV, td.SimConfig(), 200.0)
+    # the open-loop reference runs with all-zero memory; acv seeds xa
+    acv_calls = [ctrl for ctrl in entry_ctrl if ctrl[0] != 0.0]
+    assert len(acv_calls) > 10
+    for ctrl in acv_calls:
+        assert ctrl[4] == 0.0 and ctrl[5] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["open", "acv", "acv+ccc"])
+def test_settled_orbit_is_periodic_to_roundoff(params, mode):
+    cfg = mm.ControlConfig(mode=mode, kpv=1.0, krv=20.0, ra=20.0,
+                           sampling_period=1e-4)
+    s = td.simulate(params, cfg, td.SimConfig())
+    assert s.periodicity_residual <= 1e-9
+    # brute force needed 50 (open) to 175 (acv) cycles for 1e-6
+    assert s.settle_cycles_used <= 30
+    # the two recorded cycles repeat each other
+    half = s.t.size // 2
+    for name in ("i_c", "v_cu", "v_cl", "i_g"):
+        x = s.column(name)
+        assert np.abs(x[half:] - x[:half]).max() \
+            <= 1e-9 * max(np.abs(x).max(), 1.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    # a Floquet multiplier just outside the unit circle: the states grow
+    # too slowly to leave physical range within the budget, and Newton
+    # would converge onto the unstable orbit all the same
+    mm.ControlConfig(mode="acv", kpv=3.0, krv=20.0, sampling_period=1e-4),
+    # ra < -R: the open-loop orbit is an exact, unstable fixed point of the
+    # loop, so two settling cycles already agree
+    mm.ControlConfig(mode="ccc", ra=-30.0, sampling_period=1e-4),
+], ids=["acv", "ccc"])
+def test_unstable_orbit_raises_divergence(params, cfg):
+    with pytest.raises(DivergenceError, match="unstable") as err:
+        td.simulate(params, cfg, td.SimConfig())
+    assert err.value.time > 0.0
+
+
+def test_two_cycle_forcing_prediction_matches_integration(params):
+    # in open loop the series probe enters additively, so two integrated
+    # cycles predict where the probe carries the settled state over a whole
+    # common period (10 cycles at 35 Hz); integration is the reference
+    orbit = td._settle_campaign(params, None, td.SimConfig())
+    probe = (2 * np.pi * 35.0, 3200.0, 0.0)
+    got = td._forced_end(orbit, probe, 10)
+    want = td._integrate(orbit.runner, orbit.z, orbit.step, 10, probe)
+    scale = orbit.scale[:4]
+    np.testing.assert_allclose(got[:4] / scale, want[:4] / scale,
+                               rtol=0.0, atol=1e-8)
+
+
+def test_probe_run_warns_when_it_misses_its_forced_orbit(params, monkeypatch):
+    # a closed loop needs a few chord steps after the first one; with none
+    # allowed, the run must say that its window is off the forced orbit
+    monkeypatch.setattr(td, "_PROBE_STEPS", 0)
+    with pytest.warns(RuntimeWarning, match="forced orbit") as record:
+        td.measure_impedance(params, ACV, td.SimConfig(), 200.0)
+    assert [w.filename for w in record] == [__file__]
