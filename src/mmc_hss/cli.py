@@ -68,43 +68,56 @@ def _any_float(x):
     return x
 
 
-# key -> (default, parser, per-key constraint); file order is free,
-# unknown keys are rejected with their line number
+# key -> (default, parser, per-key check, owner, field): the value sets
+# RunConfig.<owner>.<field> for owner params, control or sim, and
+# RunConfig.<field> for owner None. File order is free; unknown keys are
+# rejected with their line number.
 _KEYS = {
-    "vdc_v": (320e3, float, _positive),
-    "arm_inductance_h": (0.36, float, _positive),
-    "arm_resistance_ohm": (1.0, float, _nonneg),
-    "sm_capacitance_f": (140e-6, float, _positive),
-    "sm_per_arm": (20, int, _count),
-    "fundamental_hz": (50.0, float, _positive),
-    "modulation_index": (0.847, float, _fraction),
-    "modulation_phase_rad": (0.0, float, _any_float),
-    "modulation_index_2h": (0.0, float, _fraction),
-    "modulation_phase_2h_rad": (0.0, float, _any_float),
-    "load_resistance_ohm": (550.0, float, _nonneg),
-    "load_inductance_h": (0.0, float, _nonneg),
-    "control_mode": ("open", str, _mode),
-    "kpv": (1.0, float, _nonneg),
-    "krv": (20.0, float, _nonneg),
-    "kf": (0.0, float, _nonneg),
-    "resonant_damping": (0.0, float, _nonneg),
-    "ra_ohm": (20.0, float, _any_float),
-    "sampling_period_s": (1e-4, float, _positive),
-    "dt_s": (1e-5, float, _positive),
-    "settle_cycles": (300, int, _count),
-    "measure_cycles": (2, int, _count),
-    "ramp_cycles": (20, int, _nonneg),
-    "post_ramp_cycles": (30, int, _nonneg),
-    "perturb_amplitude_v": (0.0, float, _nonneg),
-    "periodicity_tol": (1e-6, float, _positive),
-    "reference_settle_cycles": (800, int, _count),
-    "harmonic_order": (4, int, _count),
-    "sweep_start_hz": (5.0, float, _positive),
-    "sweep_stop_hz": (500.0, float, _positive),
-    "sweep_step_hz": (1.0, float, _positive),
-    "guard_band_hz": (-1.0, float, _any_float),  # negative = automatic
-    "out_csv": ("", str, lambda s: s),
+    "vdc_v": (320e3, float, _positive, "params", "vdc"),
+    "arm_inductance_h": (0.36, float, _positive, "params", "arm_inductance"),
+    "arm_resistance_ohm": (1.0, float, _nonneg, "params", "arm_resistance"),
+    "sm_capacitance_f": (140e-6, float, _positive, "params", "sm_capacitance"),
+    "sm_per_arm": (20, int, _count, "params", "sm_per_arm"),
+    "fundamental_hz": (50.0, float, _positive, "params", "fundamental_freq"),
+    "modulation_index": (0.847, float, _fraction, "params",
+                         "modulation_index"),
+    "modulation_phase_rad": (0.0, float, _any_float, "params",
+                             "modulation_phase"),
+    "modulation_index_2h": (0.0, float, _fraction, "params",
+                            "modulation_index_2h"),
+    "modulation_phase_2h_rad": (0.0, float, _any_float, "params",
+                                "modulation_phase_2h"),
+    "load_resistance_ohm": (550.0, float, _nonneg, "params",
+                            "load_resistance"),
+    "load_inductance_h": (0.0, float, _nonneg, "params", "load_inductance"),
+    "control_mode": ("open", str, _mode, "control", "mode"),
+    "kpv": (1.0, float, _nonneg, "control", "kpv"),
+    "krv": (20.0, float, _nonneg, "control", "krv"),
+    "kf": (0.0, float, _nonneg, "control", "kf"),
+    "resonant_damping": (0.0, float, _nonneg, "control", "resonant_damping"),
+    "ra_ohm": (20.0, float, _any_float, "control", "ra"),
+    "sampling_period_s": (1e-4, float, _positive, "control",
+                          "sampling_period"),
+    "dt_s": (1e-5, float, _positive, "sim", "dt"),
+    "settle_cycles": (300, int, _count, "sim", "settle_cycles"),
+    "measure_cycles": (2, int, _count, "sim", "measure_cycles"),
+    "ramp_cycles": (20, int, _nonneg, "sim", "ramp_cycles"),
+    "post_ramp_cycles": (30, int, _nonneg, "sim", "post_ramp_cycles"),
+    "perturb_amplitude_v": (0.0, float, _nonneg, "sim", "perturb_amplitude"),
+    "periodicity_tol": (1e-6, float, _positive, "sim", "periodicity_tol"),
+    "reference_settle_cycles": (800, int, _count, "sim",
+                                "reference_settle_cycles"),
+    "harmonic_order": (4, int, _count, None, "harmonic_order"),
+    "sweep_start_hz": (5.0, float, _positive, None, "sweep_start_hz"),
+    "sweep_stop_hz": (500.0, float, _positive, None, "sweep_stop_hz"),
+    "sweep_step_hz": (1.0, float, _positive, None, "sweep_step_hz"),
+    # negative = automatic
+    "guard_band_hz": (-1.0, float, _any_float, None, "guard_band_hz"),
+    "out_csv": ("", str, lambda s: s, None, "out_csv"),
 }
+
+_OWNERS = {"params": mmc_model.CircuitParams,
+           "control": mmc_model.ControlConfig, "sim": td_sim.SimConfig}
 
 
 @dataclass(frozen=True)
@@ -139,106 +152,34 @@ class RunConfig:
         Floats are written with repr, which round-trips exactly; strings
         are written bare because the parser takes values verbatim.
         """
-        values = _config_values(self)
         with open(path, "w", encoding="ascii") as fh:
             fh.write("# effective configuration\n")
-            for key in _KEYS:
-                v = values[key]
+            for key, v in _config_values(self).items():
                 fh.write(f"{key} = {v}\n" if isinstance(v, str)
                          else f"{key} = {v!r}\n")
 
 
 def _config_values(cfg: RunConfig) -> dict:
-    p, c, s = cfg.params, cfg.control, cfg.sim
-    return {
-        "vdc_v": p.vdc,
-        "arm_inductance_h": p.arm_inductance,
-        "arm_resistance_ohm": p.arm_resistance,
-        "sm_capacitance_f": p.sm_capacitance,
-        "sm_per_arm": p.sm_per_arm,
-        "fundamental_hz": p.fundamental_freq,
-        "modulation_index": p.modulation_index,
-        "modulation_phase_rad": p.modulation_phase,
-        "modulation_index_2h": p.modulation_index_2h,
-        "modulation_phase_2h_rad": p.modulation_phase_2h,
-        "load_resistance_ohm": p.load_resistance,
-        "load_inductance_h": p.load_inductance,
-        "control_mode": c.mode,
-        "kpv": c.kpv,
-        "krv": c.krv,
-        "kf": c.kf,
-        "resonant_damping": c.resonant_damping,
-        "ra_ohm": c.ra,
-        "sampling_period_s": c.sampling_period,
-        "dt_s": s.dt,
-        "settle_cycles": s.settle_cycles,
-        "measure_cycles": s.measure_cycles,
-        "ramp_cycles": s.ramp_cycles,
-        "post_ramp_cycles": s.post_ramp_cycles,
-        "perturb_amplitude_v": s.perturb_amplitude,
-        "periodicity_tol": s.periodicity_tol,
-        "reference_settle_cycles": s.reference_settle_cycles,
-        "harmonic_order": cfg.harmonic_order,
-        "sweep_start_hz": cfg.sweep_start_hz,
-        "sweep_stop_hz": cfg.sweep_stop_hz,
-        "sweep_step_hz": cfg.sweep_step_hz,
-        "guard_band_hz": cfg.guard_band_hz,
-        "out_csv": cfg.out_csv,
-    }
+    return {key: getattr(getattr(cfg, owner) if owner else cfg, name)
+            for key, (_, _, _, owner, name) in _KEYS.items()}
 
 
 def _build_config(values: dict, lines: dict) -> RunConfig:
-    def line_of(key):
-        return f" (line {lines[key]})" if key in lines else ""
-
-    try:
-        params = mmc_model.CircuitParams(
-            vdc=values["vdc_v"],
-            arm_inductance=values["arm_inductance_h"],
-            arm_resistance=values["arm_resistance_ohm"],
-            sm_capacitance=values["sm_capacitance_f"],
-            sm_per_arm=values["sm_per_arm"],
-            fundamental_freq=values["fundamental_hz"],
-            modulation_index=values["modulation_index"],
-            modulation_phase=values["modulation_phase_rad"],
-            modulation_index_2h=values["modulation_index_2h"],
-            modulation_phase_2h=values["modulation_phase_2h_rad"],
-            load_resistance=values["load_resistance_ohm"],
-            load_inductance=values["load_inductance_h"],
-        )
-        control = mmc_model.ControlConfig(
-            mode=values["control_mode"],
-            kpv=values["kpv"],
-            krv=values["krv"],
-            kf=values["kf"],
-            resonant_damping=values["resonant_damping"],
-            ra=values["ra_ohm"],
-            sampling_period=values["sampling_period_s"],
-        )
-        sim = td_sim.SimConfig(
-            dt=values["dt_s"],
-            settle_cycles=values["settle_cycles"],
-            measure_cycles=values["measure_cycles"],
-            ramp_cycles=values["ramp_cycles"],
-            post_ramp_cycles=values["post_ramp_cycles"],
-            perturb_amplitude=values["perturb_amplitude_v"],
-            periodicity_tol=values["periodicity_tol"],
-            reference_settle_cycles=values["reference_settle_cycles"],
-        )
-    except ValueError as exc:
-        # cross-field constraint; point at the last explicit key if any
-        hint = next((k for k in reversed(list(lines))), None)
-        where = line_of(hint) if hint else ""
-        raise ConfigError(f"invalid configuration{where}: {exc}") from exc
-    return RunConfig(
-        params=params, control=control, sim=sim,
-        harmonic_order=values["harmonic_order"],
-        sweep_start_hz=values["sweep_start_hz"],
-        sweep_stop_hz=values["sweep_stop_hz"],
-        sweep_step_hz=values["sweep_step_hz"],
-        guard_band_hz=values["guard_band_hz"],
-        out_csv=values["out_csv"],
-    )
+    fields = {owner: {} for owner in (*_OWNERS, None)}
+    for key, (_, _, _, owner, name) in _KEYS.items():
+        fields[owner][name] = values[key]
+    run = fields[None]
+    for owner, cls in _OWNERS.items():
+        try:
+            run[owner] = cls(**fields[owner])
+        except ValueError as exc:
+            # cross-field constraint: point at the last line that set a
+            # key of the object that rejected it
+            set_here = [lines[k] for k, spec in _KEYS.items()
+                        if spec[3] == owner and k in lines]
+            where = f" (line {max(set_here)})" if set_here else ""
+            raise ConfigError(f"invalid configuration{where}: {exc}") from exc
+    return RunConfig(**run)
 
 
 def parse_config(path) -> RunConfig:
@@ -247,7 +188,7 @@ def parse_config(path) -> RunConfig:
     Reports the first offending key with its line number. Values use
     plain Python float syntax; '#' starts a comment.
     """
-    values = {k: default for k, (default, _, _) in _KEYS.items()}
+    values = {key: spec[0] for key, spec in _KEYS.items()}
     lines = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -266,7 +207,7 @@ def parse_config(path) -> RunConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        _, conv, check = _KEYS[key]
+        _, conv, check, _, _ = _KEYS[key]
         try:
             parsed = check(conv(value))
         except ValueError as exc:

@@ -30,7 +30,6 @@ fixed low order shifts the sharp internal resonances.
 
 from __future__ import annotations
 
-import collections
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -58,9 +57,6 @@ _DEGENERATE_RATIO = 1e-15
 # points solved together are chunked to about this many bytes of work
 # arrays each, which bounds the memory a sweep adds
 _CHUNK_BYTES = 256 * 1024
-
-# Schur factors kept for the single-point calls that follow a sweep
-_RECENT_FACTORS = 1
 
 
 def _wrap_phase_deg(z: complex) -> float:
@@ -164,6 +160,8 @@ def _auto_order(params, freqs, evaluate):
         return float(dev.max()), idx[int(dev.argmax())]
 
     everything = list(range(len(freqs)))
+    if not everything:
+        return 4, []
     worst = 0
     for h in range(4, MAX_ORDER - 1):
         if deviation(h, [worst])[0] < AUTO_ORDER_RTOL:
@@ -209,23 +207,26 @@ class _Factor:
         return last
 
 
-_recent_factors = collections.OrderedDict()
+_cached_factor = None
 
 
 def _factor(params, order, held=None):
     """held, else the cached factor for (params, order), else a new one.
 
-    The last _RECENT_FACTORS factors stay cached, so the single-point calls
-    that follow a sweep (spots, probes) need no new Schur form.
+    The factor returned stays cached, so the single-point calls that follow
+    a sweep (spots, probes) need no new Schur form. Raises ValueError for
+    an order outside 1..MAX_ORDER before anything is built.
     """
-    key = (params, order)
-    factor = held or _recent_factors.pop(key, None)
-    _recent_factors.pop(key, None)
-    while len(_recent_factors) >= _RECENT_FACTORS:
-        # evicted before a new factor is built, so the two never coexist
-        _recent_factors.popitem(last=False)
-    factor = _recent_factors[key] = factor or _Factor(params, order)
-    return factor
+    global _cached_factor
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in 1..{MAX_ORDER}")
+    if held is None and _cached_factor is not None and (
+            _cached_factor.params, _cached_factor.order) == (params, order):
+        held = _cached_factor
+    # dropped before a new factor is built, so the two never coexist
+    _cached_factor = None
+    _cached_factor = held or _Factor(params, order)
+    return _cached_factor
 
 
 class _Loop:
@@ -270,7 +271,6 @@ class _Loop:
         self.vp = self.vp.ravel()
         self.qf = solver.to_schur(self.f_map)
         self.q_picks = solver.q[self.picks]
-        self.pending = {}  # primed responses by (probe, frequency)
 
     def _gains(self, omegas):
         """(gains, inverse gains, pickup scales), each (points, channels)."""
@@ -373,20 +373,6 @@ class _Loop:
         x, errors = self.solve(omegas, bx, v_p, [row])
         return [e or complex(v) for v, e in zip(x[0], errors)]
 
-    def prime(self, freqs, probe):
-        """Solve freqs in one batch for the response calls that follow."""
-        self.pending.update(zip([(probe, f) for f in freqs],
-                                self.responses(freqs, probe)))
-
-    def response(self, freq_hz, probe):
-        """One readout, primed or solved alone; raises its error."""
-        got = self.pending.pop((probe, freq_hz), None)
-        if got is None:
-            (got,) = self.responses([freq_hz], probe)
-        if isinstance(got, Exception):
-            raise got
-        return got
-
 
 def _inverse(sys, errors):
     """Inverses of the channel systems sys (points, m, m); a point whose
@@ -409,6 +395,25 @@ def _inverse(sys, errors):
                 f"channel system too ill-conditioned (cond ~ {cond[p]:.3e})",
                 float(cond[p]))
     return inv
+
+
+def _series_points(loop, freqs):
+    """ImpedancePoint per frequency from one batched series-probe solve of
+    loop, or the error that spoiled that point."""
+    params = loop.params
+
+    def point(freq_hz, i_gp):
+        if isinstance(i_gp, Exception):
+            return i_gp
+        z_load = params.load_impedance(2.0 * math.pi * freq_hz)
+        if abs(i_gp) < _DEGENERATE_RATIO / max(abs(z_load), 1.0):
+            return DegenerateResponseError(
+                f"no output-current response at {freq_hz} Hz")
+        return ImpedancePoint(freq_hz, -(1.0 + z_load * i_gp) / i_gp,
+                              loop.config.mode, loop.order)
+
+    return [point(f, i_gp)
+            for f, i_gp in zip(freqs, loop.responses(freqs, "series"))]
 
 
 def _series_forcing(params, order, v_p):
@@ -480,19 +485,13 @@ def impedance_at(params, config, freq_hz: float, order: int | None = None,
             params, [freq_hz],
             lambda h, idx: [impedance_at(params, config, freq_hz, h)])
         return point
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError("order must lie in 1..16")
     factor = _factor(params, order)
     if op is None and config.mode != "open":
         op = factor.steady()
-    i_gp = factor.loop(config, op).response(freq_hz, "series")
-    z_load = params.load_impedance(2.0 * math.pi * freq_hz)
-    if abs(i_gp) < _DEGENERATE_RATIO / max(abs(z_load), 1.0):
-        raise DegenerateResponseError(
-            f"no output-current response at {freq_hz} Hz"
-        )
-    return ImpedancePoint(freq_hz, -(1.0 + z_load * i_gp) / i_gp,
-                          config.mode, order)
+    (point,) = _series_points(factor.loop(config, op), [freq_hz])
+    if isinstance(point, Exception):
+        raise point
+    return point
 
 
 def circulating_impedance_at(params, config, freq_hz: float,
@@ -517,8 +516,10 @@ def circulating_impedance_at(params, config, freq_hz: float,
                                                      freq_hz, h)])
         return point
     factor = _factor(params, order)
-    i_cp = factor.loop(config, op or factor.steady()).response(
-        freq_hz, "circulating")
+    (i_cp,) = factor.loop(config, op or factor.steady()).responses(
+        [freq_hz], "circulating")
+    if isinstance(i_cp, Exception):
+        raise i_cp
     if abs(i_cp) < _DEGENERATE_RATIO * params.vdc:
         raise DegenerateResponseError(
             f"no circulating-current response at {freq_hz} Hz"
@@ -571,22 +572,11 @@ def sweep(params, config, freqs=None, order: int | None = None,
             del held[done]
         factor = held[h] = _factor(params, h, held.get(h))
         op = factor.steady() if config.mode != "open" else None
-        loop = factor.loop(config, op)
         fs = freqs[idx]
-        # one batched solve of the grid; impedance_at reads each point
-        # back from it
-        loop.prime(fs, "series")
-
-        def one(f):
-            try:
-                return impedance_at(params, config, f, h, op=op)
-            except (ArithmeticError, ValueError) as exc:
-                return (f, f"{type(exc).__name__}: {exc}")
-
-        try:
-            return [one(f) for f in fs]
-        finally:
-            loop.pending.clear()
+        points = _series_points(factor.loop(config, op), fs)
+        return [p if isinstance(p, ImpedancePoint)
+                else (f, f"{type(p).__name__}: {p}")
+                for f, p in zip(fs, points)]
 
     if order is None:
         order, results = _auto_order(params, freqs, evaluate)

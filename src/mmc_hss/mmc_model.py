@@ -30,7 +30,6 @@ state). The ac terminal voltage is v_g = v_p + Z_load*i_g.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -412,10 +411,6 @@ def _injection(params: CircuitParams, op: SteadyOperatingPoint, order: int,
         -(vcu - lower * vcl) / l_eff,
     ])
     return f
-
-
-_acv_injection = functools.partial(_injection, loop="acv")
-_ccc_injection = functools.partial(_injection, loop="ccc")
 
 
 def feedback_channels(params: CircuitParams, config: ControlConfig,

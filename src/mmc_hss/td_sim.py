@@ -168,7 +168,7 @@ def _rhs_py(t, y0, y1, y2, y3,
             r_arm, l_arm, c_arm, vdc, l_eff, r_out,
             w1, mod1, th1, mod2, th2,
             use_acv, vm, dn,
-            wp, vamp, pamp, t_r0, t_r1):
+            wp, vamp, pamp):
     second = 0.5 * mod2 * math.cos(2.0 * w1 * t + th2)
     if use_acv == 1:
         base = vm / vdc
@@ -179,18 +179,11 @@ def _rhs_py(t, y0, y1, y2, y3,
 
     vp = 0.0
     if vamp != 0.0 or pamp != 0.0:
-        if t >= t_r1:
-            env = 1.0
-        elif t < t_r0:
-            env = 0.0
-        else:
-            env = 0.5 - 0.5 * math.cos(math.pi * (t - t_r0) / (t_r1 - t_r0))
-        if env != 0.0:
-            carrier = env * math.cos(wp * t)
-            vp = vamp * carrier
-            probe = pamp * carrier
-            nu += probe
-            nl += probe
+        carrier = math.cos(wp * t)
+        vp = vamp * carrier
+        probe = pamp * carrier
+        nu += probe
+        nl += probe
 
     iu = y0 + 0.5 * y3
     il = y0 - 0.5 * y3
@@ -209,8 +202,7 @@ def _advance_py(y, step0, n_steps, dt,
                 w1, mod1, th1, mod2, th2,
                 use_acv, use_ccc, kp_eff, rot_c, rot_s, g1, g2, ra_over_vdc,
                 ctrl_every, vref, icref, ctrl,
-                wp, vamp, pamp, ramp_s0, ramp_s1,
-                rec):
+                wp, vamp, pamp, rec):
     y0 = y[0]
     y1 = y[1]
     y2 = y[2]
@@ -224,8 +216,6 @@ def _advance_py(y, step0, n_steps, dt,
     n_ref = vref.shape[0]
     rec_on = rec.shape[0] > 0
     closed = use_acv == 1 or use_ccc == 1
-    t_r0 = ramp_s0 * dt
-    t_r1 = ramp_s1 * dt
     h2 = 0.5 * dt
 
     for i in range(n_steps):
@@ -240,7 +230,7 @@ def _advance_py(y, step0, n_steps, dt,
             t, y0, y1, y2, y3,
             r_arm, l_arm, c_arm, vdc, l_eff, r_out,
             w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp, t_r0, t_r1)
+            use_acv, vm_app, dn_app, wp, vamp, pamp)
         vg = vp + r_load * y3 + l_load * d3
         if rec_on:
             rec[i, 0] = t
@@ -267,17 +257,17 @@ def _advance_py(y, step0, n_steps, dt,
             t + h2, y0 + h2 * d0, y1 + h2 * d1, y2 + h2 * d2, y3 + h2 * d3,
             r_arm, l_arm, c_arm, vdc, l_eff, r_out,
             w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp, t_r0, t_r1)
+            use_acv, vm_app, dn_app, wp, vamp, pamp)
         f0, f1, f2, f3, nu, nl, vp = _RHS(
             t + h2, y0 + h2 * e0, y1 + h2 * e1, y2 + h2 * e2, y3 + h2 * e3,
             r_arm, l_arm, c_arm, vdc, l_eff, r_out,
             w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp, t_r0, t_r1)
+            use_acv, vm_app, dn_app, wp, vamp, pamp)
         g0_, g1_, g2_, g3_, nu, nl, vp = _RHS(
             t + dt, y0 + dt * f0, y1 + dt * f1, y2 + dt * f2, y3 + dt * f3,
             r_arm, l_arm, c_arm, vdc, l_eff, r_out,
             w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp, t_r0, t_r1)
+            use_acv, vm_app, dn_app, wp, vamp, pamp)
         sixth = dt / 6.0
         y0 += sixth * (d0 + 2.0 * e0 + 2.0 * f0 + g0_)
         y1 += sixth * (d1 + 2.0 * e1 + 2.0 * f1 + g1_)
@@ -420,11 +410,11 @@ class _Runner:
             self.ctrl[2] = self.ctrl[3] = self.ctrl[0]
 
     def advance(self, y, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0,
-                ramp_s0=0, ramp_s1=0, rec=None):
+                rec=None):
         if rec is None:
             rec = np.empty((0, 8))
         _ADVANCE(y, step0, n_steps, self.dt, *self.args, self.ctrl,
-                 wp, vamp, pamp, ramp_s0, ramp_s1, rec)
+                 wp, vamp, pamp, rec)
         return step0 + n_steps
 
 

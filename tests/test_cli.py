@@ -1,6 +1,7 @@
 """Command-line workflows: configuration parsing, CSV output contracts,
 exit codes."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -90,6 +91,62 @@ out_csv = z.csv
     again = cli.parse_config(str(dumped))
     assert cli._config_values(cfg) == cli._config_values(again)
 
+
+
+def test_cross_field_error_names_a_key_of_the_rejecting_object(tmp_path):
+    # line 3 sets a RunConfig field; the circuit parameters rejected the
+    # combination, and their last explicit key is on line 2
+    with pytest.raises(cli.ConfigError,
+                       match=r"invalid configuration \(line 2\): combined "
+                             r"modulation exceeds the linear range"):
+        cli.parse_config(_write(tmp_path, "x.cfg",
+                                "modulation_index = 0.8\n"
+                                "modulation_index_2h = 0.3\n"
+                                "out_csv = x.csv\n"))
+
+
+# a valid non-default value for every key
+_OTHER_VALUES = {
+    "vdc_v": "300e3", "arm_inductance_h": "0.3", "arm_resistance_ohm": "2.0",
+    "sm_capacitance_f": "1e-4", "sm_per_arm": "10", "fundamental_hz": "60",
+    "modulation_index": "0.8", "modulation_phase_rad": "0.1",
+    "modulation_index_2h": "0.1", "modulation_phase_2h_rad": "0.2",
+    "load_resistance_ohm": "500", "load_inductance_h": "0.01",
+    "control_mode": "acv", "kpv": "2.0", "krv": "10.0", "kf": "0.5",
+    "resonant_damping": "1.0", "ra_ohm": "10.0", "sampling_period_s": "2e-4",
+    "dt_s": "2e-5", "settle_cycles": "100", "measure_cycles": "3",
+    "ramp_cycles": "5", "post_ramp_cycles": "6", "perturb_amplitude_v": "100",
+    "periodicity_tol": "1e-8", "reference_settle_cycles": "400",
+    "harmonic_order": "6", "sweep_start_hz": "10", "sweep_stop_hz": "400",
+    "sweep_step_hz": "2", "guard_band_hz": "3", "out_csv": "z.csv",
+}
+
+
+def _fields(cfg):
+    """Every field of a RunConfig, nested configuration objects flattened."""
+    flat = {}
+    for name, value in dataclasses.asdict(cfg).items():
+        if isinstance(value, dict):
+            flat.update({(name, k): v for k, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
+def test_each_key_sets_exactly_one_field(tmp_path, cfg_default):
+    # a key routed to another key's field survives the dump/re-parse round
+    # trip, which reads through the same table; this catches it
+    base = cli.parse_config(cfg_default)
+    base_fields, base_values = _fields(base), cli._config_values(base)
+    assert set(_OTHER_VALUES) == set(base_values)
+    for key, text in _OTHER_VALUES.items():
+        cfg = cli.parse_config(_write(tmp_path, "one.cfg",
+                                      f"{key} = {text}\n"))
+        fields, values = _fields(cfg), cli._config_values(cfg)
+        changed = [f for f in base_fields if fields[f] != base_fields[f]]
+        assert len(changed) == 1, (key, changed)
+        assert [k for k in base_values if values[k] != base_values[k]] \
+            == [key]
 
 def test_sweep_grid_validation(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "g.cfg",

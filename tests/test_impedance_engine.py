@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mmc_hss import hss_core, impedance_engine as ie, mmc_model as mm
-from mmc_hss.errors import DegenerateResponseError, PoleAtResonanceError
+from mmc_hss.errors import (DegenerateResponseError, PoleAtResonanceError,
+                            SingularSystemError)
 
 
 @pytest.fixture(scope="module")
@@ -301,15 +302,33 @@ def test_sweep_input_validation(params):
         ie.sweep(params, OPEN, freqs=np.array([10.0, -5.0]))
 
 
+
+@pytest.mark.parametrize("order", [0, ie.MAX_ORDER + 1])
+def test_sweep_rejects_an_order_out_of_range(params, order, monkeypatch):
+    # refused as a bad argument before any Schur factor is built
+    monkeypatch.setattr(ie, "_Factor", None)
+    with pytest.raises(ValueError, match="order must lie in 1..16"):
+        ie.sweep(params, OPEN, freqs=np.array([35.0, 80.0]), order=order)
+
+
+def test_auto_order_sweep_of_an_emptied_grid(params):
+    # the guard band removes every frequency: the automatic rule returns
+    # the empty result of an explicit order, at its first candidate 4
+    res = ie.sweep(params, ACV, freqs=np.array([50.0]))
+    assert res == ie.sweep(params, ACV, freqs=np.array([50.0]), order=4)
+    assert res.order == 4
+    assert res.points == () and res.failures == ()
+    assert res.excluded == (50.0,)
+
 def test_sweep_records_isolated_failures(params, monkeypatch):
-    real = ie.impedance_at
+    real = hss_core.ShiftedSolver.check
 
-    def flaky(p, c, f, order=4, op=None):
-        if f in (20.0,):
-            raise DegenerateResponseError("synthetic failure")
-        return real(p, c, f, order, op=op)
+    def flaky(self, omega):
+        if np.isclose(omega, 2.0 * np.pi * 20.0):
+            raise SingularSystemError("synthetic failure")
+        return real(self, omega)
 
-    monkeypatch.setattr(ie, "impedance_at", flaky)
+    monkeypatch.setattr(hss_core.ShiftedSolver, "check", flaky)
     grid = np.arange(10.0, 22.0, 1.0)  # 12 points, 1 failure is under 10%
     res = ie.sweep(params, OPEN, freqs=grid)
     assert len(res.points) == 11
@@ -319,10 +338,10 @@ def test_sweep_records_isolated_failures(params, monkeypatch):
 
 
 def test_sweep_raises_when_too_many_points_fail(params, monkeypatch):
-    def broken(p, c, f, order=4, op=None):
-        raise DegenerateResponseError("synthetic failure")
+    def broken(self, omega):
+        raise SingularSystemError("synthetic failure")
 
-    monkeypatch.setattr(ie, "impedance_at", broken)
+    monkeypatch.setattr(hss_core.ShiftedSolver, "check", broken)
     with pytest.raises(DegenerateResponseError):
         ie.sweep(params, OPEN, freqs=np.arange(10.0, 20.0, 1.0))
 

@@ -347,8 +347,8 @@ def test_feedback_channel_gain_convention(params, op):
 def test_injection_blocks_mirror_steady_waveforms(params, op):
     # differential injection drives the output row with the capacitor sum;
     # common-mode injection drives the circulating row with it instead
-    f_acv = mm._acv_injection(params, op, 4)
-    f_ccc = mm._ccc_injection(params, op, 4)
+    f_acv = mm._injection(params, op, 4, "acv")
+    f_ccc = mm._injection(params, op, 4, "ccc")
     vsum0 = (op.coeff("v_cu", 0) + op.coeff("v_cl", 0)).real
     assert f_acv[4, 3].real == pytest.approx(-vsum0 / 0.36, rel=1e-9)
     assert f_ccc[4, 0].real == pytest.approx(-vsum0 / 0.72, rel=1e-9)

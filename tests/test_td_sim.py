@@ -96,7 +96,7 @@ def test_jit_and_python_kernels_agree(params):
     runner = td._Runner(params, None, 1e-5, td._ZERO_REF, td._ZERO_REF)
     args = runner.args
     rhs_args = (0.0123, 40.0, 321e3, 319e3, -200.0) + args[:6] + args[8:13] \
-        + (0, 0.0, 0.0, 2 * np.pi * 35.0, 100.0, 0.0, 0.0, 0.0)
+        + (0, 0.0, 0.0, 2 * np.pi * 35.0, 100.0, 0.0)
     np.testing.assert_allclose(
         td._rhs_py(*rhs_args), td._RHS(*rhs_args), rtol=1e-15)
 
@@ -105,9 +105,9 @@ def test_jit_and_python_kernels_agree(params):
     rec_a = np.empty((runner.spc, 8))
     rec_b = np.empty((runner.spc, 8))
     td._advance_py(y_a, 0, runner.spc, 1e-5, *args, np.zeros(6),
-                   0.0, 0.0, 0.0, 0, 0, rec_a)
+                   0.0, 0.0, 0.0, rec_a)
     td._ADVANCE(y_b, 0, runner.spc, 1e-5, *args, np.zeros(6),
-                0.0, 0.0, 0.0, 0, 0, rec_b)
+                0.0, 0.0, 0.0, rec_b)
     np.testing.assert_allclose(y_b, y_a, rtol=1e-13)
     np.testing.assert_allclose(rec_b, rec_a, rtol=1e-13, atol=1e-9)
 
