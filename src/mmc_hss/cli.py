@@ -58,6 +58,12 @@ def _count(x):
     return x
 
 
+def _order(x):
+    if not 1 <= x <= impedance_engine.MAX_ORDER:
+        raise ValueError(f"must lie in 1..{impedance_engine.MAX_ORDER}")
+    return x
+
+
 def _mode(s):
     if s not in mmc_model.CONTROL_MODES:
         raise ValueError(f"must be one of {', '.join(mmc_model.CONTROL_MODES)}")
@@ -107,7 +113,7 @@ _KEYS = {
     "periodicity_tol": (1e-6, float, _positive, "sim", "periodicity_tol"),
     "reference_settle_cycles": (800, int, _count, "sim",
                                 "reference_settle_cycles"),
-    "harmonic_order": (4, int, _count, None, "harmonic_order"),
+    "harmonic_order": (4, int, _order, None, "harmonic_order"),
     "sweep_start_hz": (5.0, float, _positive, None, "sweep_start_hz"),
     "sweep_stop_hz": (500.0, float, _positive, None, "sweep_stop_hz"),
     "sweep_step_hz": (1.0, float, _positive, None, "sweep_step_hz"),

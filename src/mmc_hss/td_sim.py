@@ -158,43 +158,14 @@ def write_trajectory_csv(series: TimeSeries, path) -> None:
 # ---------------------------------------------------------------------------
 # integration kernel
 #
-# The right-hand side and the span stepper are written as flat float
-# arithmetic so they can be compiled with numba when it is installed;
-# the pure-Python versions are the fallback and the reference. Set
-# MMC_HSS_NO_JIT=1 to force the fallback.
-
-
-def _rhs_py(t, y0, y1, y2, y3,
-            r_arm, l_arm, c_arm, vdc, l_eff, r_out,
-            w1, mod1, th1, mod2, th2,
-            use_acv, vm, dn,
-            wp, vamp, pamp):
-    second = 0.5 * mod2 * math.cos(2.0 * w1 * t + th2)
-    if use_acv == 1:
-        base = vm / vdc
-    else:
-        base = 0.5 * mod1 * math.cos(w1 * t + th1)
-    nu = 0.5 - base - second + dn
-    nl = 0.5 + base - second + dn
-
-    vp = 0.0
-    if vamp != 0.0 or pamp != 0.0:
-        carrier = math.cos(wp * t)
-        vp = vamp * carrier
-        probe = pamp * carrier
-        nu += probe
-        nl += probe
-
-    iu = y0 + 0.5 * y3
-    il = y0 - 0.5 * y3
-    d0 = (0.5 * vdc - r_arm * y0 - 0.5 * (nu * y1 + nl * y2)) / l_arm
-    d1 = nu * iu / c_arm
-    d2 = nl * il / c_arm
-    d3 = (-nu * y1 + nl * y2 - r_out * y3 - 2.0 * vp) / l_eff
-    return d0, d1, d2, d3, nu, nl, vp
-
-
-_RHS = _rhs_py
+# The span stepper is flat float arithmetic so it can be compiled with numba
+# when that is installed; the pure-Python version is the fallback and the
+# reference. It reads its state into Python floats: numpy-scalar arithmetic
+# is about four times slower, and warns where a diverging run overflows
+# (_check_state reports that). The right-hand side is inlined. Insertion
+# indices and probe voltage depend only on time, so each step evaluates them
+# once at t, t + dt/2 and t + dt; every expression keeps its operand order.
+# Set MMC_HSS_NO_JIT=1 to force the fallback.
 
 
 def _advance_py(y, step0, n_steps, dt,
@@ -203,87 +174,120 @@ def _advance_py(y, step0, n_steps, dt,
                 use_acv, use_ccc, kp_eff, rot_c, rot_s, g1, g2, ra_over_vdc,
                 ctrl_every, vref, icref, ctrl,
                 wp, vamp, pamp, rec):
-    y0 = y[0]
-    y1 = y[1]
-    y2 = y[2]
-    y3 = y[3]
-    xa = ctrl[0]
-    xb = ctrl[1]
-    vm_pend = ctrl[2]
-    vm_app = ctrl[3]
-    dn_pend = ctrl[4]
-    dn_app = ctrl[5]
+    y0, y1, y2, y3 = float(y[0]), float(y[1]), float(y[2]), float(y[3])
+    xa, xb = float(ctrl[0]), float(ctrl[1])
+    vm_pend, vm_app = float(ctrl[2]), float(ctrl[3])
+    dn_pend, dn_app = float(ctrl[4]), float(ctrl[5])
     n_ref = vref.shape[0]
     rec_on = rec.shape[0] > 0
     closed = use_acv == 1 or use_ccc == 1
+    probed = vamp != 0.0 or pamp != 0.0
     h2 = 0.5 * dt
+    sixth = dt / 6.0
+    half_vdc = 0.5 * vdc
+    half_m1 = 0.5 * mod1
+    half_m2 = 0.5 * mod2
+    w2 = 2.0 * w1
+    vp = vpm = vpe = 0.0
 
     for i in range(n_steps):
         s = step0 + i
         t = s * dt
+        tm = t + h2
+        te = t + dt
         boundary = closed and s % ctrl_every == 0
         if boundary:
             # the command computed one sample ago takes effect now
             vm_app = vm_pend
             dn_app = dn_pend
-        d0, d1, d2, d3, nu, nl, vp = _RHS(
-            t, y0, y1, y2, y3,
-            r_arm, l_arm, c_arm, vdc, l_eff, r_out,
-            w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp)
+        # insertion indices and probe voltage at t, tm and te
+        if use_acv == 1:
+            ba = bm = be = vm_app / vdc
+        else:
+            ba = half_m1 * math.cos(w1 * t + th1)
+            bm = half_m1 * math.cos(w1 * tm + th1)
+            be = half_m1 * math.cos(w1 * te + th1)
+        nu, nl = 0.5 - ba, 0.5 + ba
+        num, nlm = 0.5 - bm, 0.5 + bm
+        nue, nle = 0.5 - be, 0.5 + be
+        if mod2 != 0.0:
+            sa = half_m2 * math.cos(w2 * t + th2)
+            sm = half_m2 * math.cos(w2 * tm + th2)
+            se = half_m2 * math.cos(w2 * te + th2)
+            nu, nl = nu - sa, nl - sa
+            num, nlm = num - sm, nlm - sm
+            nue, nle = nue - se, nle - se
+        nu, nl = nu + dn_app, nl + dn_app
+        num, nlm = num + dn_app, nlm + dn_app
+        nue, nle = nue + dn_app, nle + dn_app
+        if probed:
+            ca = math.cos(wp * t)
+            cm = math.cos(wp * tm)
+            ce = math.cos(wp * te)
+            vp, vpm, vpe = vamp * ca, vamp * cm, vamp * ce
+            nu, nl = nu + pamp * ca, nl + pamp * ca
+            num, nlm = num + pamp * cm, nlm + pamp * cm
+            nue, nle = nue + pamp * ce, nle + pamp * ce
+
+        d0 = (half_vdc - r_arm * y0 - 0.5 * (nu * y1 + nl * y2)) / l_arm
+        d1 = nu * (y0 + 0.5 * y3) / c_arm
+        d2 = nl * (y0 - 0.5 * y3) / c_arm
+        d3 = (-nu * y1 + nl * y2 - r_out * y3 - 2.0 * vp) / l_eff
         vg = vp + r_load * y3 + l_load * d3
         if rec_on:
-            rec[i, 0] = t
-            rec[i, 1] = y0
-            rec[i, 2] = y1
-            rec[i, 3] = y2
-            rec[i, 4] = y3
-            rec[i, 5] = vg
-            rec[i, 6] = nu
-            rec[i, 7] = nl
+            row = rec[i]
+            row[0] = t
+            row[1] = y0
+            row[2] = y1
+            row[3] = y2
+            row[4] = y3
+            row[5] = vg
+            row[6] = nu
+            row[7] = nl
         if boundary:
             idx = (s // ctrl_every) % n_ref
             if use_acv == 1:
-                err = vref[idx] - vg
+                err = float(vref[idx]) - vg
                 vm_pend = kp_eff * err + xa
                 xa_new = rot_c * xa + rot_s * xb + g1 * err
                 xb_new = -rot_s * xa + rot_c * xb + g2 * err
                 xa = xa_new
                 xb = xb_new
             if use_ccc == 1:
-                dn_pend = ra_over_vdc * (y0 - icref[idx])
+                dn_pend = ra_over_vdc * (y0 - float(icref[idx]))
 
-        e0, e1, e2, e3, nu, nl, vp = _RHS(
-            t + h2, y0 + h2 * d0, y1 + h2 * d1, y2 + h2 * d2, y3 + h2 * d3,
-            r_arm, l_arm, c_arm, vdc, l_eff, r_out,
-            w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp)
-        f0, f1, f2, f3, nu, nl, vp = _RHS(
-            t + h2, y0 + h2 * e0, y1 + h2 * e1, y2 + h2 * e2, y3 + h2 * e3,
-            r_arm, l_arm, c_arm, vdc, l_eff, r_out,
-            w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp)
-        g0_, g1_, g2_, g3_, nu, nl, vp = _RHS(
-            t + dt, y0 + dt * f0, y1 + dt * f1, y2 + dt * f2, y3 + dt * f3,
-            r_arm, l_arm, c_arm, vdc, l_eff, r_out,
-            w1, mod1, th1, mod2, th2,
-            use_acv, vm_app, dn_app, wp, vamp, pamp)
-        sixth = dt / 6.0
+        z0 = y0 + h2 * d0
+        z1 = y1 + h2 * d1
+        z2 = y2 + h2 * d2
+        z3 = y3 + h2 * d3
+        e0 = (half_vdc - r_arm * z0 - 0.5 * (num * z1 + nlm * z2)) / l_arm
+        e1 = num * (z0 + 0.5 * z3) / c_arm
+        e2 = nlm * (z0 - 0.5 * z3) / c_arm
+        e3 = (-num * z1 + nlm * z2 - r_out * z3 - 2.0 * vpm) / l_eff
+        z0 = y0 + h2 * e0
+        z1 = y1 + h2 * e1
+        z2 = y2 + h2 * e2
+        z3 = y3 + h2 * e3
+        f0 = (half_vdc - r_arm * z0 - 0.5 * (num * z1 + nlm * z2)) / l_arm
+        f1 = num * (z0 + 0.5 * z3) / c_arm
+        f2 = nlm * (z0 - 0.5 * z3) / c_arm
+        f3 = (-num * z1 + nlm * z2 - r_out * z3 - 2.0 * vpm) / l_eff
+        z0 = y0 + dt * f0
+        z1 = y1 + dt * f1
+        z2 = y2 + dt * f2
+        z3 = y3 + dt * f3
+        g0_ = (half_vdc - r_arm * z0 - 0.5 * (nue * z1 + nle * z2)) / l_arm
+        g1_ = nue * (z0 + 0.5 * z3) / c_arm
+        g2_ = nle * (z0 - 0.5 * z3) / c_arm
+        g3_ = (-nue * z1 + nle * z2 - r_out * z3 - 2.0 * vpe) / l_eff
         y0 += sixth * (d0 + 2.0 * e0 + 2.0 * f0 + g0_)
         y1 += sixth * (d1 + 2.0 * e1 + 2.0 * f1 + g1_)
         y2 += sixth * (d2 + 2.0 * e2 + 2.0 * f2 + g2_)
         y3 += sixth * (d3 + 2.0 * e3 + 2.0 * f3 + g3_)
 
-    y[0] = y0
-    y[1] = y1
-    y[2] = y2
-    y[3] = y3
-    ctrl[0] = xa
-    ctrl[1] = xb
-    ctrl[2] = vm_pend
-    ctrl[3] = vm_app
-    ctrl[4] = dn_pend
-    ctrl[5] = dn_app
+    y[0], y[1], y[2], y[3] = y0, y1, y2, y3
+    ctrl[0], ctrl[1], ctrl[2] = xa, xb, vm_pend
+    ctrl[3], ctrl[4], ctrl[5] = vm_app, dn_pend, dn_app
 
 
 _ADVANCE = _advance_py
@@ -294,7 +298,6 @@ if not os.environ.get("MMC_HSS_NO_JIT"):
     except ImportError:
         njit = None
     if njit is not None:
-        _RHS = njit(cache=True)(_rhs_py)
         _ADVANCE = njit(cache=True)(_advance_py)
 
 

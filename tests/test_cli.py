@@ -77,6 +77,24 @@ def test_parse_rejects_with_line_numbers(tmp_path):
         cli.parse_config(str(tmp_path / "missing.cfg"))
 
 
+def test_harmonic_order_out_of_range_names_its_line(tmp_path, capsys):
+    # an order the engine cannot build is refused at parse time, with its
+    # line, like every other bad value; sweep and steady never start
+    for order in (0, 17):
+        path = _write(tmp_path, "h.cfg",
+                      f"# order\nharmonic_order = {order}\n")
+        with pytest.raises(cli.ConfigError,
+                           match=r"line 2: key 'harmonic_order': must lie "
+                                 r"in 1\.\.16"):
+            cli.parse_config(path)
+        for workflow in ("steady", "sweep"):
+            assert cli.main([workflow, "--config", path]) == 2
+            assert "line 2" in capsys.readouterr().err
+    edge = cli.parse_config(_write(tmp_path, "h16.cfg",
+                                   "harmonic_order = 16\n"))
+    assert edge.harmonic_order == 16
+
+
 def test_dump_and_reparse_is_identity(tmp_path):
     src = _write(tmp_path, "src.cfg", """
 control_mode = acv+ccc

@@ -95,11 +95,6 @@ def test_jit_and_python_kernels_agree(params):
         pytest.skip("numba not active, nothing to compare")
     runner = td._Runner(params, None, 1e-5, td._ZERO_REF, td._ZERO_REF)
     args = runner.args
-    rhs_args = (0.0123, 40.0, 321e3, 319e3, -200.0) + args[:6] + args[8:13] \
-        + (0, 0.0, 0.0, 2 * np.pi * 35.0, 100.0, 0.0)
-    np.testing.assert_allclose(
-        td._rhs_py(*rhs_args), td._RHS(*rhs_args), rtol=1e-15)
-
     y_a = np.array([0.0, params.vdc, params.vdc, 0.0])
     y_b = y_a.copy()
     rec_a = np.empty((runner.spc, 8))
@@ -110,6 +105,38 @@ def test_jit_and_python_kernels_agree(params):
                 0.0, 0.0, 0.0, rec_b)
     np.testing.assert_allclose(y_b, y_a, rtol=1e-13)
     np.testing.assert_allclose(rec_b, rec_a, rtol=1e-13, atol=1e-9)
+
+
+def _kernel_case(params, mode):
+    cfg = None if mode == "open" else mm.ControlConfig(
+        mode=mode, kpv=1.0, krv=20.0, ra=20.0, sampling_period=1e-4)
+    k = np.arange(200)
+    vref = 1.3e5 * np.cos(2 * np.pi * k / 200 + 0.1)
+    icref = 30.0 + 5.0 * np.sin(2 * np.pi * k / 100)
+    runner = td._Runner(params, cfg, 1e-5, vref, icref)
+    runner.ctrl[4] = runner.ctrl[5] = 1e-3 if mode != "open" else 0.0
+    return runner, np.array([10.0, 1.01 * params.vdc, 0.99 * params.vdc,
+                             5.0])
+
+
+@pytest.mark.parametrize("mode", ["open", "acv", "ccc", "acv+ccc"])
+@pytest.mark.parametrize("probe", [(0.0, 0.0, 0.0),
+                                   (2 * np.pi * 35.0, 3200.0, 0.0),
+                                   (2 * np.pi * 4.0, 0.0, 0.002)])
+def test_kernel_split_is_bit_identical(params, mode, probe):
+    # the kernel carries its state in floats between entry and exit, so
+    # two calls split at step 2007, off the 10-step control grid, must end
+    # exactly where one call over the same two cycles ends
+    n, cut = 4000, 2007
+    whole, y_whole = _kernel_case(params, mode)
+    split, y_split = _kernel_case(params, mode)
+    rec_whole, rec_split = np.empty((n, 8)), np.empty((n, 8))
+    whole.advance(y_whole, 3000, n, *probe, rec=rec_whole)
+    split.advance(y_split, 3000, cut, *probe, rec=rec_split[:cut])
+    split.advance(y_split, 3000 + cut, n - cut, *probe, rec=rec_split[cut:])
+    assert y_split.tobytes() == y_whole.tobytes()
+    assert split.ctrl.tobytes() == whole.ctrl.tobytes()
+    assert rec_split.tobytes() == rec_whole.tobytes()
 
 
 def test_integration_error_scales_as_fourth_order(params):
@@ -147,6 +174,16 @@ def test_divergence_detected(params):
     with pytest.raises(DivergenceError) as err:
         td.simulate(params, cfg, td.SimConfig())
     assert err.value.time > 0.0
+
+
+def test_divergence_raises_without_stray_warnings(params):
+    # the kernel steps in floats, so a run that blows up reaches
+    # DivergenceError without numpy overflow warnings on the way
+    cfg = mm.ControlConfig(mode="acv", kpv=200.0, sampling_period=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError):
+            td.simulate(params, cfg, td.SimConfig())
 
 
 def test_settling_warns_when_budget_too_small(params):
