@@ -210,13 +210,12 @@ def _advance_py(y, step0, n_steps, dt,
         nu, nl = 0.5 - ba, 0.5 + ba
         num, nlm = 0.5 - bm, 0.5 + bm
         nue, nle = 0.5 - be, 0.5 + be
-        if mod2 != 0.0:
-            sa = half_m2 * math.cos(w2 * t + th2)
-            sm = half_m2 * math.cos(w2 * tm + th2)
-            se = half_m2 * math.cos(w2 * te + th2)
-            nu, nl = nu - sa, nl - sa
-            num, nlm = num - sm, nlm - sm
-            nue, nle = nue - se, nle - se
+        sa = half_m2 * math.cos(w2 * t + th2)
+        sm = half_m2 * math.cos(w2 * tm + th2)
+        se = half_m2 * math.cos(w2 * te + th2)
+        nu, nl = nu - sa, nl - sa
+        num, nlm = num - sm, nlm - sm
+        nue, nle = nue - se, nle - se
         nu, nl = nu + dn_app, nl + dn_app
         num, nlm = num + dn_app, nlm + dn_app
         nue, nle = nue + dn_app, nle + dn_app
@@ -235,15 +234,14 @@ def _advance_py(y, step0, n_steps, dt,
         d3 = (-nu * y1 + nl * y2 - r_out * y3 - 2.0 * vp) / l_eff
         vg = vp + r_load * y3 + l_load * d3
         if rec_on:
-            row = rec[i]
-            row[0] = t
-            row[1] = y0
-            row[2] = y1
-            row[3] = y2
-            row[4] = y3
-            row[5] = vg
-            row[6] = nu
-            row[7] = nl
+            rec[i, 0] = t
+            rec[i, 1] = y0
+            rec[i, 2] = y1
+            rec[i, 3] = y2
+            rec[i, 4] = y3
+            rec[i, 5] = vg
+            rec[i, 6] = nu
+            rec[i, 7] = nl
         if boundary:
             idx = (s // ctrl_every) % n_ref
             if use_acv == 1:
