@@ -259,10 +259,13 @@ def _parse_freqs(text) -> list:
 
 
 def _order_of(args, cfg) -> int:
-    order = args.h if getattr(args, "h", 0) else cfg.harmonic_order
-    if order < 1:
-        raise ConfigError("truncation order must be at least 1")
-    return order
+    """--h when given (nonzero), checked like harmonic_order; else that key."""
+    if not args.h:
+        return cfg.harmonic_order
+    try:
+        return _order(args.h)
+    except ValueError as exc:
+        raise ConfigError(f"--h {args.h}: {exc}") from None
 
 
 def _out_path(args, cfg) -> str:
@@ -275,9 +278,9 @@ def _out_path(args, cfg) -> str:
 
 def cmd_steady(args) -> int:
     cfg = parse_config(args.config)
+    order = _order_of(args, cfg)
     if args.dump_config:
         cfg.dump(args.dump_config)
-    order = _order_of(args, cfg)
     op = mmc_model.steady_state(cfg.params, order)
     print(f"periodic steady state, truncation order {order}")
     print(f"{'state':6s} {'k':>3s} {'amplitude':>15s} {'phase_deg':>10s}")

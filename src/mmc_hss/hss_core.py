@@ -232,16 +232,6 @@ def fourier_series_of_samples(samples, period: float, order: int) -> HarmonicCoe
     return HarmonicCoeffs(order, 2.0 * np.pi / period, c)
 
 
-def build_toeplitz(blocks, order: int, dim: int) -> ToeplitzOperator:
-    """Wrap a mapping {k: (dim, dim) array} into a block-Toeplitz operator."""
-    return ToeplitzOperator(order, dim, dict(blocks))
-
-
-def build_shift(order: int, dim: int, omega1: float,
-                omega_off: float = 0.0) -> ShiftOperator:
-    return ShiftOperator(order, dim, omega1, omega_off)
-
-
 class DenseFactor:
     """LU factorization with a 1-norm condition estimate, reusable for
     several right-hand sides.
@@ -381,27 +371,13 @@ class ShiftedSolver:
 
 def solve_steady_state(a: ToeplitzOperator, n: ShiftOperator,
                        u: HarmonicVector) -> HarmonicVector:
-    """Periodic steady state of dx/dt = A(t)x + u(t): X = -(A - N)^{-1} U."""
+    """Periodic steady state of dx/dt = A(t)x + u(t): X = -(A - N)^{-1} U;
+    with an offset omega_off in N, the response to a forcing there."""
     if not (a.order == n.order == u.order and a.dim == n.dim == u.dim):
         raise ValueError("operator/vector shapes disagree")
     m = a.matrix
     m[np.diag_indices_from(m)] -= n.diagonal
     x = solve_dense(m, -u.data)
-    return HarmonicVector(a.order, a.dim, x)
-
-
-def solve_perturbation(a: ToeplitzOperator, n_p: ShiftOperator,
-                       u_p: HarmonicVector,
-                       b: ToeplitzOperator | None = None) -> HarmonicVector:
-    """Modulated-periodic response at offset frequency omega_p.
-
-    Solves X_p = -(A - N_p)^{-1} (B U_p), with B = identity when omitted.
-    N_p must carry the perturbation offset in omega_off.
-    """
-    if not (a.order == n_p.order == u_p.order and a.dim == n_p.dim == u_p.dim):
-        raise ValueError("operator/vector shapes disagree")
-    rhs = u_p.data if b is None else b.matrix @ u_p.data
-    x = solve_dense(a.matrix - n_p.matrix, -rhs)
     return HarmonicVector(a.order, a.dim, x)
 
 

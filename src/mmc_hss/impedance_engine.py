@@ -7,10 +7,11 @@ harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
 The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
 unperturbed one. One complex Schur form of M0 per (params, order) turns
 every frequency into a triangular solve (hss_core.ShiftedSolver): a sweep
-solves its grid in chunks of points at once, and single-point calls reuse
-the last factor. Open loop, ac-voltage loop, circulating loop and the
-circulating-path probe all take this one path; they differ only in their
-forcing, their readout row and their controller channels.
+solves its grid in chunks of points at once, and the factors of the most
+recent leg stay cached, one per order, for the calls that follow. Open
+loop, ac-voltage loop, circulating loop and the circulating-path probe all
+take this one path; they differ only in their forcing, their readout row
+and their controller channels.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
@@ -20,7 +21,7 @@ on an undamped resonator pole, so frequencies whose sidebands land on the
 pole (e.g. 100 or 200 Hz with a 50 Hz resonator) solve cleanly; the
 infinite-gain limit turns into a hard constraint that the controller input
 vanishes there. Away from poles this equals the assembled dense operator to
-machine precision.
+machine precision (mmc_model.perturbed_system assembles it).
 
 The harmonic truncation order defaults to "auto" (order=None): the lowest
 order h >= 4 whose |Z| agrees with order h + 2 within AUTO_ORDER_RTOL at
@@ -207,26 +208,25 @@ class _Factor:
         return last
 
 
-_cached_factor = None
+# Schur factors of the most recent leg, by order
+_factors = {}
 
 
-def _factor(params, order, held=None):
-    """held, else the cached factor for (params, order), else a new one.
-
-    The factor returned stays cached, so the single-point calls that follow
-    a sweep (spots, probes) need no new Schur form. Raises ValueError for
-    an order outside 1..MAX_ORDER before anything is built.
+def _factor(params, order):
+    """The Schur factor for (params, order), built once per order of the
+    most recent leg: the automatic order rule, which alternates between
+    orders h and h + 2, and the spot calls after a sweep reuse it. The
+    first factor of a new leg clears the old leg's before it is built; all
+    sixteen orders of one leg hold about 7 MB. Raises ValueError for an
+    order outside 1..MAX_ORDER before anything is built.
     """
-    global _cached_factor
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}")
-    if held is None and _cached_factor is not None and (
-            _cached_factor.params, _cached_factor.order) == (params, order):
-        held = _cached_factor
-    # dropped before a new factor is built, so the two never coexist
-    _cached_factor = None
-    _cached_factor = held or _Factor(params, order)
-    return _cached_factor
+    if any(f.params != params for f in _factors.values()):
+        _factors.clear()
+    if order not in _factors:
+        _factors[order] = _Factor(params, order)
+    return _factors[order]
 
 
 class _Loop:
@@ -363,7 +363,7 @@ class _Loop:
         """
         order = self.order
         if probe == "series":
-            bx = _series_forcing(self.params, order, 1.0)
+            bx = mmc_model.series_forcing(self.params, order, 1.0)
             v_p, row = 1.0, 4 * order + 3
         else:
             bx = -mmc_model.circulating_probe_forcing(
@@ -416,16 +416,6 @@ def _series_points(loop, freqs):
             for f, i_gp in zip(freqs, loop.responses(freqs, "series"))]
 
 
-def _series_forcing(params, order, v_p):
-    """State forcing of a series voltage v_p behind the load: the U_p of
-    mmc_model.build_openloop_perturbation, negated (it moves to the right
-    of (A - N_p) X = -U_p)."""
-    bx = np.zeros(4 * (2 * order + 1), dtype=complex)
-    bx[4 * order + 3] = 2.0 * v_p / (params.arm_inductance
-                                     + 2.0 * params.load_inductance)
-    return bx
-
-
 def _closed_loop_response(params, config, op, order, omega_p,
                           v_p=1.0, extra_forcing=None):
     """Response stack with the active controller channels closed.
@@ -435,7 +425,7 @@ def _closed_loop_response(params, config, op, order, omega_p,
     extra_forcing (a HarmonicVector) is added to the open-loop U, for
     probe injections that are not the series voltage source.
     """
-    bx = _series_forcing(params, order, v_p)
+    bx = mmc_model.series_forcing(params, order, v_p)
     if extra_forcing is not None:
         bx = bx - extra_forcing.data
     x, (error,) = _factor(params, order).loop(config, op).solve(
@@ -565,12 +555,8 @@ def sweep(params, config, freqs=None, order: int | None = None,
     excluded = tuple(freqs[~keep])
     freqs = freqs[keep]
 
-    held = {}  # Schur factors of the orders the automatic rule may revisit
-
     def evaluate(h, idx):
-        for done in [k for k in held if k < h - 2]:
-            del held[done]
-        factor = held[h] = _factor(params, h, held.get(h))
+        factor = _factor(params, h)
         op = factor.steady() if config.mode != "open" else None
         fs = freqs[idx]
         points = _series_points(factor.loop(config, op), fs)

@@ -211,8 +211,8 @@ def build_base_hss(params: CircuitParams, order: int):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    a = hss_core.build_toeplitz(_base_blocks(params), order, 4)
-    n = hss_core.build_shift(order, 4, params.omega1)
+    a = hss_core.ToeplitzOperator(order, 4, _base_blocks(params))
+    n = hss_core.ShiftOperator(order, 4, params.omega1)
     forcing = hss_core.HarmonicVector.from_blocks(
         order, 4, {0: [params.vdc / (2.0 * params.arm_inductance), 0.0, 0.0, 0.0]}
     )
@@ -341,44 +341,6 @@ def loop_gains(params: CircuitParams, config: ControlConfig, loop: str,
 # ------------------------------------------------- perturbation construction
 
 
-def build_openloop_perturbation(params: CircuitParams, order: int,
-                                omega_p: float, v_p: complex = 1.0):
-    """Operators (A, N_p, U_p) for the series-voltage perturbation, open loop.
-
-    The state operator equals the steady-state one; only the frequency shift
-    (offset omega_p) and the forcing differ. U_p carries the perturbation
-    in the output-current row at harmonic offset 0.
-    """
-    a = hss_core.build_toeplitz(_base_blocks(params), order, 4)
-    n_p = hss_core.build_shift(order, 4, params.omega1, omega_off=omega_p)
-    l_eff = params.arm_inductance + 2.0 * params.load_inductance
-    u_p = hss_core.HarmonicVector.from_blocks(
-        order, 4, {0: [0.0, 0.0, 0.0, -2.0 * v_p / l_eff]}
-    )
-    return a, n_p, u_p
-
-
-@dataclass(frozen=True)
-class FeedbackChannel:
-    """One scalar controller channel closed around the harmonic stack.
-
-    The channel output w_q (one per source harmonic q, at frequency
-    omega_p + q*omega1) is the insertion-index perturbation produced by the
-    loop: w = gain * (pickup . X_q + vp_pickup * v_p). Its effect on the
-    state equations distributes across destination harmonics through the
-    Toeplitz injection blocks f_k (steady-state waveform products):
-    dX_p += f_{p-q} * w_q. inverse_gains are exact analytic inverses so a
-    resonant pole (infinite gain) is representable as inverse 0.
-    """
-
-    name: str
-    gains: np.ndarray          # (2h+1,) complex, per source harmonic
-    inverse_gains: np.ndarray  # (2h+1,) complex
-    injection: np.ndarray      # (2h+1, 4), row k+h holds f_k
-    pickup: np.ndarray         # (2h+1, 4), row q+h dotted with X_q
-    vp_pickup: np.ndarray      # (2h+1,), direct v_p term in the pickup
-
-
 # per loop: the lower-arm sign of its insertion perturbation (the upper arm
 # gets +w), the state its pickup reads, and whether v_p enters the pickup
 # directly (the voltage loop reads v_g = v_p + Z_load*i_g)
@@ -413,116 +375,61 @@ def _injection(params: CircuitParams, op: SteadyOperatingPoint, order: int,
     return f
 
 
-def feedback_channels(params: CircuitParams, config: ControlConfig,
-                      op: SteadyOperatingPoint, order: int, omega_p: float
-                      ) -> list:
-    """Controller channels active for config.mode at offset omega_p, with
-    the gains of loop_gains at every source harmonic."""
-    freqs = omega_p + np.arange(-order, order + 1) * params.omega1
-    channels = []
+def series_forcing(params: CircuitParams, order: int, v_p: complex
+                   ) -> np.ndarray:
+    """State forcing of a series voltage v_p behind the load at harmonic
+    offset 0: the right-hand side of (A - N_p) X = b in the output-current
+    row."""
+    b = np.zeros(4 * (2 * order + 1), dtype=complex)
+    b[4 * order + 3] = 2.0 * v_p / (params.arm_inductance
+                                    + 2.0 * params.load_inductance)
+    return b
+
+
+def perturbed_system(params: CircuitParams, config: ControlConfig,
+                     op: SteadyOperatingPoint | None, order: int,
+                     omega_p: float):
+    """Assembled perturbed system (M_p, b_p) at offset omega_p (rad/s).
+
+    The response X to a unit series voltage behind the load at omega_p
+    solves M_p X = b_p, with M_p = M0 - j*omega_p*I (M0 = A - N) plus, for
+    every loop config.mode closes, its channel lifted densely: source
+    harmonic q feeds gain_q * scale_q * f_{p-q} into destination block p
+    from column 4q + state (see loop_gains, LOOP_WIRING, _injection). The
+    voltage loop's direct v_p pickup goes into b_p. op is the operating
+    point the loops act around (unused open loop). Dense rather than
+    block-Toeplitz because each source column has its own loop gain; this
+    is the reference impedance_engine's channel solve is checked against.
+    Raises PoleAtResonanceError when a source frequency sits on an
+    undamped resonator pole, where the gain is infinite and M_p does not
+    exist.
+    """
+    a, n, _ = build_base_hss(params, order)
+    m = a.matrix
+    m[np.diag_indices_from(m)] -= n.diagonal + 1j * omega_p
+    b = series_forcing(params, order, 1.0)
+    src = omega_p + np.arange(-order, order + 1) * params.omega1
     for loop in active_loops(config):
         _, state, reads_vp = LOOP_WIRING[loop]
-        gains, inv, scale = loop_gains(params, config, loop, freqs)
-        pickup = np.zeros((2 * order + 1, 4), dtype=complex)
-        pickup[:, state] = scale
-        vp_pickup = np.zeros(2 * order + 1)
-        vp_pickup[order] = 1.0 if reads_vp else 0.0
-        channels.append(FeedbackChannel(
-            loop, gains, inv, _injection(params, op, order, loop),
-            pickup, vp_pickup))
-    return channels
-
-
-def _toeplitz_times_columndiag(injection: np.ndarray, col_factors: np.ndarray,
-                               pickup_rows: np.ndarray, order: int
-                               ) -> np.ndarray:
-    """Dense lift of sum_q f_{p-q} * col_factors[q] * pickup_rows[q]."""
-    n = 2 * order + 1
-    dense = np.zeros((4 * n, 4 * n), dtype=complex)
-    for q in range(n):
-        w = col_factors[q]
-        if w == 0:
-            continue
-        row = pickup_rows[q]
-        for p in range(n):
-            k = p - q
-            if abs(k) > order:
-                continue
-            f = injection[k + order]
-            dense[4 * p:4 * p + 4, 4 * q:4 * q + 4] += w * np.outer(f, row)
-    return dense
-
-
-def _channel_pole_check(params: CircuitParams, config: ControlConfig,
-                        order: int, omega_p: float):
-    ks = np.arange(-order, order + 1)
-    for w in omega_p + ks * params.omega1:
-        if on_resonant_pole(config, params.omega1, 1j * w):
+        poles = [w for w in src if loop == "acv"
+                 and on_resonant_pole(config, params.omega1, 1j * w)]
+        if poles:
             raise PoleAtResonanceError(
-                f"source harmonic at {w / (2 * math.pi):.6g} Hz sits on the "
-                "resonant-controller pole; the assembled operator does not "
-                "exist there"
-            )
-
-
-def build_acv_perturbation(params: CircuitParams, config: ControlConfig,
-                           op: SteadyOperatingPoint, order: int,
-                           omega_p: float, v_p: complex = 1.0):
-    """Dense perturbed operators (A_p, B_p, U_p) with the voltage loop closed.
-
-    Dense rather than block-Toeplitz because the loop filter is evaluated at
-    each source-column frequency omega_p + q*omega1 before the steady-state
-    waveform products spread the result across rows. Raises
-    PoleAtResonanceError when a source frequency sits exactly on an undamped
-    resonator pole (the gain is infinite there; use the channel solve in
-    impedance_engine instead).
-    """
-    if not config.has_acv:
-        raise ValueError("config.mode does not include the ac-voltage loop")
-    _channel_pole_check(params, config, order, omega_p)
-    base, _, _ = build_openloop_perturbation(params, order, omega_p, v_p)
-    chan = [c for c in feedback_channels(params, config, op, order, omega_p)
-            if c.name == "acv"][0]
-    a_dense = base.matrix + _toeplitz_times_columndiag(
-        chan.injection, chan.gains, chan.pickup, order
-    )
-    # B: v_p at source harmonic q enters both directly (output row) and
-    # through the loop pickup
-    n = 2 * order + 1
-    b_dense = np.zeros((4 * n, 4 * n), dtype=complex)
-    l_eff = params.arm_inductance + 2.0 * params.load_inductance
-    for q in range(n):
-        b_dense[4 * q + 3, 4 * q + 3] = -2.0 / l_eff
-        for p in range(n):
-            k = p - q
-            if abs(k) > order:
-                continue
-            b_dense[4 * p:4 * p + 4, 4 * q + 3] += (
-                chan.gains[q] * chan.injection[k + order]
-            )
-    u_p = hss_core.HarmonicVector.from_blocks(
-        order, 4, {0: [0.0, 0.0, 0.0, v_p]}
-    )
-    return a_dense, b_dense, u_p
-
-
-def build_ccc_perturbation(params: CircuitParams, config: ControlConfig,
-                           op: SteadyOperatingPoint, order: int,
-                           omega_p: float, v_p: complex = 1.0):
-    """Dense perturbed operator (A_p, U_p) with the circulating loop closed.
-
-    The proportional loop reshapes only the circulating-current column; the
-    forcing is the open-loop one.
-    """
-    if not config.has_ccc:
-        raise ValueError("config.mode does not include the circulating loop")
-    base, _, u_p = build_openloop_perturbation(params, order, omega_p, v_p)
-    chan = [c for c in feedback_channels(params, config, op, order, omega_p)
-            if c.name == "ccc"][0]
-    a_dense = base.matrix + _toeplitz_times_columndiag(
-        chan.injection, chan.gains, chan.pickup, order
-    )
-    return a_dense, u_p
+                f"source harmonic at {poles[0] / (2 * math.pi):.6g} Hz sits "
+                "on the resonant-controller pole; the assembled operator "
+                "does not exist there")
+        gains, _, scale = loop_gains(params, config, loop, src)
+        f = _injection(params, op, order, loop)
+        # f_k at row k + 2*order, zero past +-order: column q reads rows
+        # 2*order - q onwards
+        padded = np.zeros((4 * order + 1, 4), dtype=complex)
+        padded[order:3 * order + 1] = f
+        for q in range(2 * order + 1):
+            m[:, 4 * q + state] += gains[q] * scale[q] * padded[
+                2 * order - q:4 * order + 1 - q].ravel()
+        if reads_vp:
+            b -= gains[order] * f.ravel()
+    return m, b
 
 
 def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,

@@ -257,10 +257,9 @@ def test_criterion_8_property_suite(params, capfd):
     pairs = []
     for solver in ("open", "acv"):
         if solver == "open":
-            a, n_p, u_p = mm.build_openloop_perturbation(params, 4, wp)
-            xp = hc.solve_perturbation(a, n_p, u_p)
-            a, n_m, u_m = mm.build_openloop_perturbation(params, 4, -wp)
-            xm = hc.solve_perturbation(a, n_m, u_m)
+            xp, xm = (hc.HarmonicVector(4, 4, hc.solve_dense(
+                *mm.perturbed_system(params, OPEN, None, 4, w)))
+                for w in (wp, -wp))
         else:
             xp = ie._closed_loop_response(params, ACV1, op4, 4, +wp)
             xm = ie._closed_loop_response(params, ACV1, op4, 4, -wp)
@@ -287,7 +286,7 @@ def test_criterion_8_property_suite(params, capfd):
                 xc[h] = v.real
             else:
                 xc[h + k], xc[h - k] = v, v.conjugate()
-        opr = hc.build_toeplitz({k: [[ac[h + k]]] for k in (-1, 0, 1)}, h, 1)
+        opr = hc.ToeplitzOperator(h, 1, {k: [[ac[h + k]]] for k in (-1, 0, 1)})
         y = opr @ hc.HarmonicVector(h, 1, xc)
         t = np.arange(16 * h + 16) * period / (16 * h + 16)
         a_t = hc.reconstruct_time(hc.HarmonicCoeffs(h, w1, ac), t).real

@@ -95,6 +95,26 @@ def test_harmonic_order_out_of_range_names_its_line(tmp_path, capsys):
     assert edge.harmonic_order == 16
 
 
+def test_order_option_out_of_range_names_it(cfg_m0, tmp_path, capsys,
+                                            monkeypatch):
+    # --h gets the check harmonic_order gets, before any work is done
+    calls = []
+    monkeypatch.setattr(cli.mmc_model, "steady_state",
+                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli.impedance_engine, "sweep",
+                        lambda *a, **k: calls.append(a))
+    dump, out = tmp_path / "eff.cfg", tmp_path / "s.csv"
+    for h in ("17", "-3"):
+        assert cli.main(["steady", "--config", cfg_m0, "--h", h,
+                         "--dump-config", str(dump)]) == 2
+        assert f"--h {h}: must lie in 1..16" in capsys.readouterr().err
+        assert cli.main(["sweep", "--config", cfg_m0, "--h", h,
+                         "--out", str(out)]) == 2
+        assert f"--h {h}: must lie in 1..16" in capsys.readouterr().err
+    assert calls == []
+    assert not dump.exists() and not out.exists()
+
+
 def test_dump_and_reparse_is_identity(tmp_path):
     src = _write(tmp_path, "src.cfg", """
 control_mode = acv+ccc

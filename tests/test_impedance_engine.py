@@ -104,17 +104,16 @@ def test_response_scales_linearly_with_probe(params, op):
 
 def test_channel_solve_matches_dense_assembly_off_pole(params, op):
     wp = 2.0 * np.pi * 37.0
-    n_p = hss_core.build_shift(4, 4, params.omega1, omega_off=wp)
 
-    a, b, u = mm.build_acv_perturbation(params, ACV, op, 4, wp)
-    x = np.linalg.solve(a - n_p.matrix, -(b @ u.data))
+    m_p, b_p = mm.perturbed_system(params, ACV, op, 4, wp)
+    x = np.linalg.solve(m_p, b_p)
     i_gp = x[4 * 4 + 3]
     z_dense = -(1.0 + 550.0 * i_gp) / i_gp
     z_chan = ie.impedance_at(params, ACV, 37.0, order=4, op=op).impedance
     assert abs(z_chan - z_dense) <= 1e-12 * abs(z_dense)
 
-    a2, u2 = mm.build_ccc_perturbation(params, CCC, op, 4, wp)
-    x2 = np.linalg.solve(a2 - n_p.matrix, -u2.data)
+    m2, b2 = mm.perturbed_system(params, CCC, op, 4, wp)
+    x2 = np.linalg.solve(m2, b2)
     i_gp2 = x2[4 * 4 + 3]
     z_dense2 = -(1.0 + 550.0 * i_gp2) / i_gp2
     z_chan2 = ie.impedance_at(params, CCC, 37.0, order=4, op=op).impedance
@@ -125,7 +124,7 @@ def test_channel_solve_survives_resonator_pole(params, op):
     # 100 and 200 Hz put a sideband exactly on the undamped 50 Hz pole:
     # the assembled operator does not exist, the channel solve does
     with pytest.raises(PoleAtResonanceError):
-        mm.build_acv_perturbation(params, ACV, op, 4, 2.0 * np.pi * 200.0)
+        mm.perturbed_system(params, ACV, op, 4, 2.0 * np.pi * 200.0)
     z200 = ie.impedance_at(params, ACV, 200.0, order=4, op=op)
     assert z200.magnitude == pytest.approx(102.9163, rel=1e-4)
     assert z200.phase_deg == pytest.approx(95.746, abs=1e-2)
@@ -295,6 +294,30 @@ def test_auto_order_not_converged_warns(params, monkeypatch):
     np.testing.assert_array_equal(res.impedances, want.impedances)
 
 
+def test_spot_calls_build_one_factor_per_order(params, params_m0,
+                                              monkeypatch):
+    # automatic-order spot calls alternate between orders h and h + 2; each
+    # order's Schur form of one leg is built once, whatever the mode
+    built = []
+    init = ie._Factor.__init__
+
+    def counting(self, p, order):
+        built.append(order)
+        init(self, p, order)
+
+    monkeypatch.setattr(ie, "_factors", {})
+    monkeypatch.setattr(ie._Factor, "__init__", counting)
+    for config in (OPEN, ACV):
+        for f in (10.0, 35.0, 80.0, 120.0, 200.0):
+            ie.impedance_at(params, config, f)
+    assert len(built) <= 4
+    assert len(built) == len(set(built))
+    # a new leg drops the old leg's factors before building its own
+    ie.impedance_at(params_m0, OPEN, 35.0, order=4)
+    assert list(ie._factors) == [4]
+    assert ie._factors[4].params == params_m0
+
+
 def test_sweep_input_validation(params):
     with pytest.raises(ValueError):
         ie.sweep(params, OPEN, freqs=np.array([]))
@@ -411,17 +434,10 @@ def _random_control(rng, mode):
 
 
 def _dense_impedance(params, config, op, order, f):
-    # the assembled perturbed operator of each mode, solved densely
+    # the assembled perturbed system of the mode, solved densely
     wp = 2.0 * np.pi * f
-    base, n_p, u = mm.build_openloop_perturbation(params, order, wp)
-    a, rhs = base.matrix, u.data
-    if config.has_acv:
-        a, b, u_acv = mm.build_acv_perturbation(params, config, op, order, wp)
-        rhs = b @ u_acv.data
-    if config.has_ccc:
-        a_ccc, _ = mm.build_ccc_perturbation(params, config, op, order, wp)
-        a = a + a_ccc - base.matrix
-    i_gp = np.linalg.solve(a - n_p.matrix, -rhs)[4 * order + 3]
+    i_gp = np.linalg.solve(*mm.perturbed_system(params, config, op, order,
+                                                 wp))[4 * order + 3]
     return -(1.0 + params.load_impedance(wp) * i_gp) / i_gp
 
 

@@ -288,16 +288,24 @@ def test_inverse_gain_matches_reciprocal():
 # --------------------------------------------------------- perturbation build
 
 
+OPEN = mm.ControlConfig(mode="open")
+
+
 def test_openloop_perturbation_structure(params):
     wp = 2 * np.pi * 80.0
-    a, n_p, u_p = mm.build_openloop_perturbation(params, 3, wp, v_p=2.0)
-    base, _, _ = mm.build_base_hss(params, 3)
-    np.testing.assert_array_equal(a.matrix, base.matrix)
+    m_p, b_p = mm.perturbed_system(params, OPEN, None, 3, wp)
+    base, n, _ = mm.build_base_hss(params, 3)
+    off = ~np.eye(len(m_p), dtype=bool)
+    np.testing.assert_array_equal(m_p[off], base.matrix[off])
     np.testing.assert_allclose(
-        n_p.diagonal[12:16], [1j * wp] * 4
+        np.diag(base.matrix - m_p)[12:16], [1j * wp] * 4
     )
-    np.testing.assert_allclose(u_p.block(0), [0, 0, 0, -4.0 / 0.36])
-    assert not u_p.block(1).any()
+    np.testing.assert_allclose(np.diag(base.matrix - m_p),
+                               n.diagonal + 1j * wp, rtol=1e-13)
+    np.testing.assert_allclose(mm.series_forcing(params, 3, 2.0)[12:16],
+                               [0, 0, 0, 4.0 / 0.36])
+    np.testing.assert_array_equal(b_p, mm.series_forcing(params, 3, 1.0))
+    assert not b_p[16:20].any()
 
 
 def test_openloop_response_conjugate_pairing(params):
@@ -306,8 +314,8 @@ def test_openloop_response_conjugate_pairing(params):
     wp = 2 * np.pi * 80.0
     xs = {}
     for sgn in (+1, -1):
-        a, n_p, u_p = mm.build_openloop_perturbation(params, 4, sgn * wp)
-        xs[sgn] = hc.solve_perturbation(a, n_p, u_p)
+        m_p, b_p = mm.perturbed_system(params, OPEN, None, 4, sgn * wp)
+        xs[sgn] = hc.HarmonicVector(4, 4, hc.solve_dense(m_p, b_p))
     for k in range(-4, 5):
         np.testing.assert_allclose(
             xs[-1].block(-k), xs[+1].block(k).conj(), rtol=1e-10, atol=1e-18
@@ -321,27 +329,43 @@ def test_feedback_channel_gain_convention(params, op):
     wp = 2 * np.pi * 37.0
     cfg = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
                            sampling_period=1e-4)
-    chans = {c.name: c for c in mm.feedback_channels(params, cfg, op, 4, wp)}
-    assert set(chans) == {"acv", "ccc"}
+    assert mm.active_loops(cfg) == ("acv", "ccc")
+    src = wp + np.arange(-4, 5) * params.omega1
 
-    acv = chans["acv"]
+    gains, inv, scale = mm.loop_gains(params, cfg, "acv", src)
     for q in range(-4, 5):
         s = 1j * (wp + q * params.omega1)
         want = mm.control_transfer(cfg, params.omega1, s) / params.vdc
-        assert acv.gains[q + 4] == pytest.approx(want)
-        assert acv.gains[q + 4] * acv.inverse_gains[q + 4] == pytest.approx(1.0)
-        assert acv.pickup[q + 4, 3] == 550.0
-    np.testing.assert_array_equal(acv.pickup[:, :3], 0.0)
-    assert acv.vp_pickup[4] == 1.0
-    assert np.count_nonzero(acv.vp_pickup) == 1
+        assert gains[q + 4] == pytest.approx(want)
+        assert gains[q + 4] * inv[q + 4] == pytest.approx(1.0)
+        assert scale[q + 4] == 550.0
+    # picks up i_g, and v_p directly
+    assert mm.LOOP_WIRING["acv"][1:] == (3, True)
 
-    ccc = chans["ccc"]
+    gains, _, scale = mm.loop_gains(params, cfg, "ccc", src)
     for q in range(-4, 5):
         s = 1j * (wp + q * params.omega1)
         want = (20.0 / params.vdc) * cmath.exp(-1.5e-4 * s)
-        assert ccc.gains[q + 4] == pytest.approx(want)
-        assert ccc.pickup[q + 4, 0] == 1.0
-    assert not ccc.vp_pickup.any()
+        assert gains[q + 4] == pytest.approx(want)
+        assert scale[q + 4] == 1.0
+    assert mm.LOOP_WIRING["ccc"][1:] == (0, False)
+
+    # the assembled operator lifts exactly these gains: column 4q + 3 of
+    # the voltage loop carries gain_q * scale_q * f_{p-q} in block p
+    acv = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0,
+                           sampling_period=1e-4)
+    g, _, z = mm.loop_gains(params, acv, "acv", src)
+    f = mm._injection(params, op, 4, "acv")
+    lift = (mm.perturbed_system(params, acv, op, 4, wp)[0]
+            - mm.perturbed_system(params, OPEN, None, 4, wp)[0])
+    for q in range(9):
+        col = np.zeros((9, 4), dtype=complex)
+        for p in range(max(0, q - 4), min(9, q + 5)):
+            col[p] = f[p - q + 4]
+        np.testing.assert_allclose(lift[:, 4 * q + 3],
+                                   g[q] * z[q] * col.ravel(), rtol=1e-12,
+                                   atol=1e-12 * np.abs(lift).max())
+    assert not np.delete(lift, [4 * r + 3 for r in range(9)], 1).any()
 
 
 def test_injection_blocks_mirror_steady_waveforms(params, op):
@@ -360,31 +384,28 @@ def test_injection_blocks_mirror_steady_waveforms(params, op):
 
 def test_zero_gain_loops_collapse_to_open_loop(params, op):
     wp = 2 * np.pi * 37.0
-    base, _, u_open = mm.build_openloop_perturbation(params, 4, wp)
+    m_open, b_open = mm.perturbed_system(params, OPEN, None, 4, wp)
 
     cfg = mm.ControlConfig(mode="acv", kpv=0.0, krv=0.0)
-    a_dense, b_dense, _ = mm.build_acv_perturbation(params, cfg, op, 4, wp)
-    np.testing.assert_array_equal(a_dense, base.matrix)
-    # B reduces to the direct series-voltage entry
-    np.testing.assert_allclose(np.diag(b_dense)[3::4], -2.0 / 0.36)
+    m_acv, b_acv = mm.perturbed_system(params, cfg, op, 4, wp)
+    np.testing.assert_array_equal(m_acv, m_open)
+    # b reduces to the direct series-voltage entry
+    np.testing.assert_array_equal(b_acv, b_open)
+    np.testing.assert_allclose(b_acv[3::4], np.eye(9)[4] * 2.0 / 0.36)
 
     ccc0 = mm.ControlConfig(mode="ccc", ra=0.0)
-    a_ccc, u_ccc = mm.build_ccc_perturbation(params, ccc0, op, 4, wp)
-    np.testing.assert_array_equal(a_ccc, base.matrix)
-    np.testing.assert_array_equal(u_ccc.data, u_open.data)
+    m_ccc, b_ccc = mm.perturbed_system(params, ccc0, op, 4, wp)
+    np.testing.assert_array_equal(m_ccc, m_open)
+    np.testing.assert_array_equal(b_ccc, b_open)
 
 
 def test_acv_build_raises_on_resonator_pole(params, op):
     cfg = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0)
     # 100 Hz offset: source harmonic q = -1 lands exactly on the 50 Hz pole
     with pytest.raises(PoleAtResonanceError):
-        mm.build_acv_perturbation(params, cfg, op, 4, 2 * np.pi * 100.0)
-    a, b, u = mm.build_acv_perturbation(params, cfg, op, 4, 2 * np.pi * 37.0)
-    assert a.shape == (36, 36)
-    with pytest.raises(ValueError):
-        mm.build_acv_perturbation(
-            params, mm.ControlConfig(mode="ccc", ra=20.0), op, 4,
-            2 * np.pi * 37.0)
+        mm.perturbed_system(params, cfg, op, 4, 2 * np.pi * 100.0)
+    m_p, b_p = mm.perturbed_system(params, cfg, op, 4, 2 * np.pi * 37.0)
+    assert m_p.shape == (36, 36) and b_p.shape == (36,)
 
 
 def test_circulating_probe_forcing_m0(params_m0):

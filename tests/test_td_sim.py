@@ -120,6 +120,39 @@ def _kernel_case(params, mode):
                              5.0])
 
 
+def _numpy_scalar_leg(params):
+    return mm.CircuitParams(**{
+        f.name: np.float64(getattr(params, f.name))
+        for f in dataclasses.fields(params) if f.name != "sm_per_arm"},
+        sm_per_arm=np.int64(params.sm_per_arm))
+
+
+def test_runner_hands_the_kernel_python_floats(params):
+    # numpy-scalar arithmetic in the pure-Python kernel is 3-4x slower
+    cfg = mm.ControlConfig(mode="acv+ccc", kpv=np.float64(1.0),
+                           krv=np.float64(20.0), ra=np.float64(20.0),
+                           sampling_period=1e-4)
+    runner = td._Runner(_numpy_scalar_leg(params), cfg, 1e-5, td._ZERO_REF,
+                        td._ZERO_REF)
+    scalars = [a for a in runner.args if not isinstance(a, np.ndarray)]
+    assert len(scalars) == len(runner.args) - 2
+    assert not [a for a in scalars if isinstance(a, np.generic)]
+
+
+def test_numpy_scalar_leg_simulates_bit_identically(params):
+    runs = []
+    for leg in (params, _numpy_scalar_leg(params)):
+        td.reset_caches()  # equal legs would share a cached settled orbit
+        runs.append(td.simulate(leg, ACV, td.SimConfig(),
+                                perturb=(35.0, 3200.0)))
+    for f in dataclasses.fields(td.TimeSeries):
+        a, b = (getattr(r, f.name) for r in runs)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        elif f.name != "params":
+            assert a == b, f.name
+
+
 @pytest.mark.parametrize("mode", ["open", "acv", "ccc", "acv+ccc"])
 @pytest.mark.parametrize("probe", [(0.0, 0.0, 0.0),
                                    (2 * np.pi * 35.0, 3200.0, 0.0),
