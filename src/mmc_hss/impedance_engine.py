@@ -7,11 +7,10 @@ harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
 The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
 unperturbed one. One complex Schur form of M0 per (params, order) turns
 every frequency into a triangular solve (hss_core.ShiftedSolver): a sweep
-solves its grid in chunks of points at once, and the factors of the most
-recent leg stay cached, one per order, for the calls that follow. Open
-loop, ac-voltage loop, circulating loop and the circulating-path probe all
-take this one path; they differ only in their forcing, their readout row
-and their controller channels.
+solves its grid in chunks of points at once, and single-point calls reuse
+the last factor. Open loop, ac-voltage loop, circulating loop and the
+circulating-path probe all take this one path; they differ only in their
+forcing, their readout row and their controller channels.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
@@ -208,25 +207,26 @@ class _Factor:
         return last
 
 
-# Schur factors of the most recent leg, by order
-_factors = {}
+_cached_factor = None
 
 
-def _factor(params, order):
-    """The Schur factor for (params, order), built once per order of the
-    most recent leg: the automatic order rule, which alternates between
-    orders h and h + 2, and the spot calls after a sweep reuse it. The
-    first factor of a new leg clears the old leg's before it is built; all
-    sixteen orders of one leg hold about 7 MB. Raises ValueError for an
-    order outside 1..MAX_ORDER before anything is built.
+def _factor(params, order, held=None):
+    """held, else the cached factor for (params, order), else a new one.
+
+    The factor returned stays cached, so the single-point calls that follow
+    a sweep (spots, probes) need no new Schur form. Raises ValueError for
+    an order outside 1..MAX_ORDER before anything is built.
     """
+    global _cached_factor
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}")
-    if any(f.params != params for f in _factors.values()):
-        _factors.clear()
-    if order not in _factors:
-        _factors[order] = _Factor(params, order)
-    return _factors[order]
+    if held is None and _cached_factor is not None and (
+            _cached_factor.params, _cached_factor.order) == (params, order):
+        held = _cached_factor
+    # dropped before a new factor is built, so the two never coexist
+    _cached_factor = None
+    _cached_factor = held or _Factor(params, order)
+    return _cached_factor
 
 
 class _Loop:
@@ -555,8 +555,12 @@ def sweep(params, config, freqs=None, order: int | None = None,
     excluded = tuple(freqs[~keep])
     freqs = freqs[keep]
 
+    held = {}  # Schur factors of the orders the automatic rule may revisit
+
     def evaluate(h, idx):
-        factor = _factor(params, h)
+        for done in [k for k in held if k < h - 2]:
+            del held[done]
+        factor = held[h] = _factor(params, h, held.get(h))
         op = factor.steady() if config.mode != "open" else None
         fs = freqs[idx]
         points = _series_points(factor.loop(config, op), fs)

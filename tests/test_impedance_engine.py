@@ -294,30 +294,6 @@ def test_auto_order_not_converged_warns(params, monkeypatch):
     np.testing.assert_array_equal(res.impedances, want.impedances)
 
 
-def test_spot_calls_build_one_factor_per_order(params, params_m0,
-                                              monkeypatch):
-    # automatic-order spot calls alternate between orders h and h + 2; each
-    # order's Schur form of one leg is built once, whatever the mode
-    built = []
-    init = ie._Factor.__init__
-
-    def counting(self, p, order):
-        built.append(order)
-        init(self, p, order)
-
-    monkeypatch.setattr(ie, "_factors", {})
-    monkeypatch.setattr(ie._Factor, "__init__", counting)
-    for config in (OPEN, ACV):
-        for f in (10.0, 35.0, 80.0, 120.0, 200.0):
-            ie.impedance_at(params, config, f)
-    assert len(built) <= 4
-    assert len(built) == len(set(built))
-    # a new leg drops the old leg's factors before building its own
-    ie.impedance_at(params_m0, OPEN, 35.0, order=4)
-    assert list(ie._factors) == [4]
-    assert ie._factors[4].params == params_m0
-
-
 def test_sweep_input_validation(params):
     with pytest.raises(ValueError):
         ie.sweep(params, OPEN, freqs=np.array([]))
