@@ -5,9 +5,9 @@ coefficients [X_{-h}, ..., X_0, ..., X_h]. Multiplication by a periodic
 coefficient becomes a block-Toeplitz operator on the stack, d/dt becomes a
 block-diagonal frequency shift. The periodic steady state of a linear
 time-periodic system is one dense linear solve; its responses to a
-perturbation at many frequencies share one complex Schur form of the
-unshifted operator, so each frequency is a triangular solve. Nothing in
-here knows about converters; it is plain multi-harmonic linear algebra.
+perturbation at many frequencies share one modal form of the unshifted
+operator, so each frequency is an elementwise scaling. Nothing in here
+knows about converters; it is plain multi-harmonic linear algebra.
 """
 
 from __future__ import annotations
@@ -16,15 +16,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import (LinAlgWarning, get_blas_funcs, get_lapack_funcs,
-                          lu_factor, lu_solve)
+from scipy.linalg import (LinAlgError, LinAlgWarning, eig, get_blas_funcs,
+                          get_lapack_funcs, inv, lu_factor, lu_solve)
 
 from .errors import SingularSystemError
 
-# Dense solves refuse to return garbage past this condition estimate.
-COND_LIMIT = 1e12
+# Dense solves refuse to return garbage past this condition estimate, and
+# ShiftedSolver refuses modes past this 1-norm condition number, the factor
+# of precision its modal solve loses (MMC legs read ~2e3, up to 2.3e4)
+COND_LIMIT, MODE_COND_LIMIT = 1e12, 1e6
 
-_GEMM, _GEMV = get_blas_funcs(("gemm", "gemv"), dtype=complex)
+_GEMM, = get_blas_funcs(("gemm",), dtype=complex)
 
 
 def _readonly(a):
@@ -300,34 +302,41 @@ class ShiftedSolver:
     Schur form M0 = Q T Q^H (Laub, "Efficient multivariable frequency
     response computations", IEEE TAC 26(2), 1981).
 
-    Every shift is then a triangular solve with T - j*omega*I. solve works
-    in Schur coordinates: right-hand sides go in through to_schur and
-    solutions come out as q @ y. It back-substitutes all shifts of a call
-    at once, one matrix-vector product per row, so no per-shift BLAS call
-    is made. Like matmul, it uses SciPy's BLAS only.
+    With T = W diag(eigvals) W^-1 taken once too, every shift is an
+    elementwise scaling in modal coordinates: right-hand sides go in as
+    v_inv @ b (v_inv = W^-1 Q^H) and solutions come out as v @ y (v = Q W).
+    A nearly defective M0 raises SingularSystemError here. Like matmul, it
+    uses SciPy's BLAS and LAPACK only.
     """
 
     def __init__(self, m0: np.ndarray):
         self.m0 = np.asarray(m0, dtype=complex)
-        n = len(self.m0)
         gees, self._trcon = get_lapack_funcs(("gees", "trcon"), (self.m0,))
         # the minimum workspace spares the size query, which allocates a
         # second copy of the matrix and of Q; at these sizes it is as fast
-        self.t, _, _, self.q, _, info = gees(
-            lambda x: None, self.m0.copy(order="F"), lwork=max(1, 2 * n),
-            overwrite_a=True)
+        self.t, _, _, q, _, info = gees(
+            lambda x: None, self.m0.copy(order="F"),
+            lwork=max(1, 2 * len(self.m0)), overwrite_a=True)
         if info != 0:
             raise SingularSystemError("Schur form did not converge",
                                       float("inf"))
         # check's work copy of T: only its diagonal changes per shift
         self._shifted = np.array(self.t, order="F")
         self._diag = np.diagonal(self.t).copy()
-
-    def to_schur(self, b: np.ndarray) -> np.ndarray:
-        """Q^H b, without forming Q^H."""
-        b = np.asarray(b, dtype=complex)
-        return _GEMM(1.0, self.q, b.reshape(len(b), -1),
-                     trans_a=2).reshape(b.shape)
+        # SciPy's eig and inv, not NumPy's, which wake NumPy's BLAS threads
+        self.eigvals, w = eig(self.t, check_finite=False)
+        with warnings.catch_warnings():
+            # a singular or ill-conditioned W fails the guard below
+            warnings.simplefilter("ignore", LinAlgWarning)
+            try:
+                w_inv = inv(w, check_finite=False)
+            except LinAlgError:
+                w_inv = np.full_like(w, np.inf)
+        cond = np.abs(w).sum(axis=0).max() * np.abs(w_inv).sum(axis=0).max()
+        if not cond <= MODE_COND_LIMIT:
+            raise SingularSystemError(
+                f"nearly defective operator (modes cond ~ {cond:.3e})", cond)
+        self.v, self.v_inv = matmul(q, w), _GEMM(1.0, w_inv, q, trans_b=2)
 
     def check(self, omega: float) -> float:
         """1-norm condition estimate of T - j*omega*I.
@@ -349,24 +358,14 @@ class ShiftedSolver:
         return cond
 
     def solve(self, omegas, b: np.ndarray) -> np.ndarray:
-        """Y with (T - j*omegas[p]*I) Y[:, p] = b[:, p] for every shift p.
+        """Y with (diag(eigvals) - j*omegas[p]*I) Y[:, p] = b[:, p] for
+        every shift p.
 
         b is (n, k), shared by all shifts, or (n, P, k) with one block per
         shift; returns (n, P, k).
         """
-        omegas = np.asarray(omegas, dtype=float)
-        n = self.t.shape[0]
-        y = np.empty((n, omegas.size, b.shape[-1]), dtype=complex)
-        y[...] = b[:, None, :] if b.ndim == 2 else b
-        rows = y.reshape(n, -1)
-        pivots = np.diagonal(self.t)[:, None] - 1j * omegas
-        y[n - 1] /= pivots[n - 1][:, None]
-        for i in range(n - 2, -1, -1):
-            # rows[i] -= t[i, i+1:] @ rows[i+1:], in place where SciPy can
-            rows[i] = _GEMV(-1.0, rows[i + 1:].T, self.t[i, i + 1:],
-                            beta=1.0, y=rows[i], overwrite_y=True)
-            y[i] /= pivots[i][:, None]
-        return y
+        pivots = self.eigvals[:, None] - 1j * np.asarray(omegas, dtype=float)
+        return (b[:, None] if b.ndim == 2 else b) / pivots[:, :, None]
 
 
 def solve_steady_state(a: ToeplitzOperator, n: ShiftOperator,

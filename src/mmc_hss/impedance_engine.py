@@ -5,8 +5,8 @@ behind the load at f_p, reads the output-current response at offset
 harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
 
 The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
-unperturbed one. One complex Schur form of M0 per (params, order) turns
-every frequency into a triangular solve (hss_core.ShiftedSolver): a sweep
+unperturbed one. One modal form of M0 per (params, order) turns every
+frequency into an elementwise scaling (hss_core.ShiftedSolver): a sweep
 solves its grid in chunks of points at once, and single-point calls reuse
 the last factor. Open loop, ac-voltage loop, circulating loop and the
 circulating-path probe all take this one path; they differ only in their
@@ -180,7 +180,7 @@ def _auto_order(params, freqs, evaluate):
 
 
 class _Factor:
-    """Complex Schur form of the unperturbed operator M0 = A - N for one
+    """Modal solver of the unperturbed operator M0 = A - N for one
     (params, order), plus the periodic steady state and the last loop
     set-up built around it."""
 
@@ -231,17 +231,17 @@ def _factor(params, order, held=None):
 
 class _Loop:
     """Once-per-sweep set-up of the perturbed leg with its control loops
-    closed, around one Schur factor.
+    closed, around one modal factor.
 
     Per point the leg solves (M0 - j w I) X + F c = bx together with the
     channel law c_r = gain_r * (scale_r * X[pick_r] + vp_r * v_p) for every
     controller output c_r (one per loop and source harmonic). X is
     eliminated first, so the small channel system carries 1/gain and stays
-    exact on resonator poles. Built once: the injection map F and Q^H F,
-    the picked rows of Q. Per point, vectorised over the points of a
-    chunk: gains and pickup scales, the triangular solves, the channel
-    system and one refinement step of the whole system against
-    M0 - j w I.
+    exact on resonator poles. Built once: the injection map F, its modal
+    coordinates V^-1 F and the picked rows of the modes V. Per point,
+    vectorised over the points of a chunk: gains and pickup scales, the
+    modal scalings, the channel system and one refinement step of the
+    whole system against M0 - j w I.
     """
 
     def __init__(self, factor, config, op):
@@ -269,8 +269,8 @@ class _Loop:
         self.f_map = self.f_map.reshape(4 * n, -1)
         self.picks = self.picks.ravel()
         self.vp = self.vp.ravel()
-        self.qf = solver.to_schur(self.f_map)
-        self.q_picks = solver.q[self.picks]
+        self.modal_f = hss_core.matmul(solver.v_inv, self.f_map)
+        self.modal_picks = solver.v[self.picks]
 
     def _gains(self, omegas):
         """(gains, inverse gains, pickup scales), each (points, channels)."""
@@ -289,12 +289,12 @@ class _Loop:
         """
         omegas = np.asarray(omegas, dtype=float)
         n4, m = self.f_map.shape
-        # complex values one point keeps live: its solve stack, channel
-        # systems with their inverses, and the state-sized refinement terms
-        per_point = 16 * ((n4 + 4 * m) * (m + 1) + 8 * n4)
+        # complex values one point keeps live: modal stack, channel systems
+        # and their inverses, refinement terms (tracemalloc: 0.8-1.3x this)
+        per_point = 16 * ((n4 + 4 * m) * (m + 1) + 6 * n4)
         size = max(1, _CHUNK_BYTES // per_point)
-        b = np.concatenate([self.qf, self.solver.to_schur(bx)[:, None]],
-                           axis=1)
+        b = np.column_stack(
+            [self.modal_f, hss_core.matmul(self.solver.v_inv, bx[:, None])])
         out = np.empty((np.arange(n4)[rows].size, omegas.size), dtype=complex)
         errors = []
         for start in range(0, omegas.size, size):
@@ -331,27 +331,28 @@ class _Loop:
             # picked rows of X for every column: t = picks(M^-1 F) and,
             # in the last column, picks(M^-1 bx)
             picked = hss_core.matmul(
-                self.q_picks, y.reshape(len(y), -1)).reshape(
+                self.modal_picks, y.reshape(len(y), -1)).reshape(
                 m, omegas.size, m + 1).transpose(1, 0, 2)
             sys = pick_scale[:, :, None] * picked[:, :, :m]
             sys[:, np.arange(m), np.arange(m)] += alpha
             sys_inv = _inverse(sys, errors)
 
             def close(yb, picked_b, rc):
-                # states for the Schur-side solution yb of the state rows,
-                # its picked rows and the channel right-hand side rc
+                # states for the modal solution yb of the state rows, its
+                # picked rows and the channel right-hand side rc
                 c = np.einsum("prc,pc->pr", sys_inv,
                               rc + pick_scale * picked_b)
                 return c, hss_core.matmul(
-                    solver.q, yb - np.einsum("ipc,pc->ip", yf, c))
+                    solver.v, yb - np.einsum("ipc,pc->ip", yf, c))
 
             c, x = close(y[:, :, m], picked[:, :, m], bc)
             # one refinement step of the whole system against M0 - j w I
             rx = (bx[:, None] - hss_core.matmul(solver.m0, x)
                   + 1j * omegas * x - hss_core.matmul(self.f_map, c.T))
             rc = bc - alpha * c + pick_scale * x[self.picks].T
-            yr = solver.solve(omegas, solver.to_schur(rx)[:, :, None])[:, :, 0]
-            x += close(yr, hss_core.matmul(self.q_picks, yr).T, rc)[1]
+            yr = solver.solve(
+                omegas, hss_core.matmul(solver.v_inv, rx)[:, :, None])[:, :, 0]
+            x += close(yr, hss_core.matmul(self.modal_picks, yr).T, rc)[1]
         return x, errors
 
     def responses(self, freqs, probe):

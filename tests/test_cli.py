@@ -3,6 +3,8 @@ exit codes."""
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +232,29 @@ def test_sweep_guard_band_row_counts(tmp_path, capsys):
     assert "wrote 491 rows" in msg
     assert "5 guard-band exclusions" in msg
     assert len(open(out).read().splitlines()) == 492
+
+
+def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
+    # the same sweep in fresh processes, with one OpenBLAS thread and with
+    # the library's default, writes the same bytes
+    with open(os.path.join(_REPO_ROOT, "paper_sim.cfg")) as fh:
+        text = fh.read()
+    assert "control_mode = open\n" in text
+    cfg = _write(tmp_path, "both.cfg", text.replace(
+        "control_mode = open\n", "control_mode = acv+ccc\n"))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(_REPO_ROOT, "src"), env.get("PYTHONPATH")]))
+    written = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"threads{len(written)}.csv"
+        subprocess.run([sys.executable, "-m", "mmc_hss.cli", "sweep",
+                        "--config", cfg, "--h", "8", "--out", str(out)],
+                       env={**env, **threads}, check=True,
+                       capture_output=True, timeout=120)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_out_csv_config_key_is_the_fallback(tmp_path, capsys):

@@ -3,6 +3,7 @@ steady-state and perturbation solves."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmc_hss import hss_core as hc
 from mmc_hss.errors import SingularSystemError
@@ -292,3 +293,57 @@ def test_shifted_check_matches_a_fresh_copy_for_every_shift():
         rcond, _ = solver._trcon(fresh)
         assert solver.check(omega) == 1.0 / rcond
     np.testing.assert_array_equal(solver.t, t_before)
+
+
+def _dense_shifted_solve(m0, omega, b):
+    return scipy.linalg.solve(m0 - 1j * omega * np.eye(len(m0)), b)
+
+
+def test_modal_solve_matches_a_dense_solve():
+    # v @ solve(omegas, v_inv @ b) is (M0 - j*omega*I)^-1 b for every shift,
+    # with one right-hand side shared by all shifts or one block per shift
+    rng = np.random.default_rng(11)
+    m0 = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    b = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    omegas = [0.0, 250.0, -3.5, 1e4]
+    solver = hc.ShiftedSolver(m0)
+    shared = solver.solve(omegas, hc.matmul(solver.v_inv, b))
+    blocks = solver.solve(omegas, np.stack(
+        [hc.matmul(solver.v_inv, (p + 1) * b) for p in range(4)], axis=1))
+    assert shared.shape == blocks.shape == (40, 4, 3)
+    for p, omega in enumerate(omegas):
+        want = _dense_shifted_solve(m0, omega, b)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(hc.matmul(solver.v, shared[:, p]), want,
+                                   rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(hc.matmul(solver.v, blocks[:, p]),
+                                   (p + 1) * want, rtol=0.0,
+                                   atol=1e-12 * (p + 1) * scale)
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (1, 0)])
+def test_nearly_defective_operator_raises_or_solves_accurately(entry):
+    # a 2x2 Jordan block, perturbed by 1e-14 on its diagonal or in its
+    # corner, inside a unitary similarity of a random 40x40 operator: the
+    # modal solve must either be accurate or refuse the operator
+    rng = np.random.default_rng(12)
+    m0 = np.zeros((40, 40), dtype=complex)
+    m0[:2, :2] = [[2j, 1.0], [0.0, 2j]]
+    m0[entry] += 1e-14
+    m0[2:, 2:] = (rng.standard_normal((38, 38))
+                  + 1j * rng.standard_normal((38, 38)))
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40))
+                        + 1j * rng.standard_normal((40, 40)))
+    m0 = q @ m0 @ q.conj().T
+    b = rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1))
+    omegas = [0.0, 250.0, -3.5, 1e4]
+    try:
+        solver = hc.ShiftedSolver(m0)
+    except SingularSystemError as err:
+        assert err.cond_estimate > hc.MODE_COND_LIMIT
+        return
+    y = solver.solve(omegas, hc.matmul(solver.v_inv, b))
+    for p, omega in enumerate(omegas):
+        want = _dense_shifted_solve(m0, omega, b)
+        assert (np.abs(hc.matmul(solver.v, y[:, p]) - want).max()
+                <= 1e-9 * np.abs(want).max())
