@@ -6,11 +6,11 @@ harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
 
 The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
 unperturbed one. One modal form of M0 per (params, order) turns every
-frequency into an elementwise scaling (hss_core.ShiftedSolver): a sweep
-solves its grid in chunks of points at once, and single-point calls reuse
-the last factor. Open loop, ac-voltage loop, circulating loop and the
-circulating-path probe all take this one path; they differ only in their
-forcing, their readout row and their controller channels.
+frequency into an elementwise scaling with an O(n) condition bound
+(hss_core.ShiftedSolver): a sweep solves its grid in chunks of about 1 MiB,
+and single-point calls reuse the last factor. Open loop, ac-voltage loop,
+circulating loop and the circulating-path probe all take this one path;
+they differ only in their forcing, their readout row and their channels.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
@@ -55,8 +55,8 @@ _ZERO_IMPEDANCE_RATIO = 1e-12
 _DEGENERATE_RATIO = 1e-15
 
 # points solved together are chunked to about this many bytes of work
-# arrays each, which bounds the memory a sweep adds
-_CHUNK_BYTES = 256 * 1024
+# arrays: it bounds a sweep's memory and amortises each chunk's fixed cost
+_CHUNK_BYTES = 1024 * 1024
 
 
 def _wrap_phase_deg(z: complex) -> float:
@@ -271,6 +271,10 @@ class _Loop:
         self.vp = self.vp.ravel()
         self.modal_f = hss_core.matmul(solver.v_inv, self.f_map)
         self.modal_picks = solver.v[self.picks]
+        # complex values one point keeps live: modal stack, channel systems
+        # and inverses, refinement terms (tracemalloc: 0.9x at 2+ per chunk)
+        n4, m = self.f_map.shape
+        self.point_bytes = 16 * ((n4 + 4 * m) * (m + 1) + 6 * n4)
 
     def _gains(self, omegas):
         """(gains, inverse gains, pickup scales), each (points, channels)."""
@@ -288,14 +292,10 @@ class _Loop:
         the series voltage the channel pickups see directly.
         """
         omegas = np.asarray(omegas, dtype=float)
-        n4, m = self.f_map.shape
-        # complex values one point keeps live: modal stack, channel systems
-        # and their inverses, refinement terms (tracemalloc: 0.8-1.3x this)
-        per_point = 16 * ((n4 + 4 * m) * (m + 1) + 6 * n4)
-        size = max(1, _CHUNK_BYTES // per_point)
+        size = max(1, _CHUNK_BYTES // self.point_bytes)
         b = np.column_stack(
             [self.modal_f, hss_core.matmul(self.solver.v_inv, bx[:, None])])
-        out = np.empty((np.arange(n4)[rows].size, omegas.size), dtype=complex)
+        out = np.empty((bx[rows].size, omegas.size), dtype=complex)
         errors = []
         for start in range(0, omegas.size, size):
             chunk = omegas[start:start + size]

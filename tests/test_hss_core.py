@@ -279,20 +279,45 @@ def test_real_signal_detection():
     assert not bad.is_real_signal()
 
 
-def test_shifted_check_matches_a_fresh_copy_for_every_shift():
-    # check rewrites the diagonal of one work copy of T per shift; the
-    # estimate must be bit-identical to shifting a fresh copy, whatever
-    # shifts came before
+def _ztrcon_estimate(t, omega):
+    # LAPACK's 1-norm condition estimate of the triangular T - j*omega*I
+    shifted = np.array(t, order="F")
+    shifted.flat[::len(t) + 1] -= 1j * omega
+    trcon, = scipy.linalg.get_lapack_funcs(("trcon",), (shifted,))
+    rcond, info = trcon(shifted)
+    assert info == 0
+    return 1.0 / rcond
+
+
+def test_shifted_check_bounds_the_condition_number_for_every_shift():
+    # check's modal bound is no smaller than the exact 1-norm condition
+    # number of T - j*omega*I or LAPACK's estimate of it, repeats bitwise
+    # and leaves T alone
     rng = np.random.default_rng(3)
     m0 = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     solver = hc.ShiftedSolver(m0)
     t_before = solver.t.copy()
+    bounds = {}
     for omega in (0.0, 250.0, -3.5, 1e4, 250.0):
-        fresh = np.array(solver.t, order="F")
-        fresh.flat[::41] -= 1j * omega
-        rcond, _ = solver._trcon(fresh)
-        assert solver.check(omega) == 1.0 / rcond
+        bound = solver.check(omega)
+        shifted = solver.t - 1j * omega * np.eye(40)
+        assert bound >= np.linalg.cond(shifted, 1)
+        assert bound >= _ztrcon_estimate(solver.t, omega)
+        assert bounds.setdefault(omega, bound) == bound
     np.testing.assert_array_equal(solver.t, t_before)
+
+
+def test_shifted_check_raises_on_an_eigenvalue_at_the_shift():
+    # the first column is 250j e_0, so 250j is an exact eigenvalue of M0,
+    # of its Schur form and of the modal form
+    rng = np.random.default_rng(3)
+    m0 = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    m0[:, 0] = 0.0
+    m0[0, 0] = 250j
+    solver = hc.ShiftedSolver(m0)
+    with pytest.raises(SingularSystemError, match="singular"):
+        solver.check(250.0)
+    assert solver.check(251.0) <= hc.COND_LIMIT
 
 
 def _dense_shifted_solve(m0, omega, b):

@@ -1,10 +1,12 @@
 """Impedance extraction: closed forms without modulation, loop closure
 against dense assembly, sweep bookkeeping and resonance search."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmc_hss import hss_core, impedance_engine as ie, mmc_model as mm
 from mmc_hss.errors import (DegenerateResponseError, PoleAtResonanceError,
@@ -343,6 +345,44 @@ def test_sweep_raises_when_too_many_points_fail(params, monkeypatch):
     monkeypatch.setattr(hss_core.ShiftedSolver, "check", broken)
     with pytest.raises(DegenerateResponseError):
         ie.sweep(params, OPEN, freqs=np.arange(10.0, 20.0, 1.0))
+
+
+def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
+    # on the reference leg and its m = 0 variant, check's modal bound is
+    # no smaller than LAPACK's condition estimate of T - j*omega*I at any
+    # sweep frequency, and stays below the guard (these read up to ~1e8)
+    omegas = 2.0 * np.pi * np.arange(5.0, 500.5, 1.0)
+    for leg in (params, params_m0):
+        for h in (4, 8, 16):
+            solver = ie._Factor(leg, h).solver
+            trcon, = scipy.linalg.get_lapack_funcs(("trcon",), (solver.t,))
+            shifted = np.array(solver.t, order="F")
+            diag = np.diagonal(solver.t).copy()
+            for w in omegas:
+                shifted.flat[::len(diag) + 1] = diag - 1j * w
+                rcond, info = trcon(shifted)
+                assert info == 0
+                assert 1.0 / rcond <= solver.check(w) < hss_core.COND_LIMIT
+
+
+def test_sweep_memory_stays_within_the_chunk_budget(params):
+    # a repeated sweep reuses the cached factor and loop set-up, so what it
+    # allocates is its chunks' work arrays: the per-point estimate that
+    # sizes the chunks must cover the arrays a chunk actually keeps
+    config = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
+                              sampling_period=1e-4)
+    for h in (4, 8, 16):
+        ie.sweep(params, config, order=h)
+        factor = ie._factor(params, h)
+        budget = max(ie._CHUNK_BYTES,
+                     factor.loop(config, factor.steady()).point_bytes)
+        tracemalloc.start()
+        try:
+            ie.sweep(params, config, order=h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * budget
 
 
 # ----------------------------------------------------------------- resonances
