@@ -34,6 +34,14 @@ class ConfigError(ValueError):
     """Bad configuration file or option; maps to exit code 2."""
 
 
+def _real(text):
+    """A float key's value: Python float syntax, finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
 def _positive(x):
     if x <= 0:
         raise ValueError("must be positive")
@@ -79,46 +87,46 @@ def _any_float(x):
 # RunConfig.<field> for owner None. File order is free; unknown keys are
 # rejected with their line number.
 _KEYS = {
-    "vdc_v": (320e3, float, _positive, "params", "vdc"),
-    "arm_inductance_h": (0.36, float, _positive, "params", "arm_inductance"),
-    "arm_resistance_ohm": (1.0, float, _nonneg, "params", "arm_resistance"),
-    "sm_capacitance_f": (140e-6, float, _positive, "params", "sm_capacitance"),
+    "vdc_v": (320e3, _real, _positive, "params", "vdc"),
+    "arm_inductance_h": (0.36, _real, _positive, "params", "arm_inductance"),
+    "arm_resistance_ohm": (1.0, _real, _nonneg, "params", "arm_resistance"),
+    "sm_capacitance_f": (140e-6, _real, _positive, "params", "sm_capacitance"),
     "sm_per_arm": (20, int, _count, "params", "sm_per_arm"),
-    "fundamental_hz": (50.0, float, _positive, "params", "fundamental_freq"),
-    "modulation_index": (0.847, float, _fraction, "params",
+    "fundamental_hz": (50.0, _real, _positive, "params", "fundamental_freq"),
+    "modulation_index": (0.847, _real, _fraction, "params",
                          "modulation_index"),
-    "modulation_phase_rad": (0.0, float, _any_float, "params",
+    "modulation_phase_rad": (0.0, _real, _any_float, "params",
                              "modulation_phase"),
-    "modulation_index_2h": (0.0, float, _fraction, "params",
+    "modulation_index_2h": (0.0, _real, _fraction, "params",
                             "modulation_index_2h"),
-    "modulation_phase_2h_rad": (0.0, float, _any_float, "params",
+    "modulation_phase_2h_rad": (0.0, _real, _any_float, "params",
                                 "modulation_phase_2h"),
-    "load_resistance_ohm": (550.0, float, _nonneg, "params",
+    "load_resistance_ohm": (550.0, _real, _nonneg, "params",
                             "load_resistance"),
-    "load_inductance_h": (0.0, float, _nonneg, "params", "load_inductance"),
+    "load_inductance_h": (0.0, _real, _nonneg, "params", "load_inductance"),
     "control_mode": ("open", str, _mode, "control", "mode"),
-    "kpv": (1.0, float, _nonneg, "control", "kpv"),
-    "krv": (20.0, float, _nonneg, "control", "krv"),
-    "kf": (0.0, float, _nonneg, "control", "kf"),
-    "resonant_damping": (0.0, float, _nonneg, "control", "resonant_damping"),
-    "ra_ohm": (20.0, float, _any_float, "control", "ra"),
-    "sampling_period_s": (1e-4, float, _positive, "control",
+    "kpv": (1.0, _real, _nonneg, "control", "kpv"),
+    "krv": (20.0, _real, _nonneg, "control", "krv"),
+    "kf": (0.0, _real, _nonneg, "control", "kf"),
+    "resonant_damping": (0.0, _real, _nonneg, "control", "resonant_damping"),
+    "ra_ohm": (20.0, _real, _any_float, "control", "ra"),
+    "sampling_period_s": (1e-4, _real, _positive, "control",
                           "sampling_period"),
-    "dt_s": (1e-5, float, _positive, "sim", "dt"),
+    "dt_s": (1e-5, _real, _positive, "sim", "dt"),
     "settle_cycles": (300, int, _count, "sim", "settle_cycles"),
     "measure_cycles": (2, int, _count, "sim", "measure_cycles"),
     "ramp_cycles": (20, int, _nonneg, "sim", "ramp_cycles"),
     "post_ramp_cycles": (30, int, _nonneg, "sim", "post_ramp_cycles"),
-    "perturb_amplitude_v": (0.0, float, _nonneg, "sim", "perturb_amplitude"),
-    "periodicity_tol": (1e-6, float, _positive, "sim", "periodicity_tol"),
+    "perturb_amplitude_v": (0.0, _real, _nonneg, "sim", "perturb_amplitude"),
+    "periodicity_tol": (1e-6, _real, _positive, "sim", "periodicity_tol"),
     "reference_settle_cycles": (800, int, _count, "sim",
                                 "reference_settle_cycles"),
     "harmonic_order": (4, int, _order, None, "harmonic_order"),
-    "sweep_start_hz": (5.0, float, _positive, None, "sweep_start_hz"),
-    "sweep_stop_hz": (500.0, float, _positive, None, "sweep_stop_hz"),
-    "sweep_step_hz": (1.0, float, _positive, None, "sweep_step_hz"),
+    "sweep_start_hz": (5.0, _real, _positive, None, "sweep_start_hz"),
+    "sweep_stop_hz": (500.0, _real, _positive, None, "sweep_stop_hz"),
+    "sweep_step_hz": (1.0, _real, _positive, None, "sweep_step_hz"),
     # negative = automatic
-    "guard_band_hz": (-1.0, float, _any_float, None, "guard_band_hz"),
+    "guard_band_hz": (-1.0, _real, _any_float, None, "guard_band_hz"),
     "out_csv": ("", str, lambda s: s, None, "out_csv"),
 }
 
@@ -192,7 +200,7 @@ def parse_config(path) -> RunConfig:
     """Read a flat key = value file; every key optional, none unknown.
 
     Reports the first offending key with its line number. Values use
-    plain Python float syntax; '#' starts a comment.
+    plain Python float syntax and must be finite; '#' starts a comment.
     """
     values = {key: spec[0] for key, spec in _KEYS.items()}
     lines = {}
@@ -249,8 +257,8 @@ def _parse_freqs(text) -> list:
         raise ConfigError(f"bad --freqs list: {exc}") from exc
     if not freqs:
         raise ConfigError("--freqs list is empty")
-    if any(f <= 0 for f in freqs):
-        raise ConfigError("--freqs entries must be positive")
+    if not all(math.isfinite(f) and f > 0 for f in freqs):
+        raise ConfigError("--freqs entries must be positive and finite")
     return sorted(freqs)
 
 

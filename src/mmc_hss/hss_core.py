@@ -123,6 +123,21 @@ class HarmonicVector:
         return bool(np.all(np.abs(blocks[::-1].conj() - blocks) <= tol * scale))
 
 
+def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """Dense block-Toeplitz lift of the blocks A_k = blocks[k + order].
+
+    blocks is (2*order + 1, r, c) for k = -order..order. The result is
+    (n*r, n*c) with n = 2*order + 1: block (p, q) is A_{p-q}, zero where
+    |p - q| > order. It is a fresh C-contiguous array the caller may modify.
+    """
+    n, r, c = blocks.shape
+    # padded[j] = A_{j - (n - 1)}: index p - q + n - 1 covers every (p, q)
+    padded = np.zeros((2 * n - 1, r, c), dtype=complex)
+    padded[n // 2:n // 2 + n] = blocks
+    lifted = padded[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
+    return lifted.transpose(0, 2, 1, 3).reshape(n * r, n * c)
+
+
 @dataclass(frozen=True)
 class ToeplitzOperator:
     """Block-Toeplitz operator: block (r, c) is A_{r-c}, zero past +-order.
@@ -156,15 +171,11 @@ class ToeplitzOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        n = 2 * self.order + 1
-        d = self.dim
-        m = np.zeros((n * d, n * d), dtype=complex)
+        blocks = np.zeros((2 * self.order + 1, self.dim, self.dim),
+                          dtype=complex)
         for k, b in self.blocks.items():
-            for r in range(n):
-                c = r - k
-                if 0 <= c < n:
-                    m[r * d:(r + 1) * d, c * d:(c + 1) * d] = b
-        return m
+            blocks[k + self.order] = b
+        return block_toeplitz(blocks)
 
     def __matmul__(self, x: HarmonicVector) -> HarmonicVector:
         if x.order != self.order or x.dim != self.dim:
@@ -367,15 +378,21 @@ class ShiftedSolver:
         return (b[:, None] if b.ndim == 2 else b) / pivots[:, :, None]
 
 
+def operator_matrix(a: ToeplitzOperator, n: ShiftOperator) -> np.ndarray:
+    """Dense A - N: with N's offset omega_off, the operator of the response
+    to a forcing at that offset."""
+    m = a.matrix
+    m[np.diag_indices_from(m)] -= n.diagonal
+    return m
+
+
 def solve_steady_state(a: ToeplitzOperator, n: ShiftOperator,
                        u: HarmonicVector) -> HarmonicVector:
     """Periodic steady state of dx/dt = A(t)x + u(t): X = -(A - N)^{-1} U;
     with an offset omega_off in N, the response to a forcing there."""
     if not (a.order == n.order == u.order and a.dim == n.dim == u.dim):
         raise ValueError("operator/vector shapes disagree")
-    m = a.matrix
-    m[np.diag_indices_from(m)] -= n.diagonal
-    x = solve_dense(m, -u.data)
+    x = solve_dense(operator_matrix(a, n), -u.data)
     return HarmonicVector(a.order, a.dim, x)
 
 

@@ -10,7 +10,11 @@ frequency into an elementwise scaling with an O(n) condition bound
 (hss_core.ShiftedSolver): a sweep solves its grid in chunks of about 1 MiB,
 and single-point calls reuse the last factor. Open loop, ac-voltage loop,
 circulating loop and the circulating-path probe all take this one path;
-they differ only in their forcing, their readout row and their channels.
+they differ only in their forcing, their readout row and their channels,
+which mmc_model supplies (probe, loop_channels, channel_gains) along with
+the stack layout. impedance_at, circulating_impedance_at and sweep share
+one evaluation path (_evaluate): a sweep records a failed point, a
+single-point call raises the first error its point meets.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
@@ -126,15 +130,15 @@ def _auto_order(params, freqs, evaluate):
     """Chosen order and its results for order=None.
 
     evaluate(h, idx) returns the order-h results at the indices idx into
-    freqs (ImpedancePoint or a failure record). A point is evaluated once
-    per order, except that the whole grid is always solved in one call, so
-    the returned points are those of a sweep at that explicit order. The
-    result is the lowest h >= 4 whose |Z| agrees with order h + 2 within
-    AUTO_ORDER_RTOL at every point that solved at both orders. Each
-    candidate is tried first at the point where the previous one disagreed
-    most, so a candidate that fails there costs two evaluations. If no
-    h <= MAX_ORDER - 2 converges, the order-MAX_ORDER results are returned
-    with a RuntimeWarning.
+    freqs (ImpedancePoint or the error that spoiled it). A point is
+    evaluated once per order, except that the whole grid is always solved
+    in one call, so the returned points are those of a sweep at that
+    explicit order. The result is the lowest h >= 4 whose |Z| agrees with
+    order h + 2 within AUTO_ORDER_RTOL at every point that solved at both
+    orders. Each candidate is tried first at the point where the previous
+    one disagreed most, so a candidate that fails there costs two
+    evaluations. If no h <= MAX_ORDER - 2 converges, the order-MAX_ORDER
+    results are returned with a RuntimeWarning.
     """
     cache = {}
     floors = np.array([_ZERO_IMPEDANCE_RATIO
@@ -174,7 +178,7 @@ def _auto_order(params, freqs, evaluate):
         f"differs from order {MAX_ORDER} by {dev:.2e} (relative) at "
         f"{freqs[worst]:g} Hz, above AUTO_ORDER_RTOL = {AUTO_ORDER_RTOL:g}; "
         f"returning order {MAX_ORDER}",
-        RuntimeWarning, stacklevel=3,
+        RuntimeWarning, stacklevel=4,
     )
     return MAX_ORDER, results(MAX_ORDER, everything)
 
@@ -186,9 +190,7 @@ class _Factor:
 
     def __init__(self, params, order):
         a, n, _ = mmc_model.build_base_hss(params, order)
-        m0 = a.matrix
-        m0[np.diag_indices_from(m0)] -= n.diagonal
-        self.solver = hss_core.ShiftedSolver(m0)
+        self.solver = hss_core.ShiftedSolver(hss_core.operator_matrix(a, n))
         self.params = params
         self.order = order
         self._op = None
@@ -249,40 +251,14 @@ class _Loop:
         self.params, self.order = params, order
         self.config, self.op = config, op
         self.solver = solver = factor.solver
-        self.loops = mmc_model.active_loops(config)
-        n = 2 * order + 1
-        # harmonic offsets k = p - q of destination block p, source q
-        k = np.arange(n)[:, None] - np.arange(n)[None, :] + order
-        inside = (k >= 0) & (k < n)
-        self.f_map = np.zeros((n, 4, len(self.loops), n), dtype=complex)
-        self.picks = np.zeros((len(self.loops), n), dtype=int)
-        self.vp = np.zeros((len(self.loops), n))
-        for c, loop in enumerate(self.loops):
-            _, state, reads_vp = mmc_model.LOOP_WIRING[loop]
-            f = mmc_model._injection(params, op, order, loop)
-            # column q of channel c injects f_{p-q} into block p
-            self.f_map[:, :, c, :] = np.where(
-                inside[:, :, None], f[np.clip(k, 0, n - 1)], 0.0
-            ).transpose(0, 2, 1)
-            self.picks[c] = 4 * np.arange(n) + state
-            self.vp[c, order] = 1.0 if reads_vp else 0.0
-        self.f_map = self.f_map.reshape(4 * n, -1)
-        self.picks = self.picks.ravel()
-        self.vp = self.vp.ravel()
+        self.f_map, self.picks, self.vp = mmc_model.loop_channels(
+            params, config, op, order)
         self.modal_f = hss_core.matmul(solver.v_inv, self.f_map)
         self.modal_picks = solver.v[self.picks]
         # complex values one point keeps live: modal stack, channel systems
         # and inverses, refinement terms (tracemalloc: 0.9x at 2+ per chunk)
         n4, m = self.f_map.shape
         self.point_bytes = 16 * ((n4 + 4 * m) * (m + 1) + 6 * n4)
-
-    def _gains(self, omegas):
-        """(gains, inverse gains, pickup scales), each (points, channels)."""
-        src = omegas[:, None] + (np.arange(-self.order, self.order + 1)
-                                 * self.params.omega1)
-        parts = [mmc_model.loop_gains(self.params, self.config, loop, src)
-                 for loop in self.loops] or [np.zeros((3, omegas.size, 0))]
-        return [np.concatenate(p, axis=1) for p in zip(*parts)]
 
     def solve(self, omegas, bx, v_p, rows):
         """X[rows] per point, (len(rows), points), and per point the
@@ -314,7 +290,8 @@ class _Loop:
                 errors.append(None)
             except SingularSystemError as exc:
                 errors.append(exc)
-        gains, inv_gains, scale = self._gains(omegas)
+        gains, inv_gains, scale = mmc_model.channel_gains(
+            self.params, self.config, self.order, omegas)
         # row scaling: small gains keep alpha = 1, beta = gain; large or
         # infinite ones switch to alpha = 1/gain, beta = 1 (same equation
         # alpha*c - beta*scale*X[pick] = beta*vp*v_p)
@@ -355,25 +332,6 @@ class _Loop:
             x += close(yr, hss_core.matmul(self.modal_picks, yr).T, rc)[1]
         return x, errors
 
-    def responses(self, freqs, probe):
-        """Readout per frequency, or the error that spoiled it.
-
-        probe "series": output current i_g per unit series voltage behind
-        the load. "circulating": circulating current i_c per unit
-        common-mode insertion-index probe.
-        """
-        order = self.order
-        if probe == "series":
-            bx = mmc_model.series_forcing(self.params, order, 1.0)
-            v_p, row = 1.0, 4 * order + 3
-        else:
-            bx = -mmc_model.circulating_probe_forcing(
-                self.params, self.op, order).data
-            v_p, row = 0.0, 4 * order
-        omegas = 2.0 * math.pi * np.asarray(freqs, dtype=float)
-        x, errors = self.solve(omegas, bx, v_p, [row])
-        return [e or complex(v) for v, e in zip(x[0], errors)]
-
 
 def _inverse(sys, errors):
     """Inverses of the channel systems sys (points, m, m); a point whose
@@ -398,37 +356,10 @@ def _inverse(sys, errors):
     return inv
 
 
-def _series_points(loop, freqs):
-    """ImpedancePoint per frequency from one batched series-probe solve of
-    loop, or the error that spoiled that point."""
-    params = loop.params
-
-    def point(freq_hz, i_gp):
-        if isinstance(i_gp, Exception):
-            return i_gp
-        z_load = params.load_impedance(2.0 * math.pi * freq_hz)
-        if abs(i_gp) < _DEGENERATE_RATIO / max(abs(z_load), 1.0):
-            return DegenerateResponseError(
-                f"no output-current response at {freq_hz} Hz")
-        return ImpedancePoint(freq_hz, -(1.0 + z_load * i_gp) / i_gp,
-                              loop.config.mode, loop.order)
-
-    return [point(f, i_gp)
-            for f, i_gp in zip(freqs, loop.responses(freqs, "series"))]
-
-
-def _closed_loop_response(params, config, op, order, omega_p,
-                          v_p=1.0, extra_forcing=None):
-    """Response stack with the active controller channels closed.
-
-    Solves (A - N_p) X + F w + U = 0 together with the channel law
-    w_q = gain_q * (pickup_q . X_q + vp_pickup_q * v_p); see _Loop.
-    extra_forcing (a HarmonicVector) is added to the open-loop U, for
-    probe injections that are not the series voltage source.
-    """
+def _closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
+    """Response stack to a series voltage v_p behind the load at omega_p,
+    with the active controller channels closed (see _Loop)."""
     bx = mmc_model.series_forcing(params, order, v_p)
-    if extra_forcing is not None:
-        bx = bx - extra_forcing.data
     x, (error,) = _factor(params, order).loop(config, op).solve(
         [omega_p], bx, v_p, slice(None))
     if error is not None:
@@ -436,18 +367,60 @@ def _closed_loop_response(params, config, op, order, omega_p,
     return hss_core.HarmonicVector(order, 4, x[:, 0])
 
 
-def _order_for(params, order, op):
-    """order, or op.order when order is None; rejects an operating point
-    of other params or of lower order than requested."""
-    if op is None:
-        return order
+def _point(params, config, order, probe, freq_hz, response):
+    """ImpedancePoint of one probe response (see mmc_model.probe), or the
+    DegenerateResponseError of a response at roundoff."""
+    if probe == "series":
+        # Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp, v_p = 1
+        z_load = params.load_impedance(2.0 * math.pi * freq_hz)
+        if abs(response) < _DEGENERATE_RATIO / max(abs(z_load), 1.0):
+            return DegenerateResponseError(
+                f"no output-current response at {freq_hz} Hz")
+        return ImpedancePoint(freq_hz, -(1.0 + z_load * response) / response,
+                              config.mode, order)
+    if abs(response) < _DEGENERATE_RATIO * params.vdc:
+        return DegenerateResponseError(
+            f"no circulating-current response at {freq_hz} Hz")
+    return ImpedancePoint(freq_hz, -params.vdc / response, config.mode,
+                          order)
+
+
+def _evaluate(params, config, freqs, order, op, probe, strict):
+    """(order, results) of one probe at freqs: per frequency an
+    ImpedancePoint or the error that spoiled it; strict raises the first
+    error met at any order evaluated. A given op fixes order when it is
+    None, else None applies the automatic rule. Each order is one batched
+    solve around its factor, with op or, where a loop or the circulating
+    probe needs one, the factor's steady state."""
+    if op is not None:
+        order = op.order if order is None else order
+        if op.params != params or op.order < order:
+            raise ValueError(
+                "operating point must be for the same params and of at "
+                "least the requested order")
+    held = {}  # factors of the orders the automatic rule may revisit
+
+    def evaluate(h, idx):
+        for done in [k for k in held if k < h - 2]:
+            del held[done]
+        factor = held[h] = _factor(params, h, held.get(h))
+        loop_op = op
+        if loop_op is None and (probe != "series" or config.mode != "open"):
+            loop_op = factor.steady()
+        fs = [freqs[i] for i in idx]
+        bx, v_p, row = mmc_model.probe(params, loop_op, h, probe)
+        (x,), errors = factor.loop(config, loop_op).solve(
+            2.0 * math.pi * np.asarray(fs, dtype=float), bx, v_p, [row])
+        results = [e or _point(params, config, h, probe, f, complex(v))
+                   for f, v, e in zip(fs, x, errors)]
+        failed = [r for r in results if isinstance(r, Exception)]
+        if strict and failed:
+            raise failed[0]
+        return results
+
     if order is None:
-        order = op.order
-    if op.params != params or op.order < order:
-        raise ValueError(
-            "operating point must be for the same params and of at least "
-            "the requested order")
-    return order
+        return _auto_order(params, freqs, evaluate)
+    return order, evaluate(order, range(len(freqs)))
 
 
 def impedance_at(params, config, freq_hz: float, order: int | None = None,
@@ -467,21 +440,13 @@ def impedance_at(params, config, freq_hz: float, order: int | None = None,
     op : SteadyOperatingPoint, optional
         Reuse a precomputed operating point (same params, order >= order);
         ValueError otherwise.
+
+    Raises the first error the point meets at any order evaluated.
     """
     if freq_hz <= 0.0:
         raise ValueError("perturbation frequency must be positive")
-    order = _order_for(params, order, op)
-    if order is None:
-        _, (point,) = _auto_order(
-            params, [freq_hz],
-            lambda h, idx: [impedance_at(params, config, freq_hz, h)])
-        return point
-    factor = _factor(params, order)
-    if op is None and config.mode != "open":
-        op = factor.steady()
-    (point,) = _series_points(factor.loop(config, op), [freq_hz])
-    if isinstance(point, Exception):
-        raise point
+    _, (point,) = _evaluate(params, config, [freq_hz], order, op, "series",
+                            strict=True)
     return point
 
 
@@ -494,28 +459,14 @@ def circulating_impedance_at(params, config, freq_hz: float,
     A probe delta_n = eps*cos(omega_p t) on both arms acts as a series arm
     EMF of amplitude -vdc*eps; the ratio to the circulating-current response
     is R + ra (low frequency) plus the arm L and stack-capacitance terms.
-    Active controller channels stay closed around the probe. order and op
-    work as in impedance_at, the automatic order included.
+    Active controller channels stay closed around the probe. order, op and
+    errors work as in impedance_at, the automatic order included.
     """
     if freq_hz <= 0.0:
         raise ValueError("probe frequency must be positive")
-    order = _order_for(params, order, op)
-    if order is None:
-        _, (point,) = _auto_order(
-            params, [freq_hz],
-            lambda h, idx: [circulating_impedance_at(params, config,
-                                                     freq_hz, h)])
-        return point
-    factor = _factor(params, order)
-    (i_cp,) = factor.loop(config, op or factor.steady()).responses(
-        [freq_hz], "circulating")
-    if isinstance(i_cp, Exception):
-        raise i_cp
-    if abs(i_cp) < _DEGENERATE_RATIO * params.vdc:
-        raise DegenerateResponseError(
-            f"no circulating-current response at {freq_hz} Hz"
-        )
-    return ImpedancePoint(freq_hz, -params.vdc / i_cp, config.mode, order)
+    _, (point,) = _evaluate(params, config, [freq_hz], order, op,
+                            "circulating", strict=True)
+    return point
 
 
 def _guard_band(config) -> float:
@@ -556,26 +507,12 @@ def sweep(params, config, freqs=None, order: int | None = None,
     excluded = tuple(freqs[~keep])
     freqs = freqs[keep]
 
-    held = {}  # Schur factors of the orders the automatic rule may revisit
-
-    def evaluate(h, idx):
-        for done in [k for k in held if k < h - 2]:
-            del held[done]
-        factor = held[h] = _factor(params, h, held.get(h))
-        op = factor.steady() if config.mode != "open" else None
-        fs = freqs[idx]
-        points = _series_points(factor.loop(config, op), fs)
-        return [p if isinstance(p, ImpedancePoint)
-                else (f, f"{type(p).__name__}: {p}")
-                for f, p in zip(fs, points)]
-
-    if order is None:
-        order, results = _auto_order(params, freqs, evaluate)
-    else:
-        results = evaluate(order, slice(None))
-
+    order, results = _evaluate(params, config, freqs, order, None, "series",
+                               strict=False)
     points = tuple(r for r in results if isinstance(r, ImpedancePoint))
-    failures = tuple(r for r in results if not isinstance(r, ImpedancePoint))
+    failures = tuple((f, f"{type(r).__name__}: {r}")
+                     for f, r in zip(freqs, results)
+                     if not isinstance(r, ImpedancePoint))
     if len(failures) > 0.1 * freqs.size:
         raise DegenerateResponseError(
             f"{len(failures)} of {freqs.size} sweep points failed; "

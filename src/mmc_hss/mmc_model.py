@@ -25,13 +25,18 @@ capacitance C = C_sm / N_sm):
 
 where v_p is the series perturbation source behind the load (zero in steady
 state). The ac terminal voltage is v_g = v_p + Z_load*i_g.
+
+A harmonic stack holds the four states of harmonic k at rows 4(k + h) on.
+This module owns that layout: the probes (probe) and the controller
+channels (loop_channels, channel_gains) that the impedance engine closes
+around its modal factor and perturbed_system closes densely.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -386,50 +391,80 @@ def series_forcing(params: CircuitParams, order: int, v_p: complex
     return b
 
 
+def probe(params: CircuitParams, op: SteadyOperatingPoint | None, order: int,
+          kind: str):
+    """(b, v_p, row) of a unit probe: its state forcing, the series voltage
+    the loop pickups see directly, and the stack row read out. kind
+    "series" (a series voltage behind the load) reads i_g, "circulating"
+    (circulating_probe_forcing, n_hat = 1) i_c, both at offset harmonic 0.
+    """
+    if kind == "series":
+        return series_forcing(params, order, 1.0), 1.0, 4 * order + 3
+    return (-circulating_probe_forcing(params, op, order).data, 0.0,
+            4 * order)
+
+
+def loop_channels(params: CircuitParams, config: ControlConfig,
+                  op: SteadyOperatingPoint | None, order: int):
+    """(F, picks, direct) of the controller channels config.mode closes,
+    one per active loop and source harmonic q, loop-major: column q of a
+    loop's part of F lifts its injection blocks, f_{p-q} into block p.
+    Channel j reads stack row picks[j], and v_p too where direct[j] is 1
+    (the voltage loop at q = 0)."""
+    n = 2 * order + 1
+    f, picks, direct = [np.zeros((4 * n, 0), dtype=complex)], [], []
+    for loop in active_loops(config):
+        _, state, reads_vp = LOOP_WIRING[loop]
+        f.append(hss_core.block_toeplitz(
+            _injection(params, op, order, loop)[:, :, None]))
+        picks.append(4 * np.arange(n) + state)
+        direct.append((np.arange(n) == order) * float(reads_vp))
+    return (np.hstack(f), np.array(picks, dtype=int).ravel(),
+            np.array(direct, dtype=float).ravel())
+
+
+def channel_gains(params: CircuitParams, config: ControlConfig, order: int,
+                  omegas):
+    """(gains, inverse gains, pickup scales) of loop_channels' channels at
+    the perturbation frequencies omegas (rad/s), each (points, channels):
+    channel q of a loop filters at omega + q*omega1 (see loop_gains)."""
+    src = np.asarray(omegas, dtype=float)[:, None] + (
+        np.arange(-order, order + 1) * params.omega1)
+    parts = [loop_gains(params, config, loop, src)
+             for loop in active_loops(config)] or [np.zeros((3, len(src), 0))]
+    return [np.concatenate(p, axis=1) for p in zip(*parts)]
+
+
 def perturbed_system(params: CircuitParams, config: ControlConfig,
                      op: SteadyOperatingPoint | None, order: int,
                      omega_p: float):
     """Assembled perturbed system (M_p, b_p) at offset omega_p (rad/s).
 
     The response X to a unit series voltage behind the load at omega_p
-    solves M_p X = b_p, with M_p = M0 - j*omega_p*I (M0 = A - N) plus, for
-    every loop config.mode closes, its channel lifted densely: source
-    harmonic q feeds gain_q * scale_q * f_{p-q} into destination block p
-    from column 4q + state (see loop_gains, LOOP_WIRING, _injection). The
-    voltage loop's direct v_p pickup goes into b_p. op is the operating
-    point the loops act around (unused open loop). Dense rather than
-    block-Toeplitz because each source column has its own loop gain; this
-    is the reference impedance_engine's channel solve is checked against.
-    Raises PoleAtResonanceError when a source frequency sits on an
-    undamped resonator pole, where the gain is infinite and M_p does not
-    exist.
+    solves M_p X = b_p, with M_p = M0 - j*omega_p*I (M0 = A - N) plus the
+    channels of loop_channels closed densely: channel j adds
+    gain_j * scale_j * F[:, j] to column picks[j], and its direct v_p
+    pickup gain_j * direct_j * F[:, j] leaves b_p. op is the operating
+    point the loops act around (unused open loop). This is the reference
+    impedance_engine's channel solve is checked against: it shares the
+    channel map and gains but assembles and solves densely. Raises
+    PoleAtResonanceError when a source frequency sits on an undamped
+    resonator pole, where the gain is infinite and M_p does not exist.
     """
     a, n, _ = build_base_hss(params, order)
-    m = a.matrix
-    m[np.diag_indices_from(m)] -= n.diagonal + 1j * omega_p
-    b = series_forcing(params, order, 1.0)
+    m = hss_core.operator_matrix(a, replace(n, omega_off=omega_p))
     src = omega_p + np.arange(-order, order + 1) * params.omega1
-    for loop in active_loops(config):
-        _, state, reads_vp = LOOP_WIRING[loop]
-        poles = [w for w in src if loop == "acv"
-                 and on_resonant_pole(config, params.omega1, 1j * w)]
-        if poles:
-            raise PoleAtResonanceError(
-                f"source harmonic at {poles[0] / (2 * math.pi):.6g} Hz sits "
-                "on the resonant-controller pole; the assembled operator "
-                "does not exist there")
-        gains, _, scale = loop_gains(params, config, loop, src)
-        f = _injection(params, op, order, loop)
-        # f_k at row k + 2*order, zero past +-order: column q reads rows
-        # 2*order - q onwards
-        padded = np.zeros((4 * order + 1, 4), dtype=complex)
-        padded[order:3 * order + 1] = f
-        for q in range(2 * order + 1):
-            m[:, 4 * q + state] += gains[q] * scale[q] * padded[
-                2 * order - q:4 * order + 1 - q].ravel()
-        if reads_vp:
-            b -= gains[order] * f.ravel()
-    return m, b
+    poles = [w for w in src if config.has_acv
+             and on_resonant_pole(config, params.omega1, 1j * w)]
+    if poles:
+        raise PoleAtResonanceError(
+            f"source harmonic at {poles[0] / (2 * math.pi):.6g} Hz sits "
+            "on the resonant-controller pole; the assembled operator "
+            "does not exist there")
+    f, picks, direct = loop_channels(params, config, op, order)
+    (gains,), _, (scale,) = channel_gains(params, config, order, [omega_p])
+    m[:, picks] += f * (gains * scale)
+    return m, series_forcing(params, order, 1.0) - f @ (gains * direct)
 
 
 def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,
@@ -442,6 +477,5 @@ def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,
     common-mode injection blocks. The ratio -vdc*n_hat / I_c(omega_p) is the
     circulating-path impedance.
     """
-    f = _injection(params, op, order, "ccc")
-    blocks = {k: n_hat * f[k + order] for k in range(-order, order + 1)}
-    return hss_core.HarmonicVector.from_blocks(order, 4, blocks)
+    return hss_core.HarmonicVector(
+        order, 4, n_hat * _injection(params, op, order, "ccc").ravel())

@@ -362,6 +362,30 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys, cfg_m0):
     capsys.readouterr()
 
 
+def test_non_finite_values_are_config_errors(tmp_path, capsys, cfg_m0):
+    # NaN passes every ordered comparison, so each float key and each
+    # --freqs entry is checked for finiteness before its range check
+    float_keys = [k for k, spec in cli._KEYS.items()
+                  if isinstance(spec[0], float)]
+    assert len(float_keys) == 24
+    for key in float_keys:
+        for bad in ("nan", "inf", "-inf"):
+            path = _write(tmp_path, "bad.cfg", f"# note\n{key} = {bad}\n")
+            with pytest.raises(cli.ConfigError,
+                               match=rf"line 2: key '{key}': must be finite"):
+                cli.parse_config(path)
+    bad = _write(tmp_path, "inf.cfg", "vdc_v = inf\n")
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["sweep", "--config", bad, "--out", out]) == 2
+    assert "line 1: key 'vdc_v': must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    for freqs in ("nan", "35,inf"):
+        assert cli.main(["compare", "--config", cfg_m0,
+                         "--freqs", freqs]) == 2
+        assert "--freqs entries must be positive and finite" \
+            in capsys.readouterr().err
+
+
 def test_exit_code_3_on_divergence(tmp_path, capsys):
     cfg = _write(tmp_path, "diverge.cfg",
                  "control_mode = acv\nkpv = 200\nkrv = 0\n")

@@ -93,6 +93,30 @@ def test_toeplitz_band_placement_and_zero_fill():
     assert not op.block(3).any()
 
 
+@pytest.mark.parametrize("order", [1, 4, 16])
+def test_block_toeplitz_matches_a_per_block_loop(order):
+    # square blocks with missing harmonics (as the MMC operator has) and
+    # column blocks with every harmonic (as the loop channels have)
+    rng = np.random.default_rng(order)
+    n = 2 * order + 1
+    square = np.zeros((n, 4, 4), dtype=complex)
+    for k in {0, 1, -1, 2, -2} & set(range(-order, order + 1)):
+        square[k + order] = rng.normal(size=(4, 4)) + 1j * rng.normal(
+            size=(4, 4))
+    column = rng.normal(size=(n, 4, 1)) + 1j * rng.normal(size=(n, 4, 1))
+    for blocks in (square, column):
+        r, c = blocks.shape[1:]
+        want = np.zeros((n * r, n * c), dtype=complex)
+        for p in range(n):
+            for q in range(n):
+                if abs(p - q) <= order:
+                    want[p * r:(p + 1) * r, q * c:(q + 1) * c] = \
+                        blocks[p - q + order]
+        got = hc.block_toeplitz(blocks)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def test_toeplitz_matches_time_domain_product():
     # multiply x(t) by a(t) in coefficient space, compare against sampling
     # the pointwise product; interior harmonics only (truncation clips the

@@ -347,6 +347,47 @@ def test_sweep_raises_when_too_many_points_fail(params, monkeypatch):
         ie.sweep(params, OPEN, freqs=np.arange(10.0, 20.0, 1.0))
 
 
+def test_spot_calls_raise_a_failure_at_any_order_they_evaluate(
+        params, monkeypatch):
+    # the automatic rule evaluates a spot point at several orders: an error
+    # at any of them is raised, while a sweep records it as one failure
+    real = hss_core.ShiftedSolver.check
+
+    def flaky(self, omega):
+        # order 6: 4 * 13 modes
+        if len(self.eigvals) == 52 and np.isclose(omega,
+                                                  2.0 * np.pi * 101.0):
+            raise SingularSystemError("synthetic failure")
+        return real(self, omega)
+
+    monkeypatch.setattr(hss_core.ShiftedSolver, "check", flaky)
+    with pytest.raises(SingularSystemError, match="synthetic failure"):
+        ie.impedance_at(params, ACV, 101.0)
+    with pytest.raises(SingularSystemError, match="synthetic failure"):
+        ie.circulating_impedance_at(params, ACV, 101.0)
+    res = ie.sweep(params, ACV, np.arange(96.0, 108.0), order=6)
+    assert len(res.points) == 11
+    assert [f for f, _ in res.failures] == [101.0]
+
+
+def test_automatic_spot_point_is_the_sweep_point(params, monkeypatch):
+    # a spot call at the automatic order builds no more factors than the
+    # rule needs, and returns the point a one-frequency sweep returns
+    built = []
+    real = ie._Factor.__init__
+
+    def counting(self, leg, order):
+        built.append(order)
+        real(self, leg, order)
+
+    monkeypatch.setattr(ie, "_cached_factor", None)
+    monkeypatch.setattr(ie._Factor, "__init__", counting)
+    point = ie.impedance_at(params, ACV, 101.0)
+    assert len(built) <= 4
+    assert point == ie.sweep(params, ACV, [101.0],
+                             guard_band_hz=0.0).points[0]
+
+
 def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
     # on the reference leg and its m = 0 variant, check's modal bound is
     # no smaller than LAPACK's condition estimate of T - j*omega*I at any
