@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .errors import (
     DegenerateResponseError,
     DivergenceError,
+    InvalidValueError,
     PoleAtResonanceError,
     SingularSystemError,
 )
@@ -18,6 +19,7 @@ from .errors import (
 __all__ = [
     "DegenerateResponseError",
     "DivergenceError",
+    "InvalidValueError",
     "PoleAtResonanceError",
     "SingularSystemError",
     "__version__",

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import impedance_engine, mmc_model, td_sim
-from .errors import (DegenerateResponseError, DivergenceError,
-                     PoleAtResonanceError, SingularSystemError)
+from .errors import (ANY, POSITIVE, Checked, DegenerateResponseError,
+                     DivergenceError, InvalidValueError, PoleAtResonanceError,
+                     SingularSystemError, check)
 
 _CSV_HEADER = "freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg"
 
@@ -34,108 +35,61 @@ class ConfigError(ValueError):
     """Bad configuration file or option; maps to exit code 2."""
 
 
-def _real(text):
-    """A float key's value: Python float syntax, finite."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError("must be finite")
-    return x
+def _number(text):
+    """An int when the text is one, else a float (for the owner to refuse)."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        try:
+            return float(text)
+        except ValueError:
+            raise exc from None
 
 
-def _positive(x):
-    if x <= 0:
-        raise ValueError("must be positive")
-    return x
-
-
-def _nonneg(x):
-    if x < 0:
-        raise ValueError("must not be negative")
-    return x
-
-
-def _fraction(x):
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("must be within [0, 1]")
-    return x
-
-
-def _count(x):
-    if x < 1:
-        raise ValueError("must be at least 1")
-    return x
-
-
-def _order(x):
-    if not 1 <= x <= impedance_engine.MAX_ORDER:
-        raise ValueError(f"must lie in 1..{impedance_engine.MAX_ORDER}")
-    return x
-
-
-def _mode(s):
-    if s not in mmc_model.CONTROL_MODES:
-        raise ValueError(f"must be one of {', '.join(mmc_model.CONTROL_MODES)}")
-    return s
-
-
-def _any_float(x):
-    return x
-
-
-# key -> (default, parser, per-key check, owner, field): the value sets
-# RunConfig.<owner>.<field> for owner params, control or sim, and
-# RunConfig.<field> for owner None. File order is free; unknown keys are
-# rejected with their line number.
+# key -> (default, parser, owner, field): sets RunConfig.<owner>.<field>
+# (RunConfig.<field> for owner None) under the rule in that owner's RULES.
+# File order is free.
 _KEYS = {
-    "vdc_v": (320e3, _real, _positive, "params", "vdc"),
-    "arm_inductance_h": (0.36, _real, _positive, "params", "arm_inductance"),
-    "arm_resistance_ohm": (1.0, _real, _nonneg, "params", "arm_resistance"),
-    "sm_capacitance_f": (140e-6, _real, _positive, "params", "sm_capacitance"),
-    "sm_per_arm": (20, int, _count, "params", "sm_per_arm"),
-    "fundamental_hz": (50.0, _real, _positive, "params", "fundamental_freq"),
-    "modulation_index": (0.847, _real, _fraction, "params",
-                         "modulation_index"),
-    "modulation_phase_rad": (0.0, _real, _any_float, "params",
-                             "modulation_phase"),
-    "modulation_index_2h": (0.0, _real, _fraction, "params",
-                            "modulation_index_2h"),
-    "modulation_phase_2h_rad": (0.0, _real, _any_float, "params",
-                                "modulation_phase_2h"),
-    "load_resistance_ohm": (550.0, _real, _nonneg, "params",
-                            "load_resistance"),
-    "load_inductance_h": (0.0, _real, _nonneg, "params", "load_inductance"),
-    "control_mode": ("open", str, _mode, "control", "mode"),
-    "kpv": (1.0, _real, _nonneg, "control", "kpv"),
-    "krv": (20.0, _real, _nonneg, "control", "krv"),
-    "kf": (0.0, _real, _nonneg, "control", "kf"),
-    "resonant_damping": (0.0, _real, _nonneg, "control", "resonant_damping"),
-    "ra_ohm": (20.0, _real, _any_float, "control", "ra"),
-    "sampling_period_s": (1e-4, _real, _positive, "control",
-                          "sampling_period"),
-    "dt_s": (1e-5, _real, _positive, "sim", "dt"),
-    "settle_cycles": (300, int, _count, "sim", "settle_cycles"),
-    "measure_cycles": (2, int, _count, "sim", "measure_cycles"),
-    "ramp_cycles": (20, int, _nonneg, "sim", "ramp_cycles"),
-    "post_ramp_cycles": (30, int, _nonneg, "sim", "post_ramp_cycles"),
-    "perturb_amplitude_v": (0.0, _real, _nonneg, "sim", "perturb_amplitude"),
-    "periodicity_tol": (1e-6, _real, _positive, "sim", "periodicity_tol"),
-    "reference_settle_cycles": (800, int, _count, "sim",
+    "vdc_v": (320e3, float, "params", "vdc"),
+    "arm_inductance_h": (0.36, float, "params", "arm_inductance"),
+    "arm_resistance_ohm": (1.0, float, "params", "arm_resistance"),
+    "sm_capacitance_f": (140e-6, float, "params", "sm_capacitance"),
+    "sm_per_arm": (20, _number, "params", "sm_per_arm"),
+    "fundamental_hz": (50.0, float, "params", "fundamental_freq"),
+    "modulation_index": (0.847, float, "params", "modulation_index"),
+    "modulation_phase_rad": (0.0, float, "params", "modulation_phase"),
+    "modulation_index_2h": (0.0, float, "params", "modulation_index_2h"),
+    "modulation_phase_2h_rad": (0.0, float, "params", "modulation_phase_2h"),
+    "load_resistance_ohm": (550.0, float, "params", "load_resistance"),
+    "load_inductance_h": (0.0, float, "params", "load_inductance"),
+    "control_mode": ("open", str, "control", "mode"),
+    "kpv": (1.0, float, "control", "kpv"),
+    "krv": (20.0, float, "control", "krv"),
+    "kf": (0.0, float, "control", "kf"),
+    "resonant_damping": (0.0, float, "control", "resonant_damping"),
+    "ra_ohm": (20.0, float, "control", "ra"),
+    "sampling_period_s": (1e-4, float, "control", "sampling_period"),
+    "dt_s": (1e-5, float, "sim", "dt"),
+    "settle_cycles": (300, _number, "sim", "settle_cycles"),
+    "measure_cycles": (2, _number, "sim", "measure_cycles"),
+    "ramp_cycles": (20, _number, "sim", "ramp_cycles"),
+    "post_ramp_cycles": (30, _number, "sim", "post_ramp_cycles"),
+    "perturb_amplitude_v": (0.0, float, "sim", "perturb_amplitude"),
+    "periodicity_tol": (1e-6, float, "sim", "periodicity_tol"),
+    "reference_settle_cycles": (800, _number, "sim",
                                 "reference_settle_cycles"),
-    "harmonic_order": (4, int, _order, None, "harmonic_order"),
-    "sweep_start_hz": (5.0, _real, _positive, None, "sweep_start_hz"),
-    "sweep_stop_hz": (500.0, _real, _positive, None, "sweep_stop_hz"),
-    "sweep_step_hz": (1.0, _real, _positive, None, "sweep_step_hz"),
+    "harmonic_order": (4, _number, None, "harmonic_order"),
+    "sweep_start_hz": (5.0, float, None, "sweep_start_hz"),
+    "sweep_stop_hz": (500.0, float, None, "sweep_stop_hz"),
+    "sweep_step_hz": (1.0, float, None, "sweep_step_hz"),
     # negative = automatic
-    "guard_band_hz": (-1.0, _real, _any_float, None, "guard_band_hz"),
-    "out_csv": ("", str, lambda s: s, None, "out_csv"),
+    "guard_band_hz": (-1.0, float, None, "guard_band_hz"),
+    "out_csv": ("", str, None, "out_csv"),
 }
-
-_OWNERS = {"params": mmc_model.CircuitParams,
-           "control": mmc_model.ControlConfig, "sim": td_sim.SimConfig}
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked):
     """Validated bundle of everything a workflow needs."""
 
     params: mmc_model.CircuitParams
@@ -147,6 +101,12 @@ class RunConfig:
     sweep_step_hz: float
     guard_band_hz: float
     out_csv: str
+
+    RULES = {
+        "harmonic_order": impedance_engine.ORDER, "sweep_start_hz": POSITIVE,
+        "sweep_stop_hz": POSITIVE, "sweep_step_hz": POSITIVE,
+        "guard_band_hz": ANY, "out_csv": ANY,
+    }
 
     @property
     def guard_band(self) -> float | None:
@@ -173,24 +133,29 @@ class RunConfig:
                          else f"{key} = {v!r}\n")
 
 
+_OWNERS = {"params": mmc_model.CircuitParams,
+           "control": mmc_model.ControlConfig, "sim": td_sim.SimConfig,
+           None: RunConfig}
+
+
 def _config_values(cfg: RunConfig) -> dict:
     return {key: getattr(getattr(cfg, owner) if owner else cfg, name)
-            for key, (_, _, _, owner, name) in _KEYS.items()}
+            for key, (_, _, owner, name) in _KEYS.items()}
 
 
 def _build_config(values: dict, lines: dict) -> RunConfig:
-    fields = {owner: {} for owner in (*_OWNERS, None)}
-    for key, (_, _, _, owner, name) in _KEYS.items():
+    fields = {owner: {} for owner in _OWNERS}
+    for key, (_, _, owner, name) in _KEYS.items():
         fields[owner][name] = values[key]
-    run = fields[None]
-    for owner, cls in _OWNERS.items():
+    run = fields.pop(None)
+    for owner, owned in fields.items():
         try:
-            run[owner] = cls(**fields[owner])
+            run[owner] = _OWNERS[owner](**owned)
         except ValueError as exc:
-            # cross-field constraint: point at the last line that set a
-            # key of the object that rejected it
+            # a cross-field rule (each value kept its own on its line):
+            # point at the last line that set a key of the rejecting object
             set_here = [lines[k] for k, spec in _KEYS.items()
-                        if spec[3] == owner and k in lines]
+                        if spec[2] == owner and k in lines]
             where = f" (line {max(set_here)})" if set_here else ""
             raise ConfigError(f"invalid configuration{where}: {exc}") from exc
     return RunConfig(**run)
@@ -199,8 +164,9 @@ def _build_config(values: dict, lines: dict) -> RunConfig:
 def parse_config(path) -> RunConfig:
     """Read a flat key = value file; every key optional, none unknown.
 
-    Reports the first offending key with its line number. Values use
-    plain Python float syntax and must be finite; '#' starts a comment.
+    Reports the first offending key with its line number and the reason
+    its owner's rule gives. Values use plain Python float syntax and must
+    be finite; '#' starts a comment.
     """
     values = {key: spec[0] for key, spec in _KEYS.items()}
     lines = {}
@@ -221,13 +187,13 @@ def parse_config(path) -> RunConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        _, conv, check, _, _ = _KEYS[key]
+        _, parse, owner, name = _KEYS[key]
         try:
-            parsed = check(conv(value))
+            values[key] = check(name, parse(value),
+                                _OWNERS[owner].RULES[name])
         except ValueError as exc:
-            raise ConfigError(
-                f"line {lineno}: key {key!r}: {exc}") from exc
-        values[key] = parsed
+            raise ConfigError(f"line {lineno}: key {key!r}: "
+                              f"{getattr(exc, 'reason', exc)}") from exc
         lines[key] = lineno
     return _build_config(values, lines)
 
@@ -253,12 +219,14 @@ def _write_csv(path, points) -> None:
 def _parse_freqs(text) -> list:
     try:
         freqs = [float(tok) for tok in text.split(",") if tok.strip()]
+        check("--freqs", np.array(freqs), POSITIVE)
+    except InvalidValueError:
+        raise ConfigError("--freqs entries must be positive and finite") \
+            from None
     except ValueError as exc:
         raise ConfigError(f"bad --freqs list: {exc}") from exc
     if not freqs:
         raise ConfigError("--freqs list is empty")
-    if not all(math.isfinite(f) and f > 0 for f in freqs):
-        raise ConfigError("--freqs entries must be positive and finite")
     return sorted(freqs)
 
 
@@ -271,9 +239,9 @@ def _order_of(args, cfg) -> int:
     if not args.h:
         return cfg.harmonic_order
     try:
-        return _order(args.h)
-    except ValueError as exc:
-        raise ConfigError(f"--h {args.h}: {exc}") from None
+        return check("--h", args.h, impedance_engine.ORDER)
+    except InvalidValueError as exc:
+        raise ConfigError(f"--h {args.h}: {exc.reason}") from None
 
 
 def _out_path(args, cfg) -> str:
@@ -368,6 +336,36 @@ def cmd_compare(args) -> int:
     return 0 if ok else 4
 
 
+# option -> argparse keywords, shared by every workflow that takes it
+_OPTIONS = {
+    "--config": dict(required=True),
+    "--h": dict(type=int, default=0, help="override truncation order"),
+    "--freqs": dict(required=True, help="comma-separated frequencies in Hz"),
+    "--out": dict(default="", help="output CSV; falls back to out_csv"),
+    "--dump-config": dict(default="",
+                          help="write the effective configuration here"),
+    "--dump-trajectory": dict(default="",
+                              help="also write the settled trajectory here"),
+    "--tol-mag": dict(type=float, default=5.0,
+                      help="magnitude tolerance, percent"),
+    "--tol-phase": dict(type=float, default=5.0,
+                        help="phase tolerance, degrees"),
+}
+
+# workflow -> (function, help, options in --help order)
+_COMMANDS = {
+    "steady": (cmd_steady, "print steady-state harmonics",
+               ("--config", "--h", "--dump-config")),
+    "sweep": (cmd_sweep, "analytic impedance sweep to CSV",
+              ("--config", "--out", "--h")),
+    "measure": (cmd_measure,
+                "time-domain impedance at listed frequencies to CSV",
+                ("--config", "--freqs", "--out", "--dump-trajectory")),
+    "compare": (cmd_compare, "analytic vs time-domain at listed frequencies",
+                ("--config", "--freqs", "--tol-mag", "--tol-phase")),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mmc-hss",
@@ -375,46 +373,11 @@ def main(argv=None) -> int:
                     "multilevel converter",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_steady = sub.add_parser("steady", help="print steady-state harmonics")
-    p_steady.add_argument("--config", required=True)
-    p_steady.add_argument("--h", type=int, default=0,
-                          help="override truncation order")
-    p_steady.add_argument("--dump-config", default="",
-                          help="write the effective configuration here")
-    p_steady.set_defaults(func=cmd_steady)
-
-    p_sweep = sub.add_parser("sweep", help="analytic impedance sweep to CSV")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default="",
-                         help="output CSV; falls back to out_csv")
-    p_sweep.add_argument("--h", type=int, default=0,
-                         help="override truncation order")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_meas = sub.add_parser("measure",
-                            help="time-domain impedance at listed "
-                                 "frequencies to CSV")
-    p_meas.add_argument("--config", required=True)
-    p_meas.add_argument("--freqs", required=True,
-                        help="comma-separated frequencies in Hz")
-    p_meas.add_argument("--out", default="",
-                        help="output CSV; falls back to out_csv")
-    p_meas.add_argument("--dump-trajectory", default="",
-                        help="also write the settled trajectory here")
-    p_meas.set_defaults(func=cmd_measure)
-
-    p_cmp = sub.add_parser("compare",
-                           help="analytic vs time-domain at listed "
-                                "frequencies")
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--freqs", required=True,
-                       help="comma-separated frequencies in Hz")
-    p_cmp.add_argument("--tol-mag", type=float, default=5.0,
-                       help="magnitude tolerance, percent")
-    p_cmp.add_argument("--tol-phase", type=float, default=5.0,
-                       help="phase tolerance, degrees")
-    p_cmp.set_defaults(func=cmd_compare)
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

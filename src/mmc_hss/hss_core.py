@@ -19,7 +19,8 @@ import numpy as np
 from scipy.linalg import (LinAlgError, LinAlgWarning, eig, get_blas_funcs,
                           get_lapack_funcs, inv, lu_factor, lu_solve)
 
-from .errors import SingularSystemError
+from .errors import (NON_NEGATIVE, POSITIVE, WHOLE, SingularSystemError,
+                     check)
 
 # Solves refuse past this condition estimate or bound (MMC legs < 1e9), and
 # modal forms past this kappa_1(W), a precision loss (MMC legs <= 2.3e4)
@@ -47,10 +48,8 @@ class HarmonicCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.omega1 <= 0.0:
-            raise ValueError("omega1 must be positive")
+        check("order", self.order, WHOLE + NON_NEGATIVE)
+        check("omega1", self.omega1, POSITIVE)
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (2 * self.order + 1,):
             raise ValueError(
@@ -193,8 +192,7 @@ class ShiftOperator:
     omega_off: float = 0.0
 
     def __post_init__(self):
-        if self.omega1 <= 0.0:
-            raise ValueError("omega1 must be positive")
+        check("omega1", self.omega1, POSITIVE)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -227,8 +225,7 @@ def fourier_of_samples(samples, period: float, k: int) -> complex:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a non-empty 1-d array")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    check("period", period, POSITIVE)
     n = x.size
     if n < 4 * abs(k) + 4:
         raise ValueError(f"{n} samples cannot resolve harmonic {k}")

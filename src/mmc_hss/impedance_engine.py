@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hss_core, mmc_model
-from .errors import DegenerateResponseError, SingularSystemError
+from .errors import (ANY, POSITIVE, WHOLE, DegenerateResponseError,
+                     SingularSystemError, check, rule)
 
 DEFAULT_GUARD_BAND_HZ = 2.0
 
@@ -50,6 +51,8 @@ DEFAULT_GUARD_BAND_HZ = 2.0
 # order: converged orders agree to roundoff, and bitwise only by chance)
 AUTO_ORDER_RTOL = 1e-3
 MAX_ORDER = 16
+ORDER = WHOLE + rule(lambda h: (1 <= h) & (h <= MAX_ORDER),
+                     f"must lie in 1..{MAX_ORDER}")
 
 # |Z| below this fraction of |Z_load| is a zero at roundoff (the undamped
 # resonant ac-voltage loop pins Z = 0 at f1); two such values agree
@@ -220,8 +223,7 @@ def _factor(params, order, held=None):
     an order outside 1..MAX_ORDER before anything is built.
     """
     global _cached_factor
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must lie in 1..{MAX_ORDER}")
+    check("order", order, ORDER)
     if held is None and _cached_factor is not None and (
             _cached_factor.params, _cached_factor.order) == (params, order):
         held = _cached_factor
@@ -443,8 +445,7 @@ def impedance_at(params, config, freq_hz: float, order: int | None = None,
 
     Raises the first error the point meets at any order evaluated.
     """
-    if freq_hz <= 0.0:
-        raise ValueError("perturbation frequency must be positive")
+    check("freq_hz", freq_hz, POSITIVE)
     _, (point,) = _evaluate(params, config, [freq_hz], order, op, "series",
                             strict=True)
     return point
@@ -462,8 +463,7 @@ def circulating_impedance_at(params, config, freq_hz: float,
     Active controller channels stay closed around the probe. order, op and
     errors work as in impedance_at, the automatic order included.
     """
-    if freq_hz <= 0.0:
-        raise ValueError("probe frequency must be positive")
+    check("freq_hz", freq_hz, POSITIVE)
     _, (point,) = _evaluate(params, config, [freq_hz], order, op,
                             "circulating", strict=True)
     return point
@@ -496,10 +496,10 @@ def sweep(params, config, freqs=None, order: int | None = None,
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
-    if np.any(freqs <= 0.0):
-        raise ValueError("frequencies must be positive")
+    check("freqs", freqs, POSITIVE)
     if guard_band_hz is None:
         guard_band_hz = _guard_band(config)
+    check("guard_band_hz", guard_band_hz, ANY)
     if guard_band_hz > 0.0:
         keep = np.abs(freqs - params.fundamental_freq) > guard_band_hz + 1e-12
     else:

@@ -41,16 +41,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hss_core
-from .errors import PoleAtResonanceError
+from .errors import (ANY, COUNT, FRACTION, NON_NEGATIVE, POSITIVE,
+                     Checked, PoleAtResonanceError, check, rule)
 
 CONTROL_MODES = ("open", "acv", "ccc", "acv+ccc")
+MODE = rule(CONTROL_MODES.__contains__,
+            f"must be one of {', '.join(CONTROL_MODES)}")
 
 # undamped resonant filter counts as on-pole below this relative detuning
 _POLE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(Checked):
     """Electrical parameters of one phase leg plus its passive load."""
 
     vdc: float                     # pole-to-pole dc voltage, V
@@ -66,30 +69,19 @@ class CircuitParams:
     load_resistance: float = 0.0   # series ac load, ohm
     load_inductance: float = 0.0   # series ac load, H
 
+    RULES = {
+        "vdc": POSITIVE, "arm_inductance": POSITIVE,
+        "arm_resistance": NON_NEGATIVE, "sm_capacitance": POSITIVE,
+        "sm_per_arm": COUNT, "fundamental_freq": POSITIVE,
+        "modulation_index": FRACTION, "modulation_phase": ANY,
+        "modulation_index_2h": FRACTION, "modulation_phase_2h": ANY,
+        "load_resistance": NON_NEGATIVE, "load_inductance": NON_NEGATIVE,
+    }
+
     def __post_init__(self):
-        positive = {
-            "vdc": self.vdc,
-            "arm_inductance": self.arm_inductance,
-            "sm_capacitance": self.sm_capacitance,
-            "fundamental_freq": self.fundamental_freq,
-        }
-        for name, val in positive.items():
-            if not val > 0.0:
-                raise ValueError(f"{name} must be positive, got {val}")
-        if self.sm_per_arm < 1:
-            raise ValueError("sm_per_arm must be >= 1")
-        if self.arm_resistance < 0.0:
-            raise ValueError("arm_resistance must be >= 0")
-        if not 0.0 <= self.modulation_index <= 1.0:
-            raise ValueError(
-                f"modulation_index must lie in [0, 1], got {self.modulation_index}"
-            )
-        if not 0.0 <= self.modulation_index_2h <= 1.0:
-            raise ValueError("modulation_index_2h must lie in [0, 1]")
+        super().__post_init__()
         if self.modulation_index + self.modulation_index_2h > 1.0:
             raise ValueError("combined modulation exceeds the linear range")
-        if self.load_resistance < 0.0 or self.load_inductance < 0.0:
-            raise ValueError("load must be passive (R, L >= 0)")
 
     @property
     def omega1(self) -> float:
@@ -109,7 +101,7 @@ class CircuitParams:
 
 
 @dataclass(frozen=True)
-class ControlConfig:
+class ControlConfig(Checked):
     """Controller selection and gains.
 
     mode is one of "open", "acv" (ac terminal voltage loop), "ccc"
@@ -129,15 +121,11 @@ class ControlConfig:
     ra: float = 0.0
     sampling_period: float = 100e-6
 
-    def __post_init__(self):
-        if self.mode not in CONTROL_MODES:
-            raise ValueError(
-                f"control mode must be one of {CONTROL_MODES}, got {self.mode!r}"
-            )
-        if self.sampling_period <= 0.0:
-            raise ValueError("sampling_period must be positive")
-        if self.kpv < 0.0 or self.krv < 0.0 or self.resonant_damping < 0.0:
-            raise ValueError("kpv, krv and resonant_damping must be >= 0")
+    RULES = {
+        "mode": MODE, "kpv": NON_NEGATIVE, "krv": NON_NEGATIVE,
+        "kf": NON_NEGATIVE, "resonant_damping": NON_NEGATIVE, "ra": ANY,
+        "sampling_period": POSITIVE,
+    }
 
     @property
     def has_acv(self) -> bool:
@@ -214,8 +202,7 @@ def build_base_hss(params: CircuitParams, order: int):
     folded in, N the fundamental frequency shift, U the dc-link forcing.
     The periodic steady state is X = -(A - N)^{-1} U.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    check("order", order, COUNT)
     a = hss_core.ToeplitzOperator(order, 4, _base_blocks(params))
     n = hss_core.ShiftOperator(order, 4, params.omega1)
     forcing = hss_core.HarmonicVector.from_blocks(

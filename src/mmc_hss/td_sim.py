@@ -38,12 +38,13 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateResponseError, DivergenceError
+from .errors import (COUNT, NON_NEGATIVE, POSITIVE, WHOLE, Checked,
+                     DegenerateResponseError, DivergenceError, check)
 from .impedance_engine import ImpedancePoint
 from .mmc_model import CircuitParams, ControlConfig
 
@@ -63,7 +64,7 @@ _COLUMNS = ("t", "i_c", "v_cu", "v_cl", "i_g", "v_g", "n_u", "n_l")
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Checked):
     """Knobs for one simulation campaign.
 
     dt must divide the fundamental period into at least 200 steps; the
@@ -87,22 +88,13 @@ class SimConfig:
     periodicity_tol: float = 1e-6
     reference_settle_cycles: int = 800
 
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        for name in ("settle_cycles", "measure_cycles",
-                     "reference_settle_cycles"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("ramp_cycles", "post_ramp_cycles"):
-            if int(getattr(self, name)) < 0:
-                raise ValueError(f"{name} must not be negative")
-        if self.perturb_freq < 0.0:
-            raise ValueError("perturb_freq must not be negative")
-        if self.perturb_amplitude < 0.0:
-            raise ValueError("perturb_amplitude must not be negative")
-        if self.periodicity_tol <= 0.0:
-            raise ValueError("periodicity_tol must be positive")
+    RULES = {
+        "dt": POSITIVE, "settle_cycles": COUNT, "measure_cycles": COUNT,
+        "ramp_cycles": WHOLE + NON_NEGATIVE,
+        "post_ramp_cycles": WHOLE + NON_NEGATIVE,
+        "perturb_freq": NON_NEGATIVE, "perturb_amplitude": NON_NEGATIVE,
+        "periodicity_tol": POSITIVE, "reference_settle_cycles": COUNT,
+    }
 
 
 @dataclass(frozen=True)
@@ -333,8 +325,7 @@ def _common_cycles(params: CircuitParams, freqs) -> int:
     """Fundamental cycles in one common period of f1 and every probe."""
     g = Fraction(params.fundamental_freq).limit_denominator(10 ** 6)
     for f in freqs:
-        if f <= 0.0:
-            raise ValueError("probe frequency must be positive")
+        check("freq_hz", f, POSITIVE)
         g = _frac_gcd(g, Fraction(float(f)).limit_denominator(10 ** 6))
     cycles = Fraction(
         params.fundamental_freq).limit_denominator(10 ** 6) / g
@@ -697,11 +688,11 @@ def simulate(params: CircuitParams, config: ControlConfig | None,
     physical range or the orbit is unstable, and warns if the settling
     budget runs out before the orbit is periodic.
     """
-    if perturb is not None:
+    if perturb is not None:  # the override keeps SimConfig's rules
         f_p, amp = perturb
-    else:
-        f_p, amp = sim.perturb_freq, sim.perturb_amplitude
-    if f_p < 0.0 or (f_p == 0.0 and amp != 0.0):
+        sim = replace(sim, perturb_freq=f_p, perturb_amplitude=amp)
+    f_p, amp = sim.perturb_freq, sim.perturb_amplitude
+    if f_p == 0.0 and amp != 0.0:
         raise ValueError("perturbation needs a positive frequency")
     if f_p > 0.0:
         amp = _probe_amplitude(params, amp)
@@ -722,8 +713,7 @@ def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
     n = x.size
     if n == 0:
         raise ValueError("empty series")
-    if freq_hz <= 0.0:
-        raise ValueError("frequency must be positive")
+    check("freq_hz", freq_hz, POSITIVE)
     periods = freq_hz * n * series.dt
     if abs(periods - round(periods)) > 1e-6 * max(1.0, periods) \
             or round(periods) < 1:
@@ -781,9 +771,8 @@ def measure_impedance(params: CircuitParams, config: ControlConfig | None,
     The returned point carries order 0 because no harmonic truncation is
     involved.
     """
-    f_p = sim.perturb_freq if freq_hz is None else float(freq_hz)
-    if f_p <= 0.0:
-        raise ValueError("measurement needs a positive probe frequency")
+    f_p = check("freq_hz", sim.perturb_freq if freq_hz is None
+                else float(freq_hz), POSITIVE)
     return measure_impedance_many(params, config, sim, [f_p])[f_p]
 
 
@@ -826,11 +815,9 @@ def measure_circulating_impedance(params: CircuitParams,
     not a terminal voltage. The returned value is the loop impedance
     -V_dc * delta_n / delta_I_c net of the settled orbit.
     """
-    f_p = sim.perturb_freq if freq_hz is None else float(freq_hz)
-    if f_p <= 0.0:
-        raise ValueError("measurement needs a positive probe frequency")
-    if probe <= 0.0:
-        raise ValueError("probe amplitude must be positive")
+    f_p = check("freq_hz", sim.perturb_freq if freq_hz is None
+                else float(freq_hz), POSITIVE)
+    check("probe", probe, POSITIVE)
     ((_, (i,)),) = _responses(params, config, sim, [f_p], 0.0, probe,
                               ("i_c",))
     if abs(i) < 1e-12 * probe * params.vdc:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mmc_hss import cli
+from mmc_hss.errors import InvalidValueError
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -187,6 +188,68 @@ def test_each_key_sets_exactly_one_field(tmp_path, cfg_default):
         assert len(changed) == 1, (key, changed)
         assert [k for k in base_values if values[k] != base_values[k]] \
             == [key]
+
+# one bad value per key whose owner checks it: the text in the file, the
+# value a Python caller would pass, and the reason both get
+_BAD_VALUES = {
+    "vdc_v": ("0", 0.0, "must be positive"),
+    "arm_inductance_h": ("-0.36", -0.36, "must be positive"),
+    "arm_resistance_ohm": ("-1", -1.0, "must not be negative"),
+    "sm_capacitance_f": ("0", 0.0, "must be positive"),
+    "sm_per_arm": ("20.5", 20.5, "must be a whole number"),
+    "fundamental_hz": ("inf", float("inf"), "must be finite"),
+    "modulation_index": ("1.2", 1.2, "must be within [0, 1]"),
+    "modulation_phase_rad": ("nan", float("nan"), "must be finite"),
+    "modulation_index_2h": ("-0.1", -0.1, "must be within [0, 1]"),
+    "modulation_phase_2h_rad": ("-inf", float("-inf"), "must be finite"),
+    "load_resistance_ohm": ("-550", -550.0, "must not be negative"),
+    "load_inductance_h": ("-1e-3", -1e-3, "must not be negative"),
+    "control_mode": ("pi", "pi", "must be one of open, acv, ccc, acv+ccc"),
+    "kpv": ("-1", -1.0, "must not be negative"),
+    "krv": ("nan", float("nan"), "must be finite"),
+    "kf": ("-1", -1.0, "must not be negative"),
+    "resonant_damping": ("-2", -2.0, "must not be negative"),
+    "ra_ohm": ("inf", float("inf"), "must be finite"),
+    "sampling_period_s": ("0", 0.0, "must be positive"),
+    "dt_s": ("-1e-5", -1e-5, "must be positive"),
+    "settle_cycles": ("0", 0, "must be at least 1"),
+    "measure_cycles": ("1.5", 1.5, "must be a whole number"),
+    "ramp_cycles": ("-1", -1, "must not be negative"),
+    "post_ramp_cycles": ("2.0", 2.0, "must be a whole number"),
+    "perturb_amplitude_v": ("-100", -100.0, "must not be negative"),
+    "periodicity_tol": ("0", 0.0, "must be positive"),
+    "reference_settle_cycles": ("-3", -3, "must be at least 1"),
+    "harmonic_order": ("17", 17, "must lie in 1..16"),
+    "sweep_start_hz": ("0", 0.0, "must be positive"),
+    "sweep_stop_hz": ("-500", -500.0, "must be positive"),
+    "sweep_step_hz": ("nan", float("nan"), "must be finite"),
+    "guard_band_hz": ("inf", float("inf"), "must be finite"),
+}
+
+
+def test_cli_and_library_refuse_the_same_values(tmp_path, cfg_default):
+    # the CLI names the line; the reason is the owner's, word for word
+    base = cli.parse_config(cfg_default)
+    assert set(_BAD_VALUES) == set(cli._KEYS) - {"out_csv"}
+    for key, (text, value, reason) in _BAD_VALUES.items():
+        path = _write(tmp_path, "bad.cfg", f"# bad value\n{key} = {text}\n")
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(path)
+        assert str(info.value) == f"line 2: key {key!r}: {reason}"
+        _, _, owner, field = cli._KEYS[key]
+        with pytest.raises(InvalidValueError) as info:
+            dataclasses.replace(getattr(base, owner) if owner else base,
+                                **{field: value})
+        assert (info.value.field, info.value.reason) == (field, reason)
+
+
+def test_a_bad_value_set_again_later_is_still_refused(tmp_path):
+    # each line is checked as it is read, so a later line cannot hide it
+    path = _write(tmp_path, "twice.cfg", "kf = -1\nkpv = 2\nkf = 0.5\n")
+    with pytest.raises(cli.ConfigError,
+                       match=r"line 1: key 'kf': must not be negative"):
+        cli.parse_config(path)
+
 
 def test_sweep_grid_validation(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "g.cfg",
