@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import impedance_engine, mmc_model, td_sim
-from .errors import (ANY, POSITIVE, Checked, DegenerateResponseError,
-                     DivergenceError, InvalidValueError, PoleAtResonanceError,
+from .errors import (ANY, NON_NEGATIVE, POSITIVE, Checked,
+                     DegenerateResponseError, DivergenceError,
+                     InvalidValueError, PoleAtResonanceError,
                      SingularSystemError, check)
 
 _CSV_HEADER = "freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg"
@@ -227,21 +228,26 @@ def _parse_freqs(text) -> list:
         raise ConfigError(f"bad --freqs list: {exc}") from exc
     if not freqs:
         raise ConfigError("--freqs list is empty")
-    return sorted(freqs)
+    return sorted(set(freqs))
 
 
 # ---------------------------------------------------------------------------
 # workflows
 
 
+def _option(name, value, rules):
+    """value of option name if it keeps rules, else a ConfigError."""
+    try:
+        return check(name, value, rules)
+    except InvalidValueError as exc:
+        raise ConfigError(f"{name} {value}: {exc.reason}") from None
+
+
 def _order_of(args, cfg) -> int:
     """--h when given (nonzero), checked like harmonic_order; else that key."""
     if not args.h:
         return cfg.harmonic_order
-    try:
-        return check("--h", args.h, impedance_engine.ORDER)
-    except InvalidValueError as exc:
-        raise ConfigError(f"--h {args.h}: {exc.reason}") from None
+    return _option("--h", args.h, impedance_engine.ORDER)
 
 
 def _out_path(args, cfg) -> str:
@@ -306,6 +312,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _option("--tol-mag", args.tol_mag, NON_NEGATIVE)
+    _option("--tol-phase", args.tol_phase, NON_NEGATIVE)
     cfg = parse_config(args.config)
     freqs = _parse_freqs(args.freqs)
     analytic = {

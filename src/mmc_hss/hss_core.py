@@ -19,8 +19,7 @@ import numpy as np
 from scipy.linalg import (LinAlgError, LinAlgWarning, eig, get_blas_funcs,
                           get_lapack_funcs, inv, lu_factor, lu_solve)
 
-from .errors import (NON_NEGATIVE, POSITIVE, WHOLE, SingularSystemError,
-                     check)
+from .errors import POSITIVE, SingularSystemError, check
 
 # Solves refuse past this condition estimate or bound (MMC legs < 1e9), and
 # modal forms past this kappa_1(W), a precision loss (MMC legs <= 2.3e4)
@@ -33,42 +32,6 @@ def _readonly(a):
     a = np.asarray(a)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class HarmonicCoeffs:
-    """Fourier coefficients of one scalar T-periodic signal.
-
-    coeffs holds [X_{-h}, ..., X_0, ..., X_h]; omega1 is the fundamental in
-    rad/s. A real signal satisfies X_{-k} = conj(X_k).
-    """
-
-    order: int
-    omega1: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        check("order", self.order, WHOLE + NON_NEGATIVE)
-        check("omega1", self.omega1, POSITIVE)
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.order + 1,):
-            raise ValueError(
-                f"need {2 * self.order + 1} coefficients for order {self.order}, "
-                f"got shape {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", _readonly(c))
-
-    def coeff(self, k: int) -> complex:
-        if abs(k) > self.order:
-            raise ValueError(f"harmonic {k} outside truncation +-{self.order}")
-        return complex(self.coeffs[k + self.order])
-
-    def is_real_signal(self, tol: float = 1e-12) -> bool:
-        """True when the stack is conjugate-symmetric, i.e. x(t) is real."""
-        scale = max(np.abs(self.coeffs).max(), 1.0)
-        return bool(
-            np.all(np.abs(self.coeffs[::-1].conj() - self.coeffs) <= tol * scale)
-        )
 
 
 @dataclass(frozen=True)
@@ -108,18 +71,6 @@ class HarmonicVector:
         if abs(k) > self.order:
             raise ValueError(f"harmonic {k} outside truncation +-{self.order}")
         return self.data[(k + self.order) * self.dim:(k + self.order + 1) * self.dim]
-
-    def signal(self, omega1: float, state_index: int) -> HarmonicCoeffs:
-        """Fourier stack of one state component (omega1 is not stored here)."""
-        if not 0 <= state_index < self.dim:
-            raise ValueError(f"state index {state_index} out of range")
-        c = self.data[state_index::self.dim]
-        return HarmonicCoeffs(self.order, omega1, c)
-
-    def is_real_signal(self, tol: float = 1e-12) -> bool:
-        blocks = self.data.reshape(2 * self.order + 1, self.dim)
-        scale = max(np.abs(self.data).max(), 1.0)
-        return bool(np.all(np.abs(blocks[::-1].conj() - blocks) <= tol * scale))
 
 
 def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
@@ -163,11 +114,6 @@ class ToeplitzOperator:
             clean[int(k)] = _readonly(b)
         object.__setattr__(self, "blocks", clean)
 
-    def block(self, k: int) -> np.ndarray:
-        if k in self.blocks:
-            return self.blocks[k]
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
     @property
     def matrix(self) -> np.ndarray:
         blocks = np.zeros((2 * self.order + 1, self.dim, self.dim),
@@ -175,11 +121,6 @@ class ToeplitzOperator:
         for k, b in self.blocks.items():
             blocks[k + self.order] = b
         return block_toeplitz(blocks)
-
-    def __matmul__(self, x: HarmonicVector) -> HarmonicVector:
-        if x.order != self.order or x.dim != self.dim:
-            raise ValueError("operator and vector shapes disagree")
-        return HarmonicVector(self.order, self.dim, self.matrix @ x.data)
 
 
 @dataclass(frozen=True)
@@ -199,46 +140,6 @@ class ShiftOperator:
         ks = np.arange(-self.order, self.order + 1)
         freqs = 1j * (self.omega_off + ks * self.omega1)
         return np.repeat(freqs, self.dim)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
-def fourier_of_samples(samples, period: float, k: int) -> complex:
-    """k-th complex Fourier coefficient of uniformly sampled periodic data.
-
-    Parameters
-    ----------
-    samples : array_like
-        x(t_n) at t_n = n*period/N, n = 0..N-1 (one period, no duplicated
-        endpoint).
-    period : float
-        Signal period in seconds.
-    k : int
-        Harmonic index.
-
-    The rectangular rule on one exact period is spectrally accurate; it is
-    exact whenever the signal is band-limited below the sampling Nyquist.
-    Requires N >= 4|k| + 4 so the target bin is comfortably resolved.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("samples must be a non-empty 1-d array")
-    check("period", period, POSITIVE)
-    n = x.size
-    if n < 4 * abs(k) + 4:
-        raise ValueError(f"{n} samples cannot resolve harmonic {k}")
-    phase = np.exp(-2j * np.pi * k * np.arange(n) / n)
-    return complex(np.sum(x * phase) / n)
-
-
-def fourier_series_of_samples(samples, period: float, order: int) -> HarmonicCoeffs:
-    """All coefficients -order..order of one sampled period in one pass."""
-    c = np.array(
-        [fourier_of_samples(samples, period, k) for k in range(-order, order + 1)]
-    )
-    return HarmonicCoeffs(order, 2.0 * np.pi / period, c)
 
 
 class DenseFactor:
@@ -391,13 +292,3 @@ def solve_steady_state(a: ToeplitzOperator, n: ShiftOperator,
         raise ValueError("operator/vector shapes disagree")
     x = solve_dense(operator_matrix(a, n), -u.data)
     return HarmonicVector(a.order, a.dim, x)
-
-
-def reconstruct_time(coeffs: HarmonicCoeffs, t) -> np.ndarray:
-    """Evaluate sum_k X_k exp(j k omega1 t). Complex; real signals have
-    imaginary residue at roundoff level."""
-    t = np.asarray(t, dtype=float)
-    ks = np.arange(-coeffs.order, coeffs.order + 1)
-    phases = np.exp(1j * coeffs.omega1 * np.outer(t, ks))
-    out = phases @ coeffs.coeffs
-    return out if out.ndim else complex(out)

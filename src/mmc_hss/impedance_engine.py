@@ -358,17 +358,6 @@ def _inverse(sys, errors):
     return inv
 
 
-def _closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
-    """Response stack to a series voltage v_p behind the load at omega_p,
-    with the active controller channels closed (see _Loop)."""
-    bx = mmc_model.series_forcing(params, order, v_p)
-    x, (error,) = _factor(params, order).loop(config, op).solve(
-        [omega_p], bx, v_p, slice(None))
-    if error is not None:
-        raise error
-    return hss_core.HarmonicVector(order, 4, x[:, 0])
-
-
 def _point(params, config, order, probe, freq_hz, response):
     """ImpedancePoint of one probe response (see mmc_model.probe), or the
     DegenerateResponseError of a response at roundoff."""

@@ -136,23 +136,6 @@ class ControlConfig(Checked):
         return self.mode in ("ccc", "acv+ccc")
 
 
-def insertion_indices(params: CircuitParams, t):
-    """Continuous insertion indices (n_u, n_l) at times t.
-
-    Direct modulation: the fundamental appears with opposite sign in the
-    two arms, an optional second harmonic with equal sign.
-    """
-    t = np.asarray(t, dtype=float)
-    w1 = params.omega1
-    fund = params.modulation_index * np.cos(w1 * t + params.modulation_phase)
-    sec = params.modulation_index_2h * np.cos(
-        2.0 * w1 * t + params.modulation_phase_2h
-    )
-    n_u = 0.5 * (1.0 - fund - sec)
-    n_l = 0.5 * (1.0 + fund - sec)
-    return n_u, n_l
-
-
 def insertion_coeffs(params: CircuitParams) -> dict:
     """Fourier coefficients {k: (n_u_k, n_l_k)} of the insertion indices."""
     m1 = 0.25 * params.modulation_index * cmath.exp(1j * params.modulation_phase)
@@ -228,18 +211,6 @@ class SteadyOperatingPoint:
             return z * complex(self.stack.block(k)[3])
         return complex(self.stack.block(k)[self._INDEX[name]])
 
-    def signal(self, name: str) -> hss_core.HarmonicCoeffs:
-        w1 = self.params.omega1
-        if name == "v_g":
-            ks = np.arange(-self.order, self.order + 1)
-            zs = np.array([self.params.load_impedance(k * w1) for k in ks])
-            ig = self.stack.signal(w1, 3).coeffs
-            return hss_core.HarmonicCoeffs(self.order, w1, zs * ig)
-        return self.stack.signal(w1, self._INDEX[name])
-
-    def waveform(self, name: str, t) -> np.ndarray:
-        return hss_core.reconstruct_time(self.signal(name), t).real
-
 
 def steady_state(params: CircuitParams, order: int) -> SteadyOperatingPoint:
     """Solve the periodic steady state at truncation order `order`."""
@@ -264,32 +235,11 @@ def on_resonant_pole(config: ControlConfig, omega1: float, s: complex) -> bool:
     return abs(den) < _POLE_REL_TOL * omega1 * omega1
 
 
-def control_transfer(config: ControlConfig, omega1: float, s: complex,
-                     loop: str = "acv") -> complex:
-    """Loop-filter frequency response including the sampling delay.
-
-    loop="acv": (kf + kpv + krv*s/(s^2 + 2*wc*s + w1^2)) * exp(-1.5*Ts*s).
-    loop="ccc": ra * exp(-1.5*Ts*s).
-    Raises PoleAtResonanceError when the undamped resonator is evaluated on
-    its pole.
-    """
-    delay = cmath.exp(-1.5 * config.sampling_period * s)
-    if loop == "ccc":
-        return config.ra * delay
-    if loop != "acv":
-        raise ValueError(f"unknown loop {loop!r}")
-    if on_resonant_pole(config, omega1, s):
-        raise PoleAtResonanceError(
-            f"resonant filter evaluated on its pole at s = {s}"
-        )
-    den = _resonator_denominator(config, omega1, s)
-    hv = config.kpv + config.krv * s / den
-    return (config.kf + hv) * delay
-
-
 def _inverse_acv_gain(config: ControlConfig, omega1: float, s):
-    """1 / control_transfer(..., loop="acv"), exact (0) on the resonator pole
-    and inf where the loop is dead (all gains zero); s may be an array."""
+    """Inverse of the voltage-loop gain
+    (kf + kpv + krv*s/(s^2 + 2*wc*s + w1^2)) * exp(-1.5*Ts*s), with wc the
+    resonant damping: exact (0) on the undamped resonator pole and inf
+    where the loop is dead (all gains zero); s may be an array."""
     s = np.asarray(s, dtype=complex)
     den = _resonator_denominator(config, omega1, s)
     num = (config.kf + config.kpv) * den + config.krv * s

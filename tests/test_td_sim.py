@@ -477,6 +477,28 @@ def test_acv_shooting_leaves_the_circulating_memory_alone(params, monkeypatch):
         assert ctrl[4] == 0.0 and ctrl[5] == 0.0
 
 
+def test_a_repeated_frequency_is_measured_once(params_m0, monkeypatch):
+    steps = []
+    advance = td._Runner.advance
+
+    def count(self, y, step0, n_steps, *args, **kwargs):
+        steps.append(n_steps)
+        return advance(self, y, step0, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(td._Runner, "advance", count)
+    runs = []
+    for freqs in ([35.0], [35.0, 35.0]):
+        td.reset_caches()
+        del steps[:]
+        points = td.measure_impedance_many(params_m0, None, td.SimConfig(),
+                                           freqs)
+        runs.append((points, sum(steps)))
+    (once, once_steps), (twice, twice_steps) = runs
+    assert twice_steps == once_steps
+    assert list(twice) == [35.0]
+    assert twice[35.0] == once[35.0]
+
+
 @pytest.mark.parametrize("mode", ["open", "acv", "acv+ccc"])
 def test_settled_orbit_is_periodic_to_roundoff(params, mode):
     cfg = mm.ControlConfig(mode=mode, kpv=1.0, krv=20.0, ra=20.0,
