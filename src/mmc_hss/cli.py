@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -305,7 +305,9 @@ def cmd_measure(args) -> int:
     _write_csv(out, ordered)
     print(f"wrote {len(ordered)} rows to {out}")
     if args.dump_trajectory:
-        series = td_sim.simulate(cfg.params, control, cfg.sim)
+        # unperturbed: the campaign's probe amplitude has no frequency here
+        series = td_sim.simulate(cfg.params, control,
+                                 replace(cfg.sim, perturb_amplitude=0.0))
         td_sim.write_trajectory_csv(series, args.dump_trajectory)
         print(f"wrote steady trajectory to {args.dump_trajectory}")
     return 0

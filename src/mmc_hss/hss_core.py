@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import (LinAlgError, LinAlgWarning, eig, get_blas_funcs,
                           get_lapack_funcs, inv, lu_factor, lu_solve)
 
-from .errors import POSITIVE, SingularSystemError, check
+from .errors import SingularSystemError
 
 # Solves refuse past this condition estimate or bound (MMC legs < 1e9), and
 # modal forms past this kappa_1(W), a precision loss (MMC legs <= 2.3e4)
@@ -32,45 +32,6 @@ def _readonly(a):
     a = np.asarray(a)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class HarmonicVector:
-    """Harmonic stack of a d-dimensional state: [X_{-h}; ...; X_0; ...; X_h].
-
-    Block k (length dim) sits at rows (k+order)*dim .. (k+order+1)*dim.
-    """
-
-    order: int
-    dim: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.order < 0 or self.dim < 1:
-            raise ValueError("order must be >= 0 and dim >= 1")
-        v = np.asarray(self.data, dtype=complex)
-        n = self.dim * (2 * self.order + 1)
-        if v.shape != (n,):
-            raise ValueError(f"data must have shape ({n},), got {v.shape}")
-        object.__setattr__(self, "data", _readonly(v))
-
-    @classmethod
-    def from_blocks(cls, order, dim, blocks):
-        """Build from a mapping {k: length-dim array}; missing k are zero."""
-        v = np.zeros(dim * (2 * order + 1), dtype=complex)
-        for k, b in blocks.items():
-            if abs(k) > order:
-                raise ValueError(f"harmonic {k} outside truncation +-{order}")
-            b = np.asarray(b, dtype=complex)
-            if b.shape != (dim,):
-                raise ValueError(f"block {k} must have shape ({dim},)")
-            v[(k + order) * dim:(k + order + 1) * dim] = b
-        return cls(order, dim, v)
-
-    def block(self, k: int) -> np.ndarray:
-        if abs(k) > self.order:
-            raise ValueError(f"harmonic {k} outside truncation +-{self.order}")
-        return self.data[(k + self.order) * self.dim:(k + self.order + 1) * self.dim]
 
 
 def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
@@ -121,25 +82,6 @@ class ToeplitzOperator:
         for k, b in self.blocks.items():
             blocks[k + self.order] = b
         return block_toeplitz(blocks)
-
-
-@dataclass(frozen=True)
-class ShiftOperator:
-    """Block-diagonal frequency shift: block k is j(omega_off + k*omega1)*I."""
-
-    order: int
-    dim: int
-    omega1: float
-    omega_off: float = 0.0
-
-    def __post_init__(self):
-        check("omega1", self.omega1, POSITIVE)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        ks = np.arange(-self.order, self.order + 1)
-        freqs = 1j * (self.omega_off + ks * self.omega1)
-        return np.repeat(freqs, self.dim)
 
 
 class DenseFactor:
@@ -233,7 +175,7 @@ class ShiftedSolver:
         # ||T - jwI||_1 <= max_j(offdiag_j + |eigvals_j - jw|): off-diagonal
         # column sums of |T| plus |t_jj - eigvals_j| (0 when they agree)
         self._offdiag = (np.abs(np.triu(self.t, 1)).sum(axis=0)
-                         + np.abs(np.diagonal(self.t) - self.eigvals))
+                         + np.abs(np.diag(self.t) - self.eigvals))
         with warnings.catch_warnings():
             # a singular or ill-conditioned W fails the guard below
             warnings.simplefilter("ignore", LinAlgWarning)
@@ -276,19 +218,22 @@ class ShiftedSolver:
         return (b[:, None] if b.ndim == 2 else b) / pivots[:, :, None]
 
 
-def operator_matrix(a: ToeplitzOperator, n: ShiftOperator) -> np.ndarray:
-    """Dense A - N: with N's offset omega_off, the operator of the response
-    to a forcing at that offset."""
+def operator_matrix(a: ToeplitzOperator, omega1: float,
+                    omega_off: float = 0.0) -> np.ndarray:
+    """Dense A - N, with N the block-diagonal frequency shift whose block k
+    is j(omega_off + k*omega1)*I: with an offset omega_off, the operator of
+    the response to a forcing at that offset."""
+    ks = np.arange(-a.order, a.order + 1)
     m = a.matrix
-    m[np.diag_indices_from(m)] -= n.diagonal
+    m[np.diag_indices_from(m)] -= np.repeat(1j * (omega_off + ks * omega1),
+                                            a.dim)
     return m
 
 
-def solve_steady_state(a: ToeplitzOperator, n: ShiftOperator,
-                       u: HarmonicVector) -> HarmonicVector:
-    """Periodic steady state of dx/dt = A(t)x + u(t): X = -(A - N)^{-1} U;
-    with an offset omega_off in N, the response to a forcing there."""
-    if not (a.order == n.order == u.order and a.dim == n.dim == u.dim):
+def solve_steady_state(a: ToeplitzOperator, omega1: float,
+                       u: np.ndarray) -> np.ndarray:
+    """Periodic steady state of dx/dt = A(t)x + u(t): X = -(A - N)^{-1} U,
+    with U and X harmonic stacks (block k at rows (k + order)*dim on)."""
+    if np.shape(u) != (a.dim * (2 * a.order + 1),):
         raise ValueError("operator/vector shapes disagree")
-    x = solve_dense(operator_matrix(a, n), -u.data)
-    return HarmonicVector(a.order, a.dim, x)
+    return solve_dense(operator_matrix(a, omega1), -u)

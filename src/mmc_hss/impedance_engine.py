@@ -192,8 +192,9 @@ class _Factor:
     set-up built around it."""
 
     def __init__(self, params, order):
-        a, n, _ = mmc_model.build_base_hss(params, order)
-        self.solver = hss_core.ShiftedSolver(hss_core.operator_matrix(a, n))
+        a, _ = mmc_model.build_base_hss(params, order)
+        self.solver = hss_core.ShiftedSolver(
+            hss_core.operator_matrix(a, params.omega1))
         self.params = params
         self.order = order
         self._op = None

@@ -26,17 +26,18 @@ capacitance C = C_sm / N_sm):
 where v_p is the series perturbation source behind the load (zero in steady
 state). The ac terminal voltage is v_g = v_p + Z_load*i_g.
 
-A harmonic stack holds the four states of harmonic k at rows 4(k + h) on.
-This module owns that layout: the probes (probe) and the controller
-channels (loop_channels, channel_gains) that the impedance engine closes
-around its modal factor and perturbed_system closes densely.
+A harmonic stack holds the four states of harmonic k at rows 4(k + h) on,
+or in row k + h of the steady state's (2h + 1, 4) array. This module owns
+that layout: the dc forcing, the steady state, the probes (probe) and the
+controller channels (loop_channels, channel_gains) that the impedance
+engine closes around its modal factor and perturbed_system closes densely.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,43 +180,48 @@ def _base_blocks(params: CircuitParams) -> dict:
 
 
 def build_base_hss(params: CircuitParams, order: int):
-    """Harmonic operators (A, N, U) of the unperturbed leg.
+    """Harmonic operator A and forcing stack U of the unperturbed leg.
 
     A is the block-Toeplitz lift of the periodic state matrix with the load
-    folded in, N the fundamental frequency shift, U the dc-link forcing.
-    The periodic steady state is X = -(A - N)^{-1} U.
+    folded in, U the dc-link forcing: zero but for row 4*order (i_c at
+    harmonic 0). With N the fundamental frequency shift, the periodic
+    steady state is X = -(A - N)^{-1} U.
     """
     check("order", order, COUNT)
     a = hss_core.ToeplitzOperator(order, 4, _base_blocks(params))
-    n = hss_core.ShiftOperator(order, 4, params.omega1)
-    forcing = hss_core.HarmonicVector.from_blocks(
-        order, 4, {0: [params.vdc / (2.0 * params.arm_inductance), 0.0, 0.0, 0.0]}
-    )
-    return a, n, forcing
+    u = np.zeros(4 * (2 * order + 1), dtype=complex)
+    u[4 * order] = params.vdc / (2.0 * params.arm_inductance)
+    return a, u
 
 
 @dataclass(frozen=True)
 class SteadyOperatingPoint:
-    """Periodic steady state of the leg as harmonic stacks."""
+    """Periodic steady state of the leg: row k + order of the read-only
+    (2*order + 1, 4) stack holds harmonic k of (i_c, v_cu, v_cl, i_g)."""
 
     params: CircuitParams
     order: int
-    stack: hss_core.HarmonicVector
+    stack: np.ndarray
 
     _INDEX = {"i_c": 0, "v_cu": 1, "v_cl": 2, "i_g": 3}
 
     def coeff(self, name: str, k: int) -> complex:
         """Fourier coefficient k of one state signal (or of "v_g")."""
+        if abs(k) > self.order:
+            raise ValueError(f"harmonic {k} outside truncation +-{self.order}")
+        row = self.stack[k + self.order]
         if name == "v_g":
             z = self.params.load_impedance(k * self.params.omega1)
-            return z * complex(self.stack.block(k)[3])
-        return complex(self.stack.block(k)[self._INDEX[name]])
+            return z * complex(row[3])
+        return complex(row[self._INDEX[name]])
 
 
 def steady_state(params: CircuitParams, order: int) -> SteadyOperatingPoint:
     """Solve the periodic steady state at truncation order `order`."""
-    a, n, u = build_base_hss(params, order)
-    x = hss_core.solve_steady_state(a, n, u)
+    a, u = build_base_hss(params, order)
+    x = hss_core.solve_steady_state(a, params.omega1, u).reshape(-1, 4)
+    # engine factors cache the operating point and share it
+    x.setflags(write=False)
     return SteadyOperatingPoint(params, order, x)
 
 
@@ -305,8 +311,7 @@ def _injection(params: CircuitParams, op: SteadyOperatingPoint, order: int,
     cap = params.arm_capacitance
     l_eff = ind + 2.0 * params.load_inductance
     h = min(order, op.order)
-    ic, vcu, vcl, ig = op.stack.data.reshape(-1, 4)[
-        op.order - h:op.order + h + 1].T
+    ic, vcu, vcl, ig = op.stack[op.order - h:op.order + h + 1].T
     f = np.zeros((2 * order + 1, 4), dtype=complex)
     f[order - h:order + h + 1] = np.column_stack([
         -(vcu + lower * vcl) / (2.0 * ind),
@@ -337,8 +342,7 @@ def probe(params: CircuitParams, op: SteadyOperatingPoint | None, order: int,
     """
     if kind == "series":
         return series_forcing(params, order, 1.0), 1.0, 4 * order + 3
-    return (-circulating_probe_forcing(params, op, order).data, 0.0,
-            4 * order)
+    return -circulating_probe_forcing(params, op, order), 0.0, 4 * order
 
 
 def loop_channels(params: CircuitParams, config: ControlConfig,
@@ -388,8 +392,8 @@ def perturbed_system(params: CircuitParams, config: ControlConfig,
     PoleAtResonanceError when a source frequency sits on an undamped
     resonator pole, where the gain is infinite and M_p does not exist.
     """
-    a, n, _ = build_base_hss(params, order)
-    m = hss_core.operator_matrix(a, replace(n, omega_off=omega_p))
+    a, _ = build_base_hss(params, order)
+    m = hss_core.operator_matrix(a, params.omega1, omega_p)
     src = omega_p + np.arange(-order, order + 1) * params.omega1
     poles = [w for w in src if config.has_acv
              and on_resonant_pole(config, params.omega1, 1j * w)]
@@ -406,7 +410,7 @@ def perturbed_system(params: CircuitParams, config: ControlConfig,
 
 def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,
                               order: int, n_hat: complex = 1.0
-                              ) -> hss_core.HarmonicVector:
+                              ) -> np.ndarray:
     """Forcing stack of a common-mode insertion-index probe.
 
     A probe delta_n(t) = eps*cos(omega_p*t) applied to both insertion
@@ -414,5 +418,4 @@ def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,
     common-mode injection blocks. The ratio -vdc*n_hat / I_c(omega_p) is the
     circulating-path impedance.
     """
-    return hss_core.HarmonicVector(
-        order, 4, n_hat * _injection(params, op, order, "ccc").ravel())
+    return n_hat * _injection(params, op, order, "ccc").ravel()

@@ -74,8 +74,10 @@ class SimConfig(Checked):
     stops once the orbit repeats to periodicity_tol (relative, per state).
     Probe runs start on the forced orbit, so ramp_cycles and
     post_ramp_cycles are validated but no longer used. measure_cycles
-    counts common periods of the fundamental and the probe, not
-    fundamental cycles.
+    counts common periods, not fundamental cycles: a campaign's window
+    holds measure_cycles common periods of the fundamental and every probe
+    frequency of the campaign; simulate's holds them of the fundamental and
+    its one probe (fundamental cycles without a probe).
     """
 
     dt: float = 1e-5

@@ -8,7 +8,7 @@ import cmath
 
 import numpy as np
 
-from mmc_hss import hss_core, impedance_engine, mmc_model
+from mmc_hss import impedance_engine, mmc_model
 
 
 def fourier(samples, k):
@@ -72,4 +72,4 @@ def closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
         config, op).solve([omega_p], bx, v_p, slice(None))
     if error is not None:
         raise error
-    return hss_core.HarmonicVector(order, 4, x[:, 0])
+    return x[:, 0]

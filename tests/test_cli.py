@@ -380,6 +380,18 @@ def test_measure_writes_csv_and_trajectory(cfg_m0, tmp_path, capsys):
     assert open(traj).readline().strip() == "t_s,i_c_a,v_cu_v,v_cl_v,i_g_a,v_g_v"
 
 
+def test_dump_trajectory_with_a_probe_amplitude(tmp_path):
+    # the campaign's amplitude must not make the unperturbed dump a
+    # perturbation without a frequency
+    cfg = _write(tmp_path, "amp.cfg",
+                 "modulation_index = 0\nperturb_amplitude_v = 100\n")
+    traj = str(tmp_path / "traj.csv")
+    assert cli.main(["measure", "--config", cfg, "--freqs", "200",
+                     "--out", str(tmp_path / "m.csv"),
+                     "--dump-trajectory", traj]) == 0
+    assert open(traj).readline().startswith("t_s,i_c_a,")
+
+
 def test_measure_writes_a_repeated_frequency_once(cfg_m0, tmp_path, capsys):
     out = str(tmp_path / "m.csv")
     assert cli.main(["measure", "--config", cfg_m0, "--freqs", "35,35",

@@ -101,8 +101,8 @@ def test_response_scales_linearly_with_probe(params, op):
     wp = 2.0 * np.pi * 37.0
     x1 = ref.closed_loop_response(params, ACV, op, 4, wp, v_p=1.0)
     x2 = ref.closed_loop_response(params, ACV, op, 4, wp, v_p=17.3)
-    floor = 1e-13 * np.abs(x2.data).max()
-    np.testing.assert_allclose(x2.data, 17.3 * x1.data, rtol=1e-12, atol=floor)
+    floor = 1e-13 * np.abs(x2).max()
+    np.testing.assert_allclose(x2, 17.3 * x1, rtol=1e-12, atol=floor)
 
 
 def test_channel_solve_matches_dense_assembly_off_pole(params, op):

@@ -5,8 +5,7 @@ factor is built or any step is integrated."""
 import numpy as np
 import pytest
 
-from mmc_hss import hss_core, impedance_engine as ie, mmc_model as mm, \
-    td_sim as td
+from mmc_hss import impedance_engine as ie, mmc_model as mm, td_sim as td
 from mmc_hss.errors import InvalidValueError
 
 LEG = dict(vdc=320e3, arm_inductance=0.36, arm_resistance=1.0,
@@ -46,8 +45,6 @@ PROBES = {
     "sim dt nan": (lambda: td.SimConfig(dt=NAN), "dt", FINITE),
     "sim cycles 1.5": (lambda: td.SimConfig(measure_cycles=1.5),
                        "measure_cycles", WHOLE),
-    "shift omega1 inf": (lambda: hss_core.ShiftOperator(1, 4, INF),
-                         "omega1", FINITE),
     "impedance_at nan": (lambda: ie.impedance_at(PARAMS, OPEN, NAN, order=4),
                          "freq_hz", FINITE),
     "impedance_at inf": (lambda: ie.impedance_at(PARAMS, ACV, INF),
