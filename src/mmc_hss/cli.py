@@ -244,8 +244,8 @@ def _option(name, value, rules):
 
 
 def _order_of(args, cfg) -> int:
-    """--h when given (nonzero), checked like harmonic_order; else that key."""
-    if not args.h:
+    """--h when given, checked like harmonic_order; else that key."""
+    if args.h is None:
         return cfg.harmonic_order
     return _option("--h", args.h, impedance_engine.ORDER)
 
@@ -349,7 +349,7 @@ def cmd_compare(args) -> int:
 # option -> argparse keywords, shared by every workflow that takes it
 _OPTIONS = {
     "--config": dict(required=True),
-    "--h": dict(type=int, default=0, help="override truncation order"),
+    "--h": dict(type=int, default=None, help="override truncation order"),
     "--freqs": dict(required=True, help="comma-separated frequencies in Hz"),
     "--out": dict(default="", help="output CSV; falls back to out_csv"),
     "--dump-config": dict(default="",

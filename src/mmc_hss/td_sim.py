@@ -21,9 +21,9 @@ records the measurement window there; no ramp, no waiting for
 transients. The unperturbed orbit repeats every cycle, so its phasor at
 the probe frequency comes from one recorded cycle: nonzero only at
 harmonics of the fundamental, where it is subtracted so that only the
-perturbation response remains. Probe frequencies must be commensurate
-with the fundamental so the measurement window holds an integer number
-of periods of all of them.
+perturbation response remains. Each probe frequency must be
+commensurate with the fundamental so its run's window holds an integer
+number of periods of both.
 
 Integration steps are aligned with control periods and cycle boundaries,
 so halving the step leaves every sampling instant in place; that keeps
@@ -74,10 +74,9 @@ class SimConfig(Checked):
     stops once the orbit repeats to periodicity_tol (relative, per state).
     Probe runs start on the forced orbit, so ramp_cycles and
     post_ramp_cycles are validated but no longer used. measure_cycles
-    counts common periods, not fundamental cycles: a campaign's window
-    holds measure_cycles common periods of the fundamental and every probe
-    frequency of the campaign; simulate's holds them of the fundamental and
-    its one probe (fundamental cycles without a probe).
+    counts common periods, not fundamental cycles: every probe run records
+    measure_cycles common periods of the fundamental and its own probe, an
+    unprobed run measure_cycles fundamental cycles.
     """
 
     dt: float = 1e-5
@@ -318,26 +317,17 @@ def _control_strides(params, config, dt, spc):
     return every
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
-def _common_cycles(params: CircuitParams, freqs) -> int:
-    """Fundamental cycles in one common period of f1 and every probe."""
-    g = Fraction(params.fundamental_freq).limit_denominator(10 ** 6)
-    for f in freqs:
-        check("freq_hz", f, POSITIVE)
-        g = _frac_gcd(g, Fraction(float(f)).limit_denominator(10 ** 6))
-    cycles = Fraction(
-        params.fundamental_freq).limit_denominator(10 ** 6) / g
-    if cycles.denominator != 1:
-        raise ValueError("could not reduce probe grid to a common period")
-    if cycles.numerator > 400:
+def _common_cycles(params: CircuitParams, f_p) -> int:
+    """Fundamental cycles in one common period of f1 and the probe f_p."""
+    check("freq_hz", f_p, POSITIVE)
+    cycles = (Fraction(float(f_p)).limit_denominator(10 ** 6)
+              / Fraction(params.fundamental_freq).limit_denominator(10 ** 6)
+              ).denominator
+    if cycles > 400:
         raise ValueError(
-            "probe frequencies are not commensurate with the fundamental "
+            f"probe at {f_p:g} Hz is not commensurate with the fundamental "
             "(common period longer than 400 cycles)")
-    return int(cycles)
+    return cycles
 
 
 def _check_state(y, t):
@@ -637,13 +627,14 @@ def _forced_end(orbit, probe, period):
     return end
 
 
-def _run(orbit, f_p, v_amp, probe_amp, cycles) -> TimeSeries:
-    """One run forked from the settled orbit, recording `cycles` cycles.
+def _run(orbit, f_p, v_amp, probe_amp, measure_cycles) -> TimeSeries:
+    """One run forked from the settled orbit, recording measure_cycles
+    periods of its own.
 
-    Without a probe the window continues the settled orbit. With one, the
-    run starts on the forced orbit instead of ramping towards it. The
-    forced orbit repeats after the common period of f1 and f_p, `period`
-    cycles, which divides the window. The map over one period has Jacobian
+    Without a probe the period is one cycle and the window continues the
+    settled orbit. With one, the run starts on the forced orbit instead of
+    ramping towards it. The forced orbit repeats after the common period of
+    f1 and f_p, `period` cycles. The map over one period has Jacobian
     phi**period, exactly in open loop and to first order in the probe
     amplitude in closed loop, so chord-Newton steps from the settled state
     (the first one from _forced_end) converge on the forced orbit: open
@@ -653,9 +644,9 @@ def _run(orbit, f_p, v_amp, probe_amp, cycles) -> TimeSeries:
     A run still off its orbit after _PROBE_STEPS more steps warns.
     """
     runner, spc = orbit.runner, orbit.runner.spc
-    period = _common_cycles(runner.params, (f_p,)) if f_p > 0.0 else 1
+    period = _common_cycles(runner.params, f_p) if f_p > 0.0 else 1
     probe = (2.0 * math.pi * f_p, v_amp, probe_amp)
-    rec = np.empty((cycles * spc, 8))
+    rec = np.empty((measure_cycles * period * spc, 8))
     head = rec[:period * spc]
     z, step = orbit.z, orbit.step
     if f_p > 0.0:
@@ -673,8 +664,8 @@ def _run(orbit, f_p, v_amp, probe_amp, cycles) -> TimeSeries:
         step += period * spc
         end = _integrate(runner, z, step, period, probe, head)
         steps += 1
-    _integrate(runner, end, step + period * spc, cycles - period, probe,
-               rec[period * spc:])
+    _integrate(runner, end, step + period * spc,
+               (measure_cycles - 1) * period, probe, rec[period * spc:])
     return _series(orbit, rec)
 
 
@@ -698,10 +689,9 @@ def simulate(params: CircuitParams, config: ControlConfig | None,
         raise ValueError("perturbation needs a positive frequency")
     if f_p > 0.0:
         amp = _probe_amplitude(params, amp)
-    window = sim.measure_cycles * (
-        _common_cycles(params, (f_p,)) if f_p > 0.0 else 1)
+        _common_cycles(params, f_p)  # refused before settling
     orbit = _settle_campaign(params, config, sim)
-    return _run(orbit, f_p, amp, 0.0, window)
+    return _run(orbit, f_p, amp, 0.0, sim.measure_cycles)
 
 
 def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
@@ -730,7 +720,7 @@ def _orbit_phasor(orbit, signal, f_p):
     """Phasor of the settled orbit at f_p. The orbit repeats every cycle, so
     over any window it has its one-cycle phasor at harmonics of f1 and none
     elsewhere; this stands in for an unperturbed baseline run."""
-    if _common_cycles(orbit.runner.params, (f_p,)) != 1:
+    if _common_cycles(orbit.runner.params, f_p) != 1:
         return 0j
     return extract_phasor(orbit.cycle, signal, f_p)
 
@@ -739,14 +729,16 @@ def _responses(params, config, sim, freqs, v_amp, probe_amp, signals):
     """Yields (f_p, phasors of signals net of the settled orbit) per
     frequency.
 
-    One settle, then one probe run per frequency, each forked from the
-    settled orbit and recorded over one window that holds whole periods of
-    every frequency.
+    Every frequency is checked before settling. One settle, then one probe
+    run per frequency, each forked from the settled orbit and recording
+    measure_cycles common periods of f1 and its own probe, so a frequency's
+    result does not depend on the others.
     """
-    window = sim.measure_cycles * _common_cycles(params, freqs)
+    for f_p in freqs:
+        _common_cycles(params, f_p)
     orbit = _settle_campaign(params, config, sim)
     for f_p in freqs:
-        pert = _run(orbit, f_p, v_amp, probe_amp, window)
+        pert = _run(orbit, f_p, v_amp, probe_amp, sim.measure_cycles)
         yield f_p, [extract_phasor(pert, s, f_p)
                     - _orbit_phasor(orbit, s, f_p) for s in signals]
 
@@ -783,9 +775,9 @@ def measure_impedance_many(params: CircuitParams,
                            sim: SimConfig, freqs) -> dict:
     """Impedance at several probe frequencies sharing one settled orbit.
 
-    All frequencies and the fundamental must share a common period; every
-    probe run records a window of the same length, sized to hold
-    all of them at once. Settling happens once per campaign and is cached
+    Each frequency must share a common period with the fundamental; its
+    probe run records measure_cycles such periods, whatever the other
+    frequencies. Settling happens once per campaign and is cached
     for later campaigns with the same settling knobs. A repeated frequency
     is measured once. Returns {frequency: ImpedancePoint}.
     """

@@ -107,7 +107,7 @@ def test_order_option_out_of_range_names_it(cfg_m0, tmp_path, capsys,
     monkeypatch.setattr(cli.impedance_engine, "sweep",
                         lambda *a, **k: calls.append(a))
     dump, out = tmp_path / "eff.cfg", tmp_path / "s.csv"
-    for h in ("17", "-3"):
+    for h in ("17", "-3", "0"):
         assert cli.main(["steady", "--config", cfg_m0, "--h", h,
                          "--dump-config", str(dump)]) == 2
         assert f"--h {h}: must lie in 1..16" in capsys.readouterr().err

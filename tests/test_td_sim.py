@@ -79,8 +79,13 @@ def test_perturbation_validation(params_m0):
         td.measure_impedance(params_m0, None, td.SimConfig())
 
 
-def test_incommensurate_probe_rejected(params):
-    # 7.3 Hz against 50 Hz needs a 10 s window; refuse rather than grind
+def test_incommensurate_probe_rejected(params, monkeypatch):
+    # 7.3 Hz against 50 Hz needs a 10 s window; refuse rather than grind,
+    # and before settling, even behind a good frequency
+    def no_step(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(td._Runner, "advance", no_step)
     with pytest.raises(ValueError):
         td.measure_impedance(params, None, td.SimConfig(), 7.3)
     with pytest.raises(ValueError):
@@ -424,7 +429,8 @@ def test_measure_many_shares_one_baseline(params):
 def test_forked_runs_do_not_leak_controller_state(params):
     # every run of a campaign forks from one settled state; a probe run
     # that inherited the controller memory of the run before it would make
-    # the result depend on the order of the frequencies
+    # the result depend on the order of the frequencies, and a window sized
+    # by the campaign on which other frequencies it holds
     sim = td.SimConfig(settle_cycles=20, reference_settle_cycles=20,
                        ramp_cycles=2, post_ramp_cycles=3, measure_cycles=1)
     cfg = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
@@ -433,7 +439,9 @@ def test_forked_runs_do_not_leak_controller_state(params):
         warnings.simplefilter("ignore", RuntimeWarning)  # short settling
         forward = td.measure_impedance_many(params, cfg, sim, [35.0, 80.0])
         backward = td.measure_impedance_many(params, cfg, sim, [80.0, 35.0])
-    assert forward == backward
+        alone = {f: td.measure_impedance_many(params, cfg, sim, [f])[f]
+                 for f in forward}
+    assert forward == backward == alone
 
 
 def test_measured_circulating_impedance(params_m0, params):
@@ -477,7 +485,9 @@ def test_acv_shooting_leaves_the_circulating_memory_alone(params, monkeypatch):
         assert ctrl[4] == 0.0 and ctrl[5] == 0.0
 
 
-def test_a_repeated_frequency_is_measured_once(params_m0, monkeypatch):
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """Steps of every kernel call, in call order."""
     steps = []
     advance = td._Runner.advance
 
@@ -486,17 +496,35 @@ def test_a_repeated_frequency_is_measured_once(params_m0, monkeypatch):
         return advance(self, y, step0, n_steps, *args, **kwargs)
 
     monkeypatch.setattr(td._Runner, "advance", count)
+    return steps
+
+
+def test_a_repeated_frequency_is_measured_once(params_m0, kernel_steps):
     runs = []
     for freqs in ([35.0], [35.0, 35.0]):
         td.reset_caches()
-        del steps[:]
+        del kernel_steps[:]
         points = td.measure_impedance_many(params_m0, None, td.SimConfig(),
                                            freqs)
-        runs.append((points, sum(steps)))
+        runs.append((points, sum(kernel_steps)))
     (once, once_steps), (twice, twice_steps) = runs
     assert twice_steps == once_steps
     assert list(twice) == [35.0]
     assert twice[35.0] == once[35.0]
+
+
+def test_a_campaign_costs_the_sum_of_its_runs(params_m0, kernel_steps):
+    # each run records periods of its own probe: adding 35 Hz (10 cycles
+    # per period) to a 10 Hz campaign (5) costs one 35 Hz run, not longer
+    # windows for both
+    def cost(*campaigns):
+        td.reset_caches()
+        del kernel_steps[:]
+        for freqs in campaigns:  # later campaigns reuse the settled orbit
+            td.measure_impedance_many(params_m0, None, td.SimConfig(), freqs)
+        return sum(kernel_steps)
+
+    assert cost([10.0, 35.0]) == cost([10.0], [35.0])
 
 
 @pytest.mark.parametrize("mode", ["open", "acv", "acv+ccc"])
