@@ -5,9 +5,9 @@ coefficients [X_{-h}, ..., X_0, ..., X_h]. Multiplication by a periodic
 coefficient becomes a block-Toeplitz operator on the stack, d/dt becomes a
 block-diagonal frequency shift. The periodic steady state of a linear
 time-periodic system is one dense linear solve; its responses to a
-perturbation at many frequencies share one modal form of the unshifted
-operator: each frequency is an elementwise scaling with an O(n) condition
-bound. Nothing here knows about converters; it is multi-harmonic algebra.
+perturbation at many frequencies share one real eigendecomposition of the
+unshifted operator, each frequency an elementwise scaling with an O(n)
+condition bound. Nothing here knows about converters.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from scipy.linalg import (LinAlgError, LinAlgWarning, eig, get_blas_funcs,
 
 from .errors import SingularSystemError
 
-# Solves refuse past this condition estimate or bound (MMC legs < 1e9), and
-# modal forms past this kappa_1(W), a precision loss (MMC legs <= 2.3e4)
-COND_LIMIT, MODE_COND_LIMIT = 1e12, 1e6
+# Solves refuse past this condition estimate or bound (MMC legs < 1e9),
+# modal forms past this kappa_1(v), a precision loss (MMC legs <= 1.7e4),
+# and real forms of M0 past this 1-norm ratio of imaginary part: roundoff
+# in conj(A_k) (exactly 0 on MMC legs)
+COND_LIMIT, MODE_COND_LIMIT, _REAL_RTOL = 1e12, 1e6, 1e-14
 
 _GEMM, = get_blas_funcs(("gemm",), dtype=complex)
 
@@ -132,7 +134,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     NumPy and SciPy each bundle an OpenBLAS with its own worker threads. A
     NumPy product big enough to be threaded leaves NumPy's workers
-    spinning, and the SciPy LAPACK calls that follow it (Schur forms,
+    spinning, and the SciPy LAPACK calls that follow it (eigendecompositions,
     condition estimates, factorisations) then wait for a free core: on a
     2-core machine a 132-by-132 LU that takes 0.5 ms took 4 ms at the
     median and up to 125 ms, at random. The engine's products therefore
@@ -147,60 +149,61 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _GEMM(1.0, a, b)
 
 
+def _pair(x: np.ndarray, order: int, p, q, r, t) -> np.ndarray:
+    """x with each pair of row blocks (k, -k), k >= 1, of a harmonic stack
+    replaced by (p*X_k + q*X_-k, r*X_k + t*X_-k); block 0 is kept."""
+    x = x.reshape(2 * order + 1, -1, x.shape[-1])
+    hi, lo = x[order + 1:], x[:order][::-1]
+    return np.concatenate([(r * hi + t * lo)[::-1], x[order:order + 1],
+                           p * hi + q * lo]).reshape(-1, x.shape[-1])
+
+
 class ShiftedSolver:
-    """Solves (M0 - j*omega*I) X = B for many shifts omega from one complex
-    Schur form M0 = Q T Q^H (Laub, "Efficient multivariable frequency
-    response computations", IEEE TAC 26(2), 1981).
+    """Solves (M0 - j*omega*I) X = B for many shifts omega from one
+    eigendecomposition M0 = v diag(eigvals) v_inv (Laub, IEEE TAC 26(2),
+    1981): right-hand sides go in as v_inv @ b, each shift is a scaling of
+    modal coordinates, and solutions come out as v @ y.
 
-    With T = W diag(eigvals) W^-1 taken once too, every shift is an
-    elementwise scaling in modal coordinates: right-hand sides go in as
-    v_inv @ b (v_inv = W^-1 Q^H) and solutions come out as v @ y (v = Q W).
-    A nearly defective M0 raises SingularSystemError here. Like matmul, it
-    uses SciPy's BLAS and LAPACK only.
-    """
+    M0 = A - N must be the operator of a real periodic system, A_-k =
+    conj(A_k), else ValueError. In the basis X_0, X_k + X_-k, j(X_k - X_-k)
+    it is a real M_r = U^-1 M0 U, whose eigenvectors V_r give v = U V_r and
+    v_inv = V_r^-1 U^-1. Uses SciPy's BLAS and LAPACK only, like matmul."""
 
-    def __init__(self, m0: np.ndarray):
-        self.m0 = np.asarray(m0, dtype=complex)
-        gees, = get_lapack_funcs(("gees",), (self.m0,))
-        # the minimum workspace spares the size query, which allocates a
-        # second copy of the matrix and of Q; at these sizes it is as fast
-        self.t, _, _, q, _, info = gees(
-            lambda x: None, self.m0.copy(order="F"),
-            lwork=max(1, 2 * len(self.m0)), overwrite_a=True)
-        if info != 0:
-            raise SingularSystemError("Schur form did not converge",
-                                      float("inf"))
-        # SciPy's eig and inv, not NumPy's, which wake NumPy's BLAS threads
-        self.eigvals, w = eig(self.t, check_finite=False)
-        # ||T - jwI||_1 <= max_j(offdiag_j + |eigvals_j - jw|): off-diagonal
-        # column sums of |T| plus |t_jj - eigvals_j| (0 when they agree)
-        self._offdiag = (np.abs(np.triu(self.t, 1)).sum(axis=0)
-                         + np.abs(np.diag(self.t) - self.eigvals))
-        with warnings.catch_warnings():
-            # a singular or ill-conditioned W fails the guard below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            try:
-                w_inv = inv(w, check_finite=False)
-            except LinAlgError:
-                w_inv = np.full_like(w, np.inf)
-        cond = np.abs(w).sum(axis=0).max() * np.abs(w_inv).sum(axis=0).max()
+    def __init__(self, a: ToeplitzOperator, omega1: float):
+        self.m0, h = operator_matrix(a, omega1), a.order
+        # U^-1 M0 U: pair the columns of blocks k and -k, then the rows
+        real = _pair(_pair(self.m0.T, h, 1, 1, 1j, -1j).T,
+                     h, .5, .5, -.5j, .5j)
+        if not (np.linalg.norm(real.imag, 1)
+                <= _REAL_RTOL * np.linalg.norm(real, 1)):
+            raise ValueError("operator blocks k and -k are not conjugate")
+        try:
+            # SciPy's eig and inv, not NumPy's, which wake NumPy's BLAS threads
+            self.eigvals, v_r = eig(real.real, check_finite=False)
+            with warnings.catch_warnings():
+                # an ill-conditioned V_r fails the guard below
+                warnings.simplefilter("ignore", LinAlgWarning)
+                v_r_inv = inv(v_r, check_finite=False)
+        except LinAlgError:
+            raise SingularSystemError("eigendecomposition failed",
+                                      float("inf")) from None
+        self.v = _pair(v_r, h, 1, 1j, 1, -1j)
+        self.v_inv = _pair(v_r_inv.T, h, .5, -.5j, .5, .5j).T
+        cond = np.linalg.norm(self.v, 1) * np.linalg.norm(self.v_inv, 1)
         if not cond <= MODE_COND_LIMIT:
             raise SingularSystemError(
                 f"nearly defective operator (modes cond ~ {cond:.3e})", cond)
-        self.mode_cond = cond
-        self.v, self.v_inv = matmul(q, w), _GEMM(1.0, w_inv, q, trans_b=2)
+        self.mode_cond, self._norm = cond, np.linalg.norm(self.m0, 1)
 
     def check(self, omega: float) -> float:
-        """||T - j*omega*I||_1 * kappa_1(W) / min|eigvals - j*omega|, an
-        O(n) bound on the 1-norm condition number of T - j*omega*I. Raises
-        SingularSystemError (with the bound attached) past COND_LIMIT.
-        """
-        dist = np.abs(self.eigvals - 1j * omega)
-        gap = dist.min()
+        """(||M0||_1 + |omega|) kappa_1(v) / min|eigvals - j*omega|, an O(n)
+        bound on cond_1(M0 - j*omega*I), whose inverse is v diag(1/(eigvals
+        - j*omega)) v_inv; past COND_LIMIT it raises SingularSystemError."""
+        gap = np.abs(self.eigvals - 1j * omega).min()
         if not gap > 0.0:
             raise SingularSystemError("shifted system matrix is singular",
                                       float("inf"))
-        cond = (self._offdiag + dist).max() * self.mode_cond / gap
+        cond = (self._norm + abs(omega)) * self.mode_cond / gap
         if not cond <= COND_LIMIT:
             raise SingularSystemError(
                 f"shifted system matrix too ill-conditioned "

@@ -5,12 +5,12 @@ behind the load at f_p, reads the output-current response at offset
 harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
 
 The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
-unperturbed one. One modal form of M0 per (params, order) turns every
-frequency into an elementwise scaling with an O(n) condition bound
-(hss_core.ShiftedSolver): a sweep solves its grid in chunks of about 1 MiB,
-and single-point calls reuse the last factor. Open loop, ac-voltage loop,
-circulating loop and the circulating-path probe all take this one path;
-they differ only in their forcing, their readout row and their channels,
+unperturbed one. One real eigendecomposition of M0 per (params, order)
+turns every frequency into an elementwise scaling with an O(n) condition
+bound (hss_core.ShiftedSolver): a sweep solves its grid in chunks of about
+1 MiB, and single-point calls reuse the last factor. Open loop, ac-voltage
+loop, circulating loop and the circulating-path probe all take this one
+path; they differ only in their forcing, their readout row and channels,
 which mmc_model supplies (probe, loop_channels, channel_gains) along with
 the stack layout. impedance_at, circulating_impedance_at and sweep share
 one evaluation path (_evaluate): a sweep records a failed point, a
@@ -193,12 +193,9 @@ class _Factor:
 
     def __init__(self, params, order):
         a, _ = mmc_model.build_base_hss(params, order)
-        self.solver = hss_core.ShiftedSolver(
-            hss_core.operator_matrix(a, params.omega1))
-        self.params = params
-        self.order = order
-        self._op = None
-        self._loop = None
+        self.solver = hss_core.ShiftedSolver(a, params.omega1)
+        self.params, self.order = params, order
+        self._op = self._loop = None
 
     def steady(self):
         if self._op is None:
@@ -220,7 +217,7 @@ def _factor(params, order, held=None):
     """held, else the cached factor for (params, order), else a new one.
 
     The factor returned stays cached, so the single-point calls that follow
-    a sweep (spots, probes) need no new Schur form. Raises ValueError for
+    a sweep (spots, probes) need no new modal factor. Raises ValueError for
     an order outside 1..MAX_ORDER before anything is built.
     """
     global _cached_factor

@@ -1,12 +1,14 @@
 """Independent references the tests check the package against: sampled
 Fourier coefficients, time evaluation of a harmonic stack, conjugate
-symmetry, the insertion indices and loop filters in the time and frequency
-domain, and the closed-loop response stack. Plain functions on arrays.
+symmetry, LAPACK's condition estimate of a dense matrix, the insertion
+indices and loop filters in the time and frequency domain, and the
+closed-loop response stack. Plain functions on arrays.
 """
 
 import cmath
 
 import numpy as np
+import scipy.linalg
 
 from mmc_hss import impedance_engine, mmc_model
 
@@ -35,6 +37,15 @@ def is_real(data, dim, tol=1e-12):
     blocks = np.asarray(data).reshape(-1, dim)
     scale = max(np.abs(blocks).max(), 1.0)
     return bool(np.all(np.abs(blocks[::-1].conj() - blocks) <= tol * scale))
+
+
+def lapack_cond(m):
+    """LAPACK's 1-norm condition estimate of m (gecon on its LU)."""
+    lu, _ = scipy.linalg.lu_factor(m)
+    gecon, = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))
+    rcond, info = gecon(lu, np.linalg.norm(m, 1))
+    assert info == 0
+    return 1.0 / rcond
 
 
 def waveform(op, name, t):

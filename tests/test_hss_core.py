@@ -269,42 +269,38 @@ def test_real_signal_detection():
     assert not ref.is_real([1 + 1j, 0.0, 1 + 1j], 1)
 
 
-def _ztrcon_estimate(t, omega):
-    # LAPACK's 1-norm condition estimate of the triangular T - j*omega*I
-    shifted = np.array(t, order="F")
-    shifted.flat[::len(t) + 1] -= 1j * omega
-    trcon, = scipy.linalg.get_lapack_funcs(("trcon",), (shifted,))
-    rcond, info = trcon(shifted)
-    assert info == 0
-    return 1.0 / rcond
-
-
 def test_shifted_check_bounds_the_condition_number_for_every_shift():
     # check's modal bound is no smaller than the exact 1-norm condition
-    # number of T - j*omega*I or LAPACK's estimate of it, repeats bitwise
-    # and leaves T alone
+    # number of M0 - j*omega*I or LAPACK's estimate of it, repeats bitwise
+    # and leaves M0 alone
     rng = np.random.default_rng(3)
-    m0 = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    solver = hc.ShiftedSolver(m0)
-    t_before = solver.t.copy()
+    a = hc.ToeplitzOperator(2, 8, _random_symmetric_system(rng, 2, 8)[0])
+    solver = hc.ShiftedSolver(a, 314.0)
+    m0_before = solver.m0.copy()
     bounds = {}
     for omega in (0.0, 250.0, -3.5, 1e4, 250.0):
         bound = solver.check(omega)
-        shifted = solver.t - 1j * omega * np.eye(40)
+        shifted = solver.m0 - 1j * omega * np.eye(40)
         assert bound >= np.linalg.cond(shifted, 1)
-        assert bound >= _ztrcon_estimate(solver.t, omega)
+        assert bound >= ref.lapack_cond(shifted)
         assert bounds.setdefault(omega, bound) == bound
-    np.testing.assert_array_equal(solver.t, t_before)
+    np.testing.assert_array_equal(solver.m0, m0_before)
+    # a scalar operator has kappa_1(v) = 1 and condition number 1, where
+    # the bound (1 + |omega|) / |1 + j*omega| lies in [1, sqrt(2)]
+    scalar = hc.ShiftedSolver(hc.ToeplitzOperator(0, 1, {0: [[-1.0]]}), 314.0)
+    for omega in (0.0, 250.0, -3.5, 1e4):
+        assert 1.0 <= scalar.check(omega) <= np.sqrt(2.0)
 
 
 def test_shifted_check_raises_on_an_eigenvalue_at_the_shift():
-    # the first column is 250j e_0, so 250j is an exact eigenvalue of M0,
-    # of its Schur form and of the modal form
+    # the first state is decoupled from the others, so at order 1 the
+    # shift block -1 gives M0 the exact eigenvalue j*omega1 = 250j, in the
+    # real form and in the modal form
     rng = np.random.default_rng(3)
-    m0 = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    m0[:, 0] = 0.0
-    m0[0, 0] = 250j
-    solver = hc.ShiftedSolver(m0)
+    blocks, _ = _random_symmetric_system(rng, 1, 13)
+    for b in blocks.values():
+        b[:, 0] = b[0, :] = 0.0
+    solver = hc.ShiftedSolver(hc.ToeplitzOperator(1, 13, blocks), 250.0)
     with pytest.raises(SingularSystemError, match="singular"):
         solver.check(250.0)
     assert solver.check(251.0) <= hc.COND_LIMIT
@@ -318,10 +314,11 @@ def test_modal_solve_matches_a_dense_solve():
     # v @ solve(omegas, v_inv @ b) is (M0 - j*omega*I)^-1 b for every shift,
     # with one right-hand side shared by all shifts or one block per shift
     rng = np.random.default_rng(11)
-    m0 = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    a = hc.ToeplitzOperator(2, 8, _random_symmetric_system(rng, 2, 8)[0])
     b = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     omegas = [0.0, 250.0, -3.5, 1e4]
-    solver = hc.ShiftedSolver(m0)
+    solver = hc.ShiftedSolver(a, 314.0)
+    m0 = solver.m0
     shared = solver.solve(omegas, hc.matmul(solver.v_inv, b))
     blocks = solver.solve(omegas, np.stack(
         [hc.matmul(solver.v_inv, (p + 1) * b) for p in range(4)], axis=1))
@@ -339,26 +336,46 @@ def test_modal_solve_matches_a_dense_solve():
 @pytest.mark.parametrize("entry", [(1, 1), (1, 0)])
 def test_nearly_defective_operator_raises_or_solves_accurately(entry):
     # a 2x2 Jordan block, perturbed by 1e-14 on its diagonal or in its
-    # corner, inside a unitary similarity of a random 40x40 operator: the
-    # modal solve must either be accurate or refuse the operator
+    # corner, inside an orthogonal similarity of a random real 40x40
+    # operator of order 0: the modal solve must either be accurate or
+    # refuse the operator
     rng = np.random.default_rng(12)
-    m0 = np.zeros((40, 40), dtype=complex)
-    m0[:2, :2] = [[2j, 1.0], [0.0, 2j]]
-    m0[entry] += 1e-14
-    m0[2:, 2:] = (rng.standard_normal((38, 38))
-                  + 1j * rng.standard_normal((38, 38)))
-    q, _ = np.linalg.qr(rng.standard_normal((40, 40))
-                        + 1j * rng.standard_normal((40, 40)))
-    m0 = q @ m0 @ q.conj().T
+    a0 = np.zeros((40, 40))
+    a0[:2, :2] = [[2.0, 1.0], [0.0, 2.0]]
+    a0[entry] += 1e-14
+    a0[2:, 2:] = rng.standard_normal((38, 38))
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    a = hc.ToeplitzOperator(0, 40, {0: q @ a0 @ q.T})
     b = rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1))
     omegas = [0.0, 250.0, -3.5, 1e4]
     try:
-        solver = hc.ShiftedSolver(m0)
+        solver = hc.ShiftedSolver(a, 314.0)
     except SingularSystemError as err:
         assert err.cond_estimate > hc.MODE_COND_LIMIT
         return
+    m0 = solver.m0
     y = solver.solve(omegas, hc.matmul(solver.v_inv, b))
     for p, omega in enumerate(omegas):
         want = _dense_shifted_solve(m0, omega, b)
         assert (np.abs(hc.matmul(solver.v, y[:, p]) - want).max()
                 <= 1e-9 * np.abs(want).max())
+
+
+def test_an_operator_of_a_complex_system_is_refused(monkeypatch):
+    # blocks k and -k that are not conjugate have no real form: refused
+    # before any eigendecomposition
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(hc, "eig", no_lapack)
+    monkeypatch.setattr(hc, "inv", no_lapack)
+    rng = np.random.default_rng(5)
+    a = hc.ToeplitzOperator(2, 8, _random_symmetric_system(rng, 2, 8)[0])
+    skewed = dict(a.blocks)
+    skewed[-1] = skewed[-1] * (1.0 + 1e-6j)
+    with pytest.raises(ValueError, match="conjugate"):
+        hc.ShiftedSolver(hc.ToeplitzOperator(2, 8, skewed), 314.0)
+    complex_dc = dict(a.blocks)
+    complex_dc[0] = complex_dc[0] + 1e-3j
+    with pytest.raises(ValueError, match="conjugate"):
+        hc.ShiftedSolver(hc.ToeplitzOperator(2, 8, complex_dc), 314.0)

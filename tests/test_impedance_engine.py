@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import _reference as ref
 from mmc_hss import hss_core, impedance_engine as ie, mmc_model as mm
@@ -194,7 +193,7 @@ def test_operating_point_must_match(params, op):
 
 def test_degenerate_response_detected(params, monkeypatch):
     def no_response(self, omegas, b):
-        return np.zeros((len(self.t), np.size(omegas), b.shape[-1]),
+        return np.zeros((len(self.eigvals), np.size(omegas), b.shape[-1]),
                         dtype=complex)
 
     monkeypatch.setattr(hss_core.ShiftedSolver, "solve", no_response)
@@ -307,7 +306,7 @@ def test_sweep_input_validation(params):
 
 @pytest.mark.parametrize("order", [0, ie.MAX_ORDER + 1])
 def test_sweep_rejects_an_order_out_of_range(params, order, monkeypatch):
-    # refused as a bad argument before any Schur factor is built
+    # refused as a bad argument before any modal factor is built
     monkeypatch.setattr(ie, "_Factor", None)
     with pytest.raises(ValueError, match="order must lie in 1..16"):
         ie.sweep(params, OPEN, freqs=np.array([35.0, 80.0]), order=order)
@@ -391,20 +390,16 @@ def test_automatic_spot_point_is_the_sweep_point(params, monkeypatch):
 
 def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
     # on the reference leg and its m = 0 variant, check's modal bound is
-    # no smaller than LAPACK's condition estimate of T - j*omega*I at any
+    # no smaller than LAPACK's condition estimate of M0 - j*omega*I at any
     # sweep frequency, and stays below the guard (these read up to ~1e8)
     omegas = 2.0 * np.pi * np.arange(5.0, 500.5, 1.0)
     for leg in (params, params_m0):
         for h in (4, 8, 16):
             solver = ie._Factor(leg, h).solver
-            trcon, = scipy.linalg.get_lapack_funcs(("trcon",), (solver.t,))
-            shifted = np.array(solver.t, order="F")
-            diag = np.diagonal(solver.t).copy()
+            eye = np.eye(len(solver.m0))
             for w in omegas:
-                shifted.flat[::len(diag) + 1] = diag - 1j * w
-                rcond, info = trcon(shifted)
-                assert info == 0
-                assert 1.0 / rcond <= solver.check(w) < hss_core.COND_LIMIT
+                assert (ref.lapack_cond(solver.m0 - 1j * w * eye)
+                        <= solver.check(w) < hss_core.COND_LIMIT)
 
 
 def test_sweep_memory_stays_within_the_chunk_budget(params):
@@ -499,8 +494,28 @@ def _dense_impedance(params, config, op, order, f):
     return -(1.0 + params.load_impedance(wp) * i_gp) / i_gp
 
 
+def test_modal_factor_of_random_legs():
+    # the real form's spectrum is exactly closed under conjugation, the
+    # modes invert to roundoff, and check bounds the exact 1-norm
+    # condition number of M0 - j*omega*I at sampled shifts
+    rng = np.random.default_rng(20261019)
+    for h in (4, 8, 16):
+        for _ in range(3):
+            solver = ie._Factor(_random_leg(rng), h).solver
+            modes = np.sort_complex(solver.eigvals)
+            np.testing.assert_array_equal(np.sort_complex(modes.conj()),
+                                          modes)
+            eye = np.eye(len(modes))
+            np.testing.assert_allclose(
+                hss_core.matmul(solver.v_inv, solver.v), eye, rtol=0.0,
+                atol=1e-12)
+            for w in 2.0 * np.pi * rng.uniform(5.0, 500.0, size=4):
+                assert solver.check(w) >= np.linalg.cond(
+                    solver.m0 - 1j * w * eye, 1)
+
+
 def test_resolvent_matches_dense_solve_on_random_legs():
-    # the Schur resolvent path against a dense solve of the assembled
+    # the modal resolvent path against a dense solve of the assembled
     # operator, and sweep points against single-point calls: a point's
     # value must not depend on which chunk of a batched solve it was in
     rng = np.random.default_rng(20261018)
