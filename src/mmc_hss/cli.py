@@ -25,9 +25,7 @@ import numpy as np
 
 from . import impedance_engine, mmc_model, td_sim
 from .errors import (ANY, NON_NEGATIVE, POSITIVE, Checked,
-                     DegenerateResponseError, DivergenceError,
-                     InvalidValueError, PoleAtResonanceError,
-                     SingularSystemError, check)
+                     InvalidValueError, PoleAtResonanceError, check)
 
 _CSV_HEADER = "freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg"
 
@@ -392,19 +390,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularSystemError, PoleAtResonanceError,
-            DegenerateResponseError, DivergenceError) as exc:
+    except (ArithmeticError, PoleAtResonanceError) as exc:
+        # SingularSystemError, DegenerateResponseError, DivergenceError
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
+        # ConfigError and every rule a value breaks
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Harmonic state-space building blocks.
 
 A real T-periodic signal x(t) is carried as the stack of its complex Fourier
-coefficients [X_{-h}, ..., X_0, ..., X_h]. Multiplication by a periodic
-coefficient becomes a block-Toeplitz operator on the stack, d/dt becomes a
-block-diagonal frequency shift. The periodic steady state of a linear
-time-periodic system is one dense linear solve; its responses to a
+coefficients [X_{-h}, ..., X_0, ..., X_h]. A periodic (d, d) coefficient
+is the plain array of its Fourier blocks, A_k at blocks[k + h], shape
+(2h + 1, d, d); multiplication by it is the block-Toeplitz lift of that
+array, d/dt a block-diagonal frequency shift. The periodic steady state
+of a linear time-periodic system is one DenseFactor solve; its responses to a
 perturbation at many frequencies share one real eigendecomposition of the
 unshifted operator, each frequency an elementwise scaling with an O(n)
 condition bound. Nothing here knows about converters.
@@ -13,7 +14,6 @@ condition bound. Nothing here knows about converters.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import (LinAlgError, LinAlgWarning, eig, get_blas_funcs,
@@ -30,12 +30,6 @@ COND_LIMIT, MODE_COND_LIMIT, _REAL_RTOL = 1e12, 1e6, 1e-14
 _GEMM, = get_blas_funcs(("gemm",), dtype=complex)
 
 
-def _readonly(a):
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
-
-
 def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     """Dense block-Toeplitz lift of the blocks A_k = blocks[k + order].
 
@@ -49,41 +43,6 @@ def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     padded[n // 2:n // 2 + n] = blocks
     lifted = padded[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
     return lifted.transpose(0, 2, 1, 3).reshape(n * r, n * c)
-
-
-@dataclass(frozen=True)
-class ToeplitzOperator:
-    """Block-Toeplitz operator: block (r, c) is A_{r-c}, zero past +-order.
-
-    Acting on a harmonic stack this is multiplication of the underlying
-    time signal by the periodic matrix whose Fourier blocks are A_k,
-    truncated to the +-order window.
-    """
-
-    order: int
-    dim: int
-    blocks: dict = field(repr=False)
-
-    def __post_init__(self):
-        clean = {}
-        for k, b in self.blocks.items():
-            if abs(k) > self.order:
-                raise ValueError(f"block index {k} outside truncation +-{self.order}")
-            b = np.asarray(b, dtype=complex)
-            if b.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"block {k} must be {self.dim}x{self.dim}, got {b.shape}"
-                )
-            clean[int(k)] = _readonly(b)
-        object.__setattr__(self, "blocks", clean)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        blocks = np.zeros((2 * self.order + 1, self.dim, self.dim),
-                          dtype=complex)
-        for k, b in self.blocks.items():
-            blocks[k + self.order] = b
-        return block_toeplitz(blocks)
 
 
 class DenseFactor:
@@ -124,11 +83,6 @@ class DenseFactor:
         return x
 
 
-def solve_dense(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One-shot guarded LU solve; see DenseFactor."""
-    return DenseFactor(m).solve(rhs)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-d complex arrays, through SciPy's BLAS.
 
@@ -164,13 +118,14 @@ class ShiftedSolver:
     1981): right-hand sides go in as v_inv @ b, each shift is a scaling of
     modal coordinates, and solutions come out as v @ y.
 
-    M0 = A - N must be the operator of a real periodic system, A_-k =
-    conj(A_k), else ValueError. In the basis X_0, X_k + X_-k, j(X_k - X_-k)
-    it is a real M_r = U^-1 M0 U, whose eigenvectors V_r give v = U V_r and
-    v_inv = V_r^-1 U^-1. Uses SciPy's BLAS and LAPACK only, like matmul."""
+    M0 = A - N, the operator_matrix of the (2h + 1, d, d) blocks, must be
+    the operator of a real periodic system, A_-k = conj(A_k), else
+    ValueError. In the basis X_0, X_k + X_-k, j(X_k - X_-k) it is a real
+    M_r = U^-1 M0 U, whose eigenvectors V_r give v = U V_r and v_inv =
+    V_r^-1 U^-1. Uses SciPy's BLAS and LAPACK only, like matmul."""
 
-    def __init__(self, a: ToeplitzOperator, omega1: float):
-        self.m0, h = operator_matrix(a, omega1), a.order
+    def __init__(self, blocks: np.ndarray, omega1: float):
+        self.m0, h = operator_matrix(blocks, omega1), len(blocks) // 2
         # U^-1 M0 U: pair the columns of blocks k and -k, then the rows
         real = _pair(_pair(self.m0.T, h, 1, 1, 1j, -1j).T,
                      h, .5, .5, -.5j, .5j)
@@ -221,22 +176,14 @@ class ShiftedSolver:
         return (b[:, None] if b.ndim == 2 else b) / pivots[:, :, None]
 
 
-def operator_matrix(a: ToeplitzOperator, omega1: float,
+def operator_matrix(blocks: np.ndarray, omega1: float,
                     omega_off: float = 0.0) -> np.ndarray:
-    """Dense A - N, with N the block-diagonal frequency shift whose block k
-    is j(omega_off + k*omega1)*I: with an offset omega_off, the operator of
+    """Dense A - N, with A the block_toeplitz lift of the (2h + 1, d, d)
+    blocks and N the block-diagonal frequency shift whose block k is
+    j(omega_off + k*omega1)*I: with an offset omega_off, the operator of
     the response to a forcing at that offset."""
-    ks = np.arange(-a.order, a.order + 1)
-    m = a.matrix
-    m[np.diag_indices_from(m)] -= np.repeat(1j * (omega_off + ks * omega1),
-                                            a.dim)
+    h, dim = len(blocks) // 2, blocks.shape[1]
+    m = block_toeplitz(blocks)
+    m[np.diag_indices_from(m)] -= np.repeat(
+        1j * (omega_off + np.arange(-h, h + 1) * omega1), dim)
     return m
-
-
-def solve_steady_state(a: ToeplitzOperator, omega1: float,
-                       u: np.ndarray) -> np.ndarray:
-    """Periodic steady state of dx/dt = A(t)x + u(t): X = -(A - N)^{-1} U,
-    with U and X harmonic stacks (block k at rows (k + order)*dim on)."""
-    if np.shape(u) != (a.dim * (2 * a.order + 1),):
-        raise ValueError("operator/vector shapes disagree")
-    return solve_dense(operator_matrix(a, omega1), -u)

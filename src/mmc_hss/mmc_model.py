@@ -167,31 +167,36 @@ def _coupling_block(params: CircuitParams, n_u_k: complex, n_l_k: complex
     ], dtype=complex)
 
 
-def _base_blocks(params: CircuitParams) -> dict:
-    blocks = {}
+def _base_blocks(params: CircuitParams, order: int) -> np.ndarray:
+    blocks = np.zeros((2 * order + 1, 4, 4), dtype=complex)
     for k, (nu, nl) in insertion_coeffs(params).items():
-        blocks[k] = _coupling_block(params, nu, nl)
+        blocks[k + order] = _coupling_block(params, nu, nl)
     ind = params.arm_inductance
     l_eff = ind + 2.0 * params.load_inductance
-    blocks[0][0, 0] = -params.arm_resistance / ind
-    blocks[0][3, 3] = -(params.arm_resistance
-                        + 2.0 * params.load_resistance) / l_eff
+    blocks[order, 0, 0] = -params.arm_resistance / ind
+    blocks[order, 3, 3] = -(params.arm_resistance
+                            + 2.0 * params.load_resistance) / l_eff
     return blocks
 
 
 def build_base_hss(params: CircuitParams, order: int):
-    """Harmonic operator A and forcing stack U of the unperturbed leg.
+    """Fourier blocks A and forcing stack U of the unperturbed leg.
 
-    A is the block-Toeplitz lift of the periodic state matrix with the load
-    folded in, U the dc-link forcing: zero but for row 4*order (i_c at
-    harmonic 0). With N the fundamental frequency shift, the periodic
-    steady state is X = -(A - N)^{-1} U.
+    A is the (2*order + 1, 4, 4) array of the periodic state matrix's
+    blocks, A_k at A[k + order], with the load folded in; U is the dc-link
+    forcing: zero but for row 4*order (i_c at harmonic 0). With N the
+    fundamental frequency shift, the periodic steady state is
+    X = -(A - N)^{-1} U. A second-harmonic modulation needs order >= 2.
     """
     check("order", order, COUNT)
-    a = hss_core.ToeplitzOperator(order, 4, _base_blocks(params))
+    if order < 2 and params.modulation_index_2h != 0.0:
+        raise ValueError(
+            f"order {order} cannot hold the second-harmonic modulation "
+            f"(modulation_index_2h = {params.modulation_index_2h}); "
+            "use an order of at least 2")
     u = np.zeros(4 * (2 * order + 1), dtype=complex)
     u[4 * order] = params.vdc / (2.0 * params.arm_inductance)
-    return a, u
+    return _base_blocks(params, order), u
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,8 @@ class SteadyOperatingPoint:
 def steady_state(params: CircuitParams, order: int) -> SteadyOperatingPoint:
     """Solve the periodic steady state at truncation order `order`."""
     a, u = build_base_hss(params, order)
-    x = hss_core.solve_steady_state(a, params.omega1, u).reshape(-1, 4)
+    x = hss_core.DenseFactor(hss_core.operator_matrix(
+        a, params.omega1)).solve(-u).reshape(-1, 4)
     # engine factors cache the operating point and share it
     x.setflags(write=False)
     return SteadyOperatingPoint(params, order, x)

@@ -258,9 +258,9 @@ def test_criterion_8_property_suite(params, capfd):
     pairs = []
     for solver in ("open", "acv"):
         if solver == "open":
-            xp, xm = (hc.solve_dense(
-                *mm.perturbed_system(params, OPEN, None, 4, w))
-                for w in (wp, -wp))
+            xp, xm = (hc.DenseFactor(m).solve(b) for m, b in (
+                mm.perturbed_system(params, OPEN, None, 4, w)
+                for w in (wp, -wp)))
         else:
             xp = ref.closed_loop_response(params, ACV1, op4, 4, +wp)
             xm = ref.closed_loop_response(params, ACV1, op4, 4, -wp)
@@ -287,8 +287,7 @@ def test_criterion_8_property_suite(params, capfd):
                 xc[h] = v.real
             else:
                 xc[h + k], xc[h - k] = v, v.conjugate()
-        opr = hc.ToeplitzOperator(h, 1, {k: [[ac[h + k]]] for k in (-1, 0, 1)})
-        y = opr.matrix @ xc
+        y = hc.block_toeplitz(ac[:, None, None]) @ xc
         t = np.arange(16 * h + 16) * period / (16 * h + 16)
         a_t = ref.evaluate(ac, w1, t).real
         x_t = ref.evaluate(xc, w1, t).real

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from mmc_hss import cli
-from mmc_hss.errors import InvalidValueError
+from mmc_hss.errors import (DegenerateResponseError, DivergenceError,
+                            InvalidValueError, PoleAtResonanceError,
+                            SingularSystemError)
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -482,6 +484,37 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, cfg_m0):
                          "--freqs", freqs]) == 2
         assert "--freqs entries must be positive and finite" \
             in capsys.readouterr().err
+
+
+def test_order_one_with_a_second_harmonic_modulation_exits_2(tmp_path,
+                                                             capsys):
+    cfg = _write(tmp_path, "h2.cfg", "modulation_index_2h = 0.1\n")
+    assert cli.main(["steady", "--config", cfg, "--h", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: order 1 cannot hold the "
+                          "second-harmonic modulation "
+                          "(modulation_index_2h = 0.1)")
+    assert cli.main(["steady", "--config", cfg, "--h", "2"]) == 0
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (SingularSystemError("singular"), 3, "numerical error: singular"),
+    (PoleAtResonanceError("on pole"), 3, "numerical error: on pole"),
+    (DegenerateResponseError("no response"), 3,
+     "numerical error: no response"),
+    (DivergenceError("diverged"), 3, "numerical error: diverged"),
+    (cli.ConfigError("bad key"), 2, "config error: bad key"),
+    (InvalidValueError("vdc", "must be positive"), 2,
+     "config error: vdc must be positive"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_typed_error_maps_to_its_exit_code(cfg_m0, capsys, monkeypatch,
+                                                error, code, prefix):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.mmc_model, "steady_state", fail)
+    assert cli.main(["steady", "--config", cfg_m0]) == code
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_exit_code_3_on_divergence(tmp_path, capsys):

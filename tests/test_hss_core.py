@@ -1,5 +1,6 @@
-"""Harmonic building blocks: Toeplitz/shift operators, steady-state and
-perturbation solves, and the Fourier references they are checked with."""
+"""Harmonic building blocks: the block-Toeplitz lift of a (2h + 1, d, d)
+block array, A - N, steady-state and perturbation solves, and the Fourier
+references they are checked with."""
 
 import numpy as np
 import pytest
@@ -51,8 +52,9 @@ def test_fourier_series_round_trip():
 
 def test_toeplitz_dc_only_is_block_diagonal():
     a0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    op = hc.ToeplitzOperator(2, 2, {0: a0})
-    m = op.matrix
+    blocks = np.zeros((5, 2, 2), dtype=complex)
+    blocks[2] = a0
+    m = hc.block_toeplitz(blocks)
     for r in range(5):
         for c in range(5):
             blk = m[2 * r:2 * r + 2, 2 * c:2 * c + 2]
@@ -65,8 +67,9 @@ def test_toeplitz_dc_only_is_block_diagonal():
 def test_toeplitz_band_placement_and_zero_fill():
     a1 = np.eye(3) * 2.0
     am1 = np.eye(3) * 5.0
-    op = hc.ToeplitzOperator(3, 3, {1: a1, -1: am1})
-    m = op.matrix
+    blocks = np.zeros((7, 3, 3), dtype=complex)
+    blocks[3 + 1], blocks[3 - 1] = a1, am1
+    m = hc.block_toeplitz(blocks)
     n = 7
     for r in range(n):
         for c in range(n):
@@ -123,10 +126,7 @@ def test_toeplitz_matches_time_domain_product():
                 xc[h] = v.real
             else:
                 xc[h + k], xc[h - k] = v, np.conj(v)
-        op = hc.ToeplitzOperator(
-            h, 1, {k: [[ac[h + k]]] for k in range(-bw, bw + 1)}
-        )
-        y = op.matrix @ xc
+        y = hc.block_toeplitz(ac[:, None, None]) @ xc
 
         t = _sample_period(period, 16 * h + 16)
         a_t = ref.evaluate(ac, w1, t).real
@@ -139,8 +139,8 @@ def test_toeplitz_matches_time_domain_product():
 def test_toeplitz_scalar_cos_squared():
     # a(t) = x(t) = cos(w1 t): product has dc 1/2 and second harmonic 1/4
     h = 2
-    op = hc.ToeplitzOperator(h, 1, {1: [[0.5]], -1: [[0.5]]})
-    y = op.matrix @ np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+    a = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+    y = hc.block_toeplitz(a[:, None, None]) @ a
     assert y[h] == pytest.approx(0.5)
     assert y[h + 2] == pytest.approx(0.25)
     assert y[h - 2] == pytest.approx(0.25)
@@ -149,24 +149,27 @@ def test_toeplitz_scalar_cos_squared():
 
 def test_shift_operator_diagonal():
     # with zero blocks A - N is -N: block k is -j(omega_off + k*omega1)*I
-    m = hc.operator_matrix(hc.ToeplitzOperator(1, 1, {}), 314.0)
+    m = hc.operator_matrix(np.zeros((3, 1, 1)), 314.0)
     np.testing.assert_allclose(np.diag(m), [314j, 0.0, -314j])
-    mp = hc.operator_matrix(hc.ToeplitzOperator(1, 2, {}), 314.0,
-                            omega_off=100.0)
+    mp = hc.operator_matrix(np.zeros((3, 2, 2)), 314.0, omega_off=100.0)
     np.testing.assert_allclose(
         np.diag(mp), [214j, 214j, -100j, -100j, -414j, -414j]
     )
     assert not mp[~np.eye(6, dtype=bool)].any()
-
-
-def test_shape_mismatch_rejected():
-    a = hc.ToeplitzOperator(2, 1, {0: [[-1.0]]})
-    with pytest.raises(ValueError):
-        hc.solve_steady_state(a, 314.0, np.zeros(7, dtype=complex))
-    with pytest.raises(ValueError):
-        hc.ToeplitzOperator(2, 2, {5: np.eye(2)})
-    with pytest.raises(ValueError):
-        hc.ToeplitzOperator(2, 2, {0: np.eye(3)})
+    # on random blocks: block (p, q) is A_{p-q} (zero past +-h), less the
+    # shift on p = q
+    rng = np.random.default_rng(8)
+    h, d = 2, 3
+    blocks = rng.normal(size=(2 * h + 1, d, d)) + 1j * rng.normal(
+        size=(2 * h + 1, d, d))
+    want = np.zeros(((2 * h + 1) * d,) * 2, dtype=complex)
+    for p in range(2 * h + 1):
+        for q in range(max(p - h, 0), min(p + h + 1, 2 * h + 1)):
+            want[p * d:(p + 1) * d, q * d:(q + 1) * d] = blocks[p - q + h]
+        want[p * d:(p + 1) * d, p * d:(p + 1) * d] -= np.diag(
+            np.full(d, 1j * (100.0 + (p - h) * 314.0)))
+    np.testing.assert_allclose(hc.operator_matrix(blocks, 314.0, 100.0),
+                               want, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------- solves
@@ -175,9 +178,10 @@ def test_shape_mismatch_rejected():
 def test_steady_state_scalar_first_order():
     # xdot = -x + cos(w1 t) has X_{+-1} = 1/(2(1 +- j w1))
     w1 = 314.0
-    a = hc.ToeplitzOperator(2, 1, {0: [[-1.0]]})
+    a = np.zeros((5, 1, 1))
+    a[2] = -1.0
     u = np.array([0.0, 0.5, 0.0, 0.5, 0.0], dtype=complex)
-    x = hc.solve_steady_state(a, w1, u)
+    x = hc.DenseFactor(hc.operator_matrix(a, w1)).solve(-u)
     assert x[3] == pytest.approx(1.0 / (2.0 * (1.0 + 1j * w1)))
     assert x[1] == pytest.approx(1.0 / (2.0 * (1.0 - 1j * w1)))
     assert abs(x[2]) < 1e-15
@@ -187,40 +191,42 @@ def test_steady_state_scalar_first_order():
 def test_perturbation_scalar_frequency_response():
     # time-invariant xdot = -x + u at offset wp: X_0 = U_0/(1 + j wp)
     wp = 85.0
-    a = hc.ToeplitzOperator(1, 1, {0: [[-1.0]]})
-    x = hc.solve_dense(hc.operator_matrix(a, 314.0, wp),
-                       -np.array([0.0, 1.0, 0.0], dtype=complex))
+    a = np.array([0.0, -1.0, 0.0])[:, None, None]
+    x = hc.DenseFactor(hc.operator_matrix(a, 314.0, wp)).solve(
+        -np.array([0.0, 1.0, 0.0], dtype=complex))
     assert x[1] == pytest.approx(1.0 / (1.0 + 1j * wp))
     assert abs(x[2]) < 1e-15
 
 
 def test_perturbation_zero_forcing_gives_zero():
-    a = hc.ToeplitzOperator(2, 3, {0: -np.eye(3), 1: 0.1 * np.ones((3, 3))})
-    x = hc.solve_dense(hc.operator_matrix(a, 314.0, 50.0),
-                       np.zeros(15, dtype=complex))
+    a = np.zeros((5, 3, 3))
+    a[2], a[3] = -np.eye(3), 0.1 * np.ones((3, 3))
+    x = hc.DenseFactor(hc.operator_matrix(a, 314.0, 50.0)).solve(
+        np.zeros(15, dtype=complex))
     assert np.abs(x).max() == 0.0
 
 
 def _random_symmetric_system(rng, h, d):
-    blocks = {0: -np.eye(d) * (2.0 + rng.random()) + 0.3 * rng.normal(size=(d, d))}
+    """(2h + 1, d, d) blocks and the forcing stack of a real periodic
+    system: A_-k = conj(A_k), U_-k = conj(U_k)."""
+    blocks = np.zeros((2 * h + 1, d, d), dtype=complex)
+    blocks[h] = -np.eye(d) * (2.0 + rng.random()) + 0.3 * rng.normal(size=(d, d))
     for k in range(1, h + 1):
         bk = 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        blocks[k] = bk
-        blocks[-k] = bk.conj()
-    ub = {0: rng.normal(size=d).astype(complex)}
+        blocks[h + k], blocks[h - k] = bk, bk.conj()
+    u = np.zeros((2 * h + 1, d), dtype=complex)
+    u[h] = rng.normal(size=d)
     for k in range(1, h + 1):
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        ub[k], ub[-k] = v, v.conj()
-    return blocks, ub
+        u[h + k], u[h - k] = v, v.conj()
+    return blocks, u.ravel()
 
 
 def test_solve_preserves_conjugate_symmetry_and_residual():
     rng = np.random.default_rng(42)
     for h, d in ((2, 2), (4, 4), (6, 3)):
-        blocks, ub = _random_symmetric_system(rng, h, d)
-        a = hc.ToeplitzOperator(h, d, blocks)
-        u = np.concatenate([ub[k] for k in range(-h, h + 1)])
-        x = hc.solve_steady_state(a, 314.159, u)
+        a, u = _random_symmetric_system(rng, h, d)
+        x = hc.DenseFactor(hc.operator_matrix(a, 314.159)).solve(-u)
         assert ref.is_real(x, d, tol=1e-10)
         res = hc.operator_matrix(a, 314.159) @ x + u
         scale = max(np.abs(x).max(), 1.0)
@@ -229,10 +235,10 @@ def test_solve_preserves_conjugate_symmetry_and_residual():
 
 def test_singular_system_raises_with_estimate():
     # A = diag(j w1) cancels N exactly at harmonic +1
-    a = hc.ToeplitzOperator(1, 1, {0: [[1j * 314.0]]})
+    a = np.array([0.0, 314.0j, 0.0])[:, None, None]
     with pytest.raises(SingularSystemError) as err:
-        hc.solve_steady_state(a, 314.0, np.array([0.0, 1.0, 0.0],
-                                                 dtype=complex))
+        hc.DenseFactor(hc.operator_matrix(a, 314.0)).solve(
+            -np.array([0.0, 1.0, 0.0], dtype=complex))
     assert err.value.cond_estimate > 1e12
 
 
@@ -274,7 +280,7 @@ def test_shifted_check_bounds_the_condition_number_for_every_shift():
     # number of M0 - j*omega*I or LAPACK's estimate of it, repeats bitwise
     # and leaves M0 alone
     rng = np.random.default_rng(3)
-    a = hc.ToeplitzOperator(2, 8, _random_symmetric_system(rng, 2, 8)[0])
+    a = _random_symmetric_system(rng, 2, 8)[0]
     solver = hc.ShiftedSolver(a, 314.0)
     m0_before = solver.m0.copy()
     bounds = {}
@@ -287,7 +293,7 @@ def test_shifted_check_bounds_the_condition_number_for_every_shift():
     np.testing.assert_array_equal(solver.m0, m0_before)
     # a scalar operator has kappa_1(v) = 1 and condition number 1, where
     # the bound (1 + |omega|) / |1 + j*omega| lies in [1, sqrt(2)]
-    scalar = hc.ShiftedSolver(hc.ToeplitzOperator(0, 1, {0: [[-1.0]]}), 314.0)
+    scalar = hc.ShiftedSolver(np.full((1, 1, 1), -1.0), 314.0)
     for omega in (0.0, 250.0, -3.5, 1e4):
         assert 1.0 <= scalar.check(omega) <= np.sqrt(2.0)
 
@@ -298,9 +304,8 @@ def test_shifted_check_raises_on_an_eigenvalue_at_the_shift():
     # real form and in the modal form
     rng = np.random.default_rng(3)
     blocks, _ = _random_symmetric_system(rng, 1, 13)
-    for b in blocks.values():
-        b[:, 0] = b[0, :] = 0.0
-    solver = hc.ShiftedSolver(hc.ToeplitzOperator(1, 13, blocks), 250.0)
+    blocks[:, :, 0] = blocks[:, 0, :] = 0.0
+    solver = hc.ShiftedSolver(blocks, 250.0)
     with pytest.raises(SingularSystemError, match="singular"):
         solver.check(250.0)
     assert solver.check(251.0) <= hc.COND_LIMIT
@@ -314,7 +319,7 @@ def test_modal_solve_matches_a_dense_solve():
     # v @ solve(omegas, v_inv @ b) is (M0 - j*omega*I)^-1 b for every shift,
     # with one right-hand side shared by all shifts or one block per shift
     rng = np.random.default_rng(11)
-    a = hc.ToeplitzOperator(2, 8, _random_symmetric_system(rng, 2, 8)[0])
+    a = _random_symmetric_system(rng, 2, 8)[0]
     b = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     omegas = [0.0, 250.0, -3.5, 1e4]
     solver = hc.ShiftedSolver(a, 314.0)
@@ -345,7 +350,7 @@ def test_nearly_defective_operator_raises_or_solves_accurately(entry):
     a0[entry] += 1e-14
     a0[2:, 2:] = rng.standard_normal((38, 38))
     q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
-    a = hc.ToeplitzOperator(0, 40, {0: q @ a0 @ q.T})
+    a = (q @ a0 @ q.T)[None]
     b = rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1))
     omegas = [0.0, 250.0, -3.5, 1e4]
     try:
@@ -370,12 +375,12 @@ def test_an_operator_of_a_complex_system_is_refused(monkeypatch):
     monkeypatch.setattr(hc, "eig", no_lapack)
     monkeypatch.setattr(hc, "inv", no_lapack)
     rng = np.random.default_rng(5)
-    a = hc.ToeplitzOperator(2, 8, _random_symmetric_system(rng, 2, 8)[0])
-    skewed = dict(a.blocks)
-    skewed[-1] = skewed[-1] * (1.0 + 1e-6j)
+    a = _random_symmetric_system(rng, 2, 8)[0]
+    skewed = a.copy()
+    skewed[2 - 1] *= 1.0 + 1e-6j
     with pytest.raises(ValueError, match="conjugate"):
-        hc.ShiftedSolver(hc.ToeplitzOperator(2, 8, skewed), 314.0)
-    complex_dc = dict(a.blocks)
-    complex_dc[0] = complex_dc[0] + 1e-3j
+        hc.ShiftedSolver(skewed, 314.0)
+    complex_dc = a.copy()
+    complex_dc[2] += 1e-3j
     with pytest.raises(ValueError, match="conjugate"):
-        hc.ShiftedSolver(hc.ToeplitzOperator(2, 8, complex_dc), 314.0)
+        hc.ShiftedSolver(complex_dc, 314.0)

@@ -1,6 +1,7 @@
 """Impedance extraction: closed forms without modulation, loop closure
 against dense assembly, sweep bookkeeping and resonance search."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -310,6 +311,18 @@ def test_sweep_rejects_an_order_out_of_range(params, order, monkeypatch):
     monkeypatch.setattr(ie, "_Factor", None)
     with pytest.raises(ValueError, match="order must lie in 1..16"):
         ie.sweep(params, OPEN, freqs=np.array([35.0, 80.0]), order=order)
+
+
+def test_order_one_refuses_a_second_harmonic_modulation(params):
+    # the engine's spot, sweep and steady paths all refuse it by name
+    p2 = dataclasses.replace(params, modulation_index_2h=0.1)
+    message = r"order 1 .*modulation_index_2h = 0\.1"
+    for run in (lambda: ie.impedance_at(p2, OPEN, 35.0, order=1),
+                lambda: ie.sweep(p2, ACV, np.array([35.0]), order=1),
+                lambda: mm.steady_state(p2, 1)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    assert np.isfinite(ie.impedance_at(p2, OPEN, 35.0, order=2).impedance)
 
 
 def test_auto_order_sweep_of_an_emptied_grid(params):

@@ -8,6 +8,7 @@ depth 0.847 into a 550 ohm resistive load.
 """
 
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,7 +138,8 @@ def test_base_operator_frozen_entries(params):
     # spot values of the lifted state matrix for the reference leg:
     # dc block damping terms and the fundamental coupling band
     a, u = mm.build_base_hss(params, 2)
-    a0 = a.blocks[0]
+    assert a.shape == (5, 4, 4)
+    a0 = a[2]
     assert a0[0, 0] == pytest.approx(-1.0 / 0.36)
     assert a0[3, 3] == pytest.approx(-(1.0 + 2.0 * 550.0) / 0.36)
     assert a0[1, 0] == pytest.approx(0.5 / 7e-6)
@@ -145,16 +147,16 @@ def test_base_operator_frozen_entries(params):
     assert a0[1, 3] == pytest.approx(0.25 / 7e-6)
     assert a0[2, 3] == pytest.approx(-0.25 / 7e-6)
 
-    a1 = a.blocks[1]
+    a1 = a[2 + 1]
     assert a1[0, 1] == pytest.approx(0.847 / (8.0 * 0.36))
     assert a1[0, 2] == pytest.approx(-0.847 / (8.0 * 0.36))
     assert a1[3, 1] == pytest.approx(0.847 / (4.0 * 0.36))
     assert a1[3, 2] == pytest.approx(0.847 / (4.0 * 0.36))
     assert a1[1, 0] == pytest.approx(-0.25 * 0.847 / 7e-6)
-    np.testing.assert_allclose(a.blocks[-1], a.blocks[1].conj())
-    assert 2 not in a.blocks
+    np.testing.assert_allclose(a[2 - 1], a[2 + 1].conj())
+    assert not a[2 + 2].any() and not a[2 - 2].any()
 
-    shift = np.diag(a.matrix - hc.operator_matrix(a, params.omega1))
+    shift = np.diag(hc.block_toeplitz(a) - hc.operator_matrix(a, params.omega1))
     np.testing.assert_allclose(shift[4:8], [-1j * params.omega1] * 4)
     assert u[8] == pytest.approx(320e3 / 0.72)
     assert np.flatnonzero(u).tolist() == [8]
@@ -163,6 +165,20 @@ def test_base_operator_frozen_entries(params):
 def test_base_operator_rejects_bad_order(params):
     with pytest.raises(ValueError):
         mm.build_base_hss(params, 0)
+
+
+def test_second_harmonic_modulation_needs_order_two(params):
+    # blocks +-2 have no place at order 1, where a plain index would raise
+    # IndexError or wrap block -2 onto block +1
+    p2 = replace(params, modulation_index_2h=0.1)
+    with pytest.raises(ValueError, match=r"order 1 .*modulation_index_2h"):
+        mm.build_base_hss(p2, 1)
+    a, _ = mm.build_base_hss(p2, 2)
+    m2 = 0.25 * 0.1
+    assert a[2 + 2][1, 0] == pytest.approx(-m2 / 7e-6)
+    assert a[2 - 2][1, 0] == pytest.approx(-m2 / 7e-6)
+    assert a[2 + 2].any() and a[2 - 2].any()
+    assert mm.build_base_hss(params, 1)[0].shape == (3, 4, 4)
 
 
 # ------------------------------------------------------------- steady state
@@ -305,13 +321,14 @@ def test_openloop_perturbation_structure(params):
     wp = 2 * np.pi * 80.0
     m_p, b_p = mm.perturbed_system(params, OPEN, None, 3, wp)
     base, _ = mm.build_base_hss(params, 3)
+    base = hc.block_toeplitz(base)
     off = ~np.eye(len(m_p), dtype=bool)
-    np.testing.assert_array_equal(m_p[off], base.matrix[off])
+    np.testing.assert_array_equal(m_p[off], base[off])
     np.testing.assert_allclose(
-        np.diag(base.matrix - m_p)[12:16], [1j * wp] * 4
+        np.diag(base - m_p)[12:16], [1j * wp] * 4
     )
     ks = np.repeat(np.arange(-3, 4), 4)
-    np.testing.assert_allclose(np.diag(base.matrix - m_p),
+    np.testing.assert_allclose(np.diag(base - m_p),
                                1j * (wp + ks * params.omega1), rtol=1e-13)
     np.testing.assert_allclose(mm.series_forcing(params, 3, 2.0)[12:16],
                                [0, 0, 0, 4.0 / 0.36])
@@ -326,7 +343,7 @@ def test_openloop_response_conjugate_pairing(params):
     xs = {}
     for sgn in (+1, -1):
         m_p, b_p = mm.perturbed_system(params, OPEN, None, 4, sgn * wp)
-        xs[sgn] = hc.solve_dense(m_p, b_p).reshape(-1, 4)
+        xs[sgn] = hc.DenseFactor(m_p).solve(b_p).reshape(-1, 4)
     np.testing.assert_allclose(xs[-1][::-1], xs[+1].conj(), rtol=1e-10,
                                atol=1e-18)
 
