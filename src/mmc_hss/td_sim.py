@@ -158,7 +158,12 @@ def write_trajectory_csv(series: TimeSeries, path) -> None:
 # (_check_state reports that). The right-hand side is inlined. Insertion
 # indices and probe voltage depend only on time, so each step evaluates them
 # once at t, t + dt/2 and t + dt; every expression keeps its operand order.
-# Set MMC_HSS_NO_JIT=1 to force the fallback.
+# A drive term that is exactly zero (second harmonic, circulating command,
+# insertion probe) is skipped: it would add +-0.0 to an insertion index that
+# is never -0.0. References and record are flat buffer views (_flat); step i
+# records at rec[8*i] .. rec[8*i + 7], in under half the time of 2-D ndarray
+# indexing. numba gets flat arrays over the same buffers. Set
+# MMC_HSS_NO_JIT=1 to force the fallback.
 
 
 def _advance_py(y, step0, n_steps, dt,
@@ -175,6 +180,7 @@ def _advance_py(y, step0, n_steps, dt,
     rec_on = rec.shape[0] > 0
     closed = use_acv == 1 or use_ccc == 1
     probed = vamp != 0.0 or pamp != 0.0
+    second = mod2 != 0.0
     h2 = 0.5 * dt
     sixth = dt / 6.0
     half_vdc = 0.5 * vdc
@@ -203,23 +209,26 @@ def _advance_py(y, step0, n_steps, dt,
         nu, nl = 0.5 - ba, 0.5 + ba
         num, nlm = 0.5 - bm, 0.5 + bm
         nue, nle = 0.5 - be, 0.5 + be
-        sa = half_m2 * math.cos(w2 * t + th2)
-        sm = half_m2 * math.cos(w2 * tm + th2)
-        se = half_m2 * math.cos(w2 * te + th2)
-        nu, nl = nu - sa, nl - sa
-        num, nlm = num - sm, nlm - sm
-        nue, nle = nue - se, nle - se
-        nu, nl = nu + dn_app, nl + dn_app
-        num, nlm = num + dn_app, nlm + dn_app
-        nue, nle = nue + dn_app, nle + dn_app
+        if second:
+            sa = half_m2 * math.cos(w2 * t + th2)
+            sm = half_m2 * math.cos(w2 * tm + th2)
+            se = half_m2 * math.cos(w2 * te + th2)
+            nu, nl = nu - sa, nl - sa
+            num, nlm = num - sm, nlm - sm
+            nue, nle = nue - se, nle - se
+        if dn_app != 0.0:
+            nu, nl = nu + dn_app, nl + dn_app
+            num, nlm = num + dn_app, nlm + dn_app
+            nue, nle = nue + dn_app, nle + dn_app
         if probed:
             ca = math.cos(wp * t)
             cm = math.cos(wp * tm)
             ce = math.cos(wp * te)
             vp, vpm, vpe = vamp * ca, vamp * cm, vamp * ce
-            nu, nl = nu + pamp * ca, nl + pamp * ca
-            num, nlm = num + pamp * cm, nlm + pamp * cm
-            nue, nle = nue + pamp * ce, nle + pamp * ce
+            if pamp != 0.0:
+                nu, nl = nu + pamp * ca, nl + pamp * ca
+                num, nlm = num + pamp * cm, nlm + pamp * cm
+                nue, nle = nue + pamp * ce, nle + pamp * ce
 
         d0 = (half_vdc - r_arm * y0 - 0.5 * (nu * y1 + nl * y2)) / l_arm
         d1 = nu * (y0 + 0.5 * y3) / c_arm
@@ -227,25 +236,19 @@ def _advance_py(y, step0, n_steps, dt,
         d3 = (-nu * y1 + nl * y2 - r_out * y3 - 2.0 * vp) / l_eff
         vg = vp + r_load * y3 + l_load * d3
         if rec_on:
-            rec[i, 0] = t
-            rec[i, 1] = y0
-            rec[i, 2] = y1
-            rec[i, 3] = y2
-            rec[i, 4] = y3
-            rec[i, 5] = vg
-            rec[i, 6] = nu
-            rec[i, 7] = nl
+            r = 8 * i
+            rec[r], rec[r + 1], rec[r + 2] = t, y0, y1
+            rec[r + 3], rec[r + 4], rec[r + 5] = y2, y3, vg
+            rec[r + 6], rec[r + 7] = nu, nl
         if boundary:
             idx = (s // ctrl_every) % n_ref
             if use_acv == 1:
-                err = float(vref[idx]) - vg
+                err = vref[idx] - vg
                 vm_pend = kp_eff * err + xa
-                xa_new = rot_c * xa + rot_s * xb + g1 * err
-                xb_new = -rot_s * xa + rot_c * xb + g2 * err
-                xa = xa_new
-                xb = xb_new
+                xa, xb = (rot_c * xa + rot_s * xb + g1 * err,
+                          -rot_s * xa + rot_c * xb + g2 * err)
             if use_ccc == 1:
-                dn_pend = ra_over_vdc * (y0 - float(icref[idx]))
+                dn_pend = ra_over_vdc * (y0 - icref[idx])
 
         z0 = y0 + h2 * d0
         z1 = y1 + h2 * d1
@@ -281,7 +284,7 @@ def _advance_py(y, step0, n_steps, dt,
     ctrl[3], ctrl[4], ctrl[5] = vm_app, dn_pend, dn_app
 
 
-_ADVANCE = _advance_py
+_ADVANCE, _BUFFER = _advance_py, memoryview
 
 if not os.environ.get("MMC_HSS_NO_JIT"):
     try:
@@ -289,7 +292,14 @@ if not os.environ.get("MMC_HSS_NO_JIT"):
     except ImportError:
         njit = None
     if njit is not None:
-        _ADVANCE = njit(cache=True)(_advance_py)
+        _ADVANCE, _BUFFER = njit(cache=True)(_advance_py), np.asarray
+
+
+def _flat(a):
+    """a's buffer as one flat float sequence, empty for no record; cast
+    raises on an array that is not C-contiguous rather than copy it."""
+    return _BUFFER(memoryview(a).cast("B").cast("d")
+                   if a is not None and a.size else memoryview(_ZERO_REF[:0]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +406,9 @@ class _Runner:
 
     def advance(self, y, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0,
                 rec=None):
-        if rec is None:
-            rec = np.empty((0, 8))
-        _ADVANCE(y, step0, n_steps, self.dt, *self.args, self.ctrl,
-                 wp, vamp, pamp, rec)
+        *consts, vref, icref = self.args
+        _ADVANCE(y, step0, n_steps, self.dt, *consts, _flat(vref),
+                 _flat(icref), self.ctrl, wp, vamp, pamp, _flat(rec))
         return step0 + n_steps
 
 

@@ -1,11 +1,13 @@
 """Independent references the tests check the package against: sampled
 Fourier coefficients, time evaluation of a harmonic stack, conjugate
 symmetry, LAPACK's condition estimate of a dense matrix, the insertion
-indices and loop filters in the time and frequency domain, and the
-closed-loop response stack. Plain functions on arrays.
+indices and loop filters in the time and frequency domain, the
+closed-loop response stack, and plain fixed-step RK4 of the time-domain
+kernel. Plain functions on arrays.
 """
 
 import cmath
+import math
 
 import numpy as np
 import scipy.linalg
@@ -84,3 +86,69 @@ def closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
     if error is not None:
         raise error
     return x[:, 0]
+
+
+def rk4_steps(runner, y, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0):
+    """Plain fixed-step RK4 of what td_sim's kernel integrates, from the
+    constants of runner.args and the controller memory runner.ctrl.
+
+    One right-hand side, called four times per step, with every drive
+    term written out, zero terms included, in the kernel's operand order.
+    Commands sampled at a control boundary take effect at the next one.
+    Returns the end state, the end memory and the (n_steps, 8) record.
+    """
+    (r_arm, l_arm, c_arm, vdc, l_eff, r_out, r_load, l_load, w1, mod1, th1,
+     mod2, th2, use_acv, use_ccc, kp_eff, rot_c, rot_s, g1, g2, ra_over_vdc,
+     every, vref, icref) = runner.args
+    xa, xb, vm_pend, vm_app, dn_pend, dn_app = map(float, runner.ctrl)
+    dt = runner.dt
+    y = [float(v) for v in y]
+
+    def drive(t):
+        """Insertion indices and series probe voltage at t."""
+        if use_acv == 1:
+            b = vm_app / vdc
+        else:
+            b = 0.5 * mod1 * math.cos(w1 * t + th1)
+        second = 0.5 * mod2 * math.cos(2.0 * w1 * t + th2)
+        c = math.cos(wp * t)
+        return (0.5 - b - second + dn_app + pamp * c,
+                0.5 + b - second + dn_app + pamp * c, vamp * c)
+
+    def rhs(x, n_u, n_l, v_p):
+        i_c, v_cu, v_cl, i_g = x
+        return ((0.5 * vdc - r_arm * i_c - 0.5 * (n_u * v_cu + n_l * v_cl))
+                / l_arm,
+                n_u * (i_c + 0.5 * i_g) / c_arm,
+                n_l * (i_c - 0.5 * i_g) / c_arm,
+                (-n_u * v_cu + n_l * v_cl - r_out * i_g - 2.0 * v_p) / l_eff)
+
+    def shift(x, h, k):
+        return [a + h * b for a, b in zip(x, k)]
+
+    rows = []
+    for s in range(step0, step0 + n_steps):
+        t = s * dt
+        boundary = (use_acv == 1 or use_ccc == 1) and s % every == 0
+        if boundary:
+            vm_app, dn_app = vm_pend, dn_pend
+        start, mid, end = drive(t), drive(t + 0.5 * dt), drive(t + dt)
+        k1 = rhs(y, *start)
+        v_g = start[2] + r_load * y[3] + l_load * k1[3]
+        rows.append((t, *y, v_g, start[0], start[1]))
+        if boundary:
+            idx = (s // every) % len(vref)
+            if use_acv == 1:
+                err = float(vref[idx]) - v_g
+                vm_pend = kp_eff * err + xa
+                xa, xb = (rot_c * xa + rot_s * xb + g1 * err,
+                          -rot_s * xa + rot_c * xb + g2 * err)
+            if use_ccc == 1:
+                dn_pend = ra_over_vdc * (y[0] - float(icref[idx]))
+        k2 = rhs(shift(y, 0.5 * dt, k1), *mid)
+        k3 = rhs(shift(y, 0.5 * dt, k2), *mid)
+        k4 = rhs(shift(y, dt, k3), *end)
+        y = [a + dt / 6.0 * (p + 2.0 * q + 2.0 * r + u)
+             for a, p, q, r, u in zip(y, k1, k2, k3, k4)]
+    return (np.array(y), np.array([xa, xb, vm_pend, vm_app, dn_pend, dn_app]),
+            np.array(rows).reshape(n_steps, 8))

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import _reference as ref
 from mmc_hss import impedance_engine as ie, mmc_model as mm, td_sim as td
 from mmc_hss.errors import DivergenceError
 
@@ -95,22 +96,11 @@ def test_incommensurate_probe_rejected(params, monkeypatch):
 # ------------------------------------------------------------------ kernels
 
 
-def test_jit_and_python_kernels_agree(params):
-    # the compiled span stepper must reproduce the pure-Python reference
-    if td._ADVANCE is td._advance_py:
-        pytest.skip("numba not active, nothing to compare")
-    runner = td._Runner(params, None, 1e-5, td._ZERO_REF, td._ZERO_REF)
-    args = runner.args
-    y_a = np.array([0.0, params.vdc, params.vdc, 0.0])
-    y_b = y_a.copy()
-    rec_a = np.empty((runner.spc, 8))
-    rec_b = np.empty((runner.spc, 8))
-    td._advance_py(y_a, 0, runner.spc, 1e-5, *args, np.zeros(6),
-                   0.0, 0.0, 0.0, rec_a)
-    td._ADVANCE(y_b, 0, runner.spc, 1e-5, *args, np.zeros(6),
-                0.0, 0.0, 0.0, rec_b)
-    np.testing.assert_allclose(y_b, y_a, rtol=1e-13)
-    np.testing.assert_allclose(rec_b, rec_a, rtol=1e-13, atol=1e-9)
+# the kernel's cases: control modes, and no probe, a series probe at 35 Hz
+# or an insertion-index probe at 4 Hz as (wp, vamp, pamp)
+MODES = ["open", "acv", "ccc", "acv+ccc"]
+PROBES = [(0.0, 0.0, 0.0), (2 * np.pi * 35.0, 3200.0, 0.0),
+          (2 * np.pi * 4.0, 0.0, 0.002)]
 
 
 def _kernel_case(params, mode):
@@ -158,10 +148,8 @@ def test_numpy_scalar_leg_simulates_bit_identically(params):
             assert a == b, f.name
 
 
-@pytest.mark.parametrize("mode", ["open", "acv", "ccc", "acv+ccc"])
-@pytest.mark.parametrize("probe", [(0.0, 0.0, 0.0),
-                                   (2 * np.pi * 35.0, 3200.0, 0.0),
-                                   (2 * np.pi * 4.0, 0.0, 0.002)])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("probe", PROBES)
 def test_kernel_split_is_bit_identical(params, mode, probe):
     # the kernel carries its state in floats between entry and exit, so
     # two calls split at step 2007, off the 10-step control grid, must end
@@ -176,6 +164,62 @@ def test_kernel_split_is_bit_identical(params, mode, probe):
     assert y_split.tobytes() == y_whole.tobytes()
     assert split.ctrl.tobytes() == whole.ctrl.tobytes()
     assert rec_split.tobytes() == rec_whole.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("m2", [0.0, 0.05])
+def test_kernel_matches_plain_rk4(params, mode, probe, m2):
+    # the kernel skips drive terms that are exactly zero and records
+    # through a flat view; a plain RK4 that adds every term and builds its
+    # record row by row must give the same bits, over 400 steps that start
+    # at step 3003, off the 10-step control grid
+    leg = dataclasses.replace(params, modulation_index_2h=m2,
+                              modulation_phase_2h=0.3)
+    runner, y = _kernel_case(leg, mode)
+    want_y, want_ctrl, want_rec = ref.rk4_steps(runner, y, 3003, 400,
+                                                *probe)
+    rec = np.empty((400, 8))
+    runner.advance(y, 3003, 400, *probe, rec=rec)
+    assert y.tobytes() == want_y.tobytes()
+    assert runner.ctrl.tobytes() == want_ctrl.tobytes()
+    assert rec.tobytes() == want_rec.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("probe", PROBES)
+def test_recording_leaves_the_run_unchanged(params, mode, probe):
+    ends = []
+    for rec in (np.empty((400, 8)), None):
+        runner, y = _kernel_case(params, mode)
+        runner.advance(y, 3003, 400, *probe, rec=rec)
+        ends.append((y.tobytes(), runner.ctrl.tobytes()))
+    assert ends[0] == ends[1]
+    # a strided record cannot be viewed flat: refused, not filled as a copy
+    runner, y = _kernel_case(params, mode)
+    with pytest.raises(TypeError):
+        runner.advance(y, 3003, 400, *probe,
+                       rec=np.empty((400, 16))[:, ::2])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("probe", PROBES)
+def test_jit_and_python_kernels_agree(params, mode, probe, monkeypatch):
+    # the compiled span stepper must reproduce the pure-Python reference
+    if td._ADVANCE is td._advance_py:
+        pytest.skip("numba not active, nothing to compare")
+    runs = []
+    for kernel, buffer in ((td._ADVANCE, td._BUFFER),
+                           (td._advance_py, memoryview)):
+        monkeypatch.setattr(td, "_ADVANCE", kernel)
+        monkeypatch.setattr(td, "_BUFFER", buffer)
+        runner, y = _kernel_case(params, mode)
+        rec = np.empty((runner.spc, 8))
+        runner.advance(y, 3003, runner.spc, *probe, rec=rec)
+        runs.append((y, rec))
+    (y_jit, rec_jit), (y_py, rec_py) = runs
+    np.testing.assert_allclose(y_jit, y_py, rtol=1e-13)
+    np.testing.assert_allclose(rec_jit, rec_py, rtol=1e-13, atol=1e-9)
 
 
 def test_integration_error_scales_as_fourth_order(params):
