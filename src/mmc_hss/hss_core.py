@@ -8,26 +8,23 @@ array, d/dt a block-diagonal frequency shift. The periodic steady state
 of a linear time-periodic system is one DenseFactor solve; its responses to a
 perturbation at many frequencies share one real eigendecomposition of the
 unshifted operator, each frequency an elementwise scaling with an O(n)
-condition bound. Nothing here knows about converters.
+condition bound. Every factorisation and product goes through NumPy, so
+one BLAS and LAPACK build, with one thread pool, does all the dense work.
+Nothing here knows about converters.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import (LinAlgError, LinAlgWarning, eig, get_blas_funcs,
-                          get_lapack_funcs, inv, lu_factor, lu_solve)
+from numpy.linalg import LinAlgError, eig, inv
 
 from .errors import SingularSystemError
 
-# Solves refuse past this condition estimate or bound (MMC legs < 1e9),
+# Solves refuse past this condition number or bound (MMC legs < 1e9),
 # modal forms past this kappa_1(v), a precision loss (MMC legs <= 1.7e4),
 # and real forms of M0 past this 1-norm ratio of imaginary part: roundoff
 # in conj(A_k) (exactly 0 on MMC legs)
 COND_LIMIT, MODE_COND_LIMIT, _REAL_RTOL = 1e12, 1e6, 1e-14
-
-_GEMM, = get_blas_funcs(("gemm",), dtype=complex)
 
 
 def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
@@ -46,28 +43,26 @@ def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
 
 
 class DenseFactor:
-    """LU factorization with a 1-norm condition estimate, reusable for
+    """Dense inverse with its exact 1-norm condition number, reusable for
     several right-hand sides.
 
-    Raises SingularSystemError (with the estimate attached) when the
-    condition estimate exceeds COND_LIMIT, rather than returning noise.
+    cond_estimate is ||m||_1 ||m^-1||_1, never below LAPACK's gecon
+    estimate of it. Raises SingularSystemError (with that number
+    attached) when it exceeds COND_LIMIT, rather than returning noise.
     """
 
     def __init__(self, m: np.ndarray):
-        m = np.ascontiguousarray(m, dtype=complex)
+        m = np.asarray(m, dtype=complex)
         anorm = np.linalg.norm(m, 1)
         if anorm == 0.0:
             raise SingularSystemError("system matrix is zero", float("inf"))
-        with warnings.catch_warnings():
-            # exact singularity is detected below via the condition estimate
-            warnings.simplefilter("ignore", LinAlgWarning)
-            self._lu = lu_factor(m)
-        gecon, = get_lapack_funcs(("gecon",), (m,))
-        rcond, info = gecon(self._lu[0], anorm)
-        if info != 0 or not np.isfinite(rcond) or rcond <= 0.0:
-            raise SingularSystemError("system matrix is singular", float("inf"))
-        self.cond_estimate = 1.0 / rcond
-        if self.cond_estimate > COND_LIMIT:
+        try:
+            self._inv = inv(m)
+        except LinAlgError:
+            raise SingularSystemError("system matrix is singular",
+                                      float("inf")) from None
+        self.cond_estimate = anorm * np.linalg.norm(self._inv, 1)
+        if not self.cond_estimate <= COND_LIMIT:
             raise SingularSystemError(
                 f"system matrix too ill-conditioned "
                 f"(cond ~ {self.cond_estimate:.3e})", self.cond_estimate
@@ -75,32 +70,11 @@ class DenseFactor:
         self._m = m
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = lu_solve(self._lu, rhs)
+        x = self._inv @ rhs
         # one step of iterative refinement keeps residuals at roundoff level
         # even when cond approaches the guard
-        mx = matmul(self._m, x.reshape(len(x), -1)).reshape(x.shape)
-        x += lu_solve(self._lu, rhs - mx)
+        x += self._inv @ (rhs - self._m @ x)
         return x
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-d complex arrays, through SciPy's BLAS.
-
-    NumPy and SciPy each bundle an OpenBLAS with its own worker threads. A
-    NumPy product big enough to be threaded leaves NumPy's workers
-    spinning, and the SciPy LAPACK calls that follow it (eigendecompositions,
-    condition estimates, factorisations) then wait for a free core: on a
-    2-core machine a 132-by-132 LU that takes 0.5 ms took 4 ms at the
-    median and up to 125 ms, at random. The engine's products therefore
-    go through here, so one thread pool serves all of its BLAS and LAPACK
-    work.
-    """
-    if 0 in a.shape or 0 in b.shape:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    if a.flags.c_contiguous:
-        # (b^T a^T)^T: a^T is Fortran-ordered, so a is not copied
-        return _GEMM(1.0, b.T, a.T).T
-    return _GEMM(1.0, a, b)
 
 
 def _pair(x: np.ndarray, order: int, p, q, r, t) -> np.ndarray:
@@ -122,7 +96,7 @@ class ShiftedSolver:
     the operator of a real periodic system, A_-k = conj(A_k), else
     ValueError. In the basis X_0, X_k + X_-k, j(X_k - X_-k) it is a real
     M_r = U^-1 M0 U, whose eigenvectors V_r give v = U V_r and v_inv =
-    V_r^-1 U^-1. Uses SciPy's BLAS and LAPACK only, like matmul."""
+    V_r^-1 U^-1, both from NumPy's LAPACK."""
 
     def __init__(self, blocks: np.ndarray, omega1: float):
         self.m0, h = operator_matrix(blocks, omega1), len(blocks) // 2
@@ -133,15 +107,14 @@ class ShiftedSolver:
                 <= _REAL_RTOL * np.linalg.norm(real, 1)):
             raise ValueError("operator blocks k and -k are not conjugate")
         try:
-            # SciPy's eig and inv, not NumPy's, which wake NumPy's BLAS threads
-            self.eigvals, v_r = eig(real.real, check_finite=False)
-            with warnings.catch_warnings():
-                # an ill-conditioned V_r fails the guard below
-                warnings.simplefilter("ignore", LinAlgWarning)
-                v_r_inv = inv(v_r, check_finite=False)
+            eigvals, v_r = eig(real.real)
+            # an ill-conditioned V_r fails the guard below
+            v_r_inv = inv(v_r)
         except LinAlgError:
             raise SingularSystemError("eigendecomposition failed",
                                       float("inf")) from None
+        # complex even where eig returns a real spectrum as a real array
+        self.eigvals = eigvals.astype(complex)
         self.v = _pair(v_r, h, 1, 1j, 1, -1j)
         self.v_inv = _pair(v_r_inv.T, h, .5, -.5j, .5, .5j).T
         cond = np.linalg.norm(self.v, 1) * np.linalg.norm(self.v_inv, 1)

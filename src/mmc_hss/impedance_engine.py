@@ -253,7 +253,7 @@ class _Loop:
         self.solver = solver = factor.solver
         self.f_map, self.picks, self.vp = mmc_model.loop_channels(
             params, config, op, order)
-        self.modal_f = hss_core.matmul(solver.v_inv, self.f_map)
+        self.modal_f = solver.v_inv @ self.f_map
         self.modal_picks = solver.v[self.picks]
         # complex values one point keeps live: modal stack, channel systems
         # and inverses, refinement terms (tracemalloc: 0.9x at 2+ per chunk)
@@ -269,8 +269,7 @@ class _Loop:
         """
         omegas = np.asarray(omegas, dtype=float)
         size = max(1, _CHUNK_BYTES // self.point_bytes)
-        b = np.column_stack(
-            [self.modal_f, hss_core.matmul(self.solver.v_inv, bx[:, None])])
+        b = np.column_stack([self.modal_f, self.solver.v_inv @ bx[:, None]])
         out = np.empty((bx[rows].size, omegas.size), dtype=complex)
         errors = []
         for start in range(0, omegas.size, size):
@@ -307,8 +306,7 @@ class _Loop:
             yf = y[:, :, :m]
             # picked rows of X for every column: t = picks(M^-1 F) and,
             # in the last column, picks(M^-1 bx)
-            picked = hss_core.matmul(
-                self.modal_picks, y.reshape(len(y), -1)).reshape(
+            picked = (self.modal_picks @ y.reshape(len(y), -1)).reshape(
                 m, omegas.size, m + 1).transpose(1, 0, 2)
             sys = pick_scale[:, :, None] * picked[:, :, :m]
             sys[:, np.arange(m), np.arange(m)] += alpha
@@ -319,17 +317,15 @@ class _Loop:
                 # picked rows and the channel right-hand side rc
                 c = np.einsum("prc,pc->pr", sys_inv,
                               rc + pick_scale * picked_b)
-                return c, hss_core.matmul(
-                    solver.v, yb - np.einsum("ipc,pc->ip", yf, c))
+                return c, solver.v @ (yb - np.einsum("ipc,pc->ip", yf, c))
 
             c, x = close(y[:, :, m], picked[:, :, m], bc)
             # one refinement step of the whole system against M0 - j w I
-            rx = (bx[:, None] - hss_core.matmul(solver.m0, x)
-                  + 1j * omegas * x - hss_core.matmul(self.f_map, c.T))
+            rx = (bx[:, None] - solver.m0 @ x + 1j * omegas * x
+                  - self.f_map @ c.T)
             rc = bc - alpha * c + pick_scale * x[self.picks].T
-            yr = solver.solve(
-                omegas, hss_core.matmul(solver.v_inv, rx)[:, :, None])[:, :, 0]
-            x += close(yr, hss_core.matmul(self.modal_picks, yr).T, rc)[1]
+            yr = solver.solve(omegas, (solver.v_inv @ rx)[:, :, None])[:, :, 0]
+            x += close(yr, (self.modal_picks @ yr).T, rc)[1]
         return x, errors
 
 

@@ -221,14 +221,25 @@ class SteadyOperatingPoint:
         return complex(row[self._INDEX[name]])
 
 
+_last_steady = None
+
+
 def steady_state(params: CircuitParams, order: int) -> SteadyOperatingPoint:
-    """Solve the periodic steady state at truncation order `order`."""
-    a, u = build_base_hss(params, order)
-    x = hss_core.DenseFactor(hss_core.operator_matrix(
-        a, params.omega1)).solve(-u).reshape(-1, 4)
-    # engine factors cache the operating point and share it
-    x.setflags(write=False)
-    return SteadyOperatingPoint(params, order, x)
+    """Solve the periodic steady state at truncation order `order`.
+
+    The last result is kept and returned again for equal (params, order),
+    so a caller's operating point and the impedance engine's are one
+    object, solved once.
+    """
+    global _last_steady
+    last = _last_steady
+    if last is None or (last.params, last.order) != (params, order):
+        a, u = build_base_hss(params, order)
+        x = hss_core.DenseFactor(hss_core.operator_matrix(
+            a, params.omega1)).solve(-u).reshape(-1, 4)
+        x.setflags(write=False)
+        last = _last_steady = SteadyOperatingPoint(params, order, x)
+    return last
 
 
 # ------------------------------------------------------------------ control

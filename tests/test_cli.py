@@ -322,6 +322,32 @@ def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
     assert written[0] == written[1]
 
 
+def test_the_package_runs_without_scipy(tmp_path):
+    # SciPy is needed by the tests only: with it unimportable, a fresh
+    # process still sweeps, prints the steady state and solves a spot point
+    cfg = os.path.join(_REPO_ROOT, "paper_sim.cfg")
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from mmc_hss import cli, impedance_engine
+cfg = {cfg!r}
+assert cli.main(["sweep", "--config", cfg, "--h", "8",
+                 "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+assert cli.main(["steady", "--config", cfg, "--h", "8"]) == 0
+leg = cli.parse_config(cfg)
+z = impedance_engine.impedance_at(leg.params, leg.control, 35.0, order=8)
+assert abs(z.impedance) > 0.0
+assert not [m for m in sys.modules if m.startswith("scipy.")]
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(_REPO_ROOT, "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 497
+
+
 def test_out_csv_config_key_is_the_fallback(tmp_path, capsys):
     out = tmp_path / "fallback.csv"
     cfg = _write(tmp_path, "fb.cfg",

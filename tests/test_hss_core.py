@@ -242,17 +242,40 @@ def test_singular_system_raises_with_estimate():
     assert err.value.cond_estimate > 1e12
 
 
-def test_matmul_matches_numpy_for_every_layout():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
-    b = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-    for a_ in (a, np.asfortranarray(a), a[:, ::-1]):
-        for b_ in (b, np.asfortranarray(b), b[::-1]):
-            np.testing.assert_allclose(hc.matmul(a_, b_), a_ @ b_,
-                                       rtol=1e-14, atol=1e-14)
-    assert hc.matmul(a[:, :0], b[:0]).shape == (7, 4)
-    assert not hc.matmul(a[:, :0], b[:0]).any()
-    assert hc.matmul(a[:0], b).shape == (0, 4)
+def test_dense_factor_condition_is_exact_and_never_below_lapacks():
+    # ||m||_1 ||m^-1||_1 bounds LAPACK's estimate from above; where the
+    # estimate is exact (always at n = 1) the two differ by roundoff only
+    rng = np.random.default_rng(17)
+    for n in (1, 4, 12, 40):
+        for scale in (1.0, 1e-4):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m[:, 0] *= scale
+            cond = hc.DenseFactor(m).cond_estimate
+            exact = np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1)
+            assert cond == pytest.approx(exact, rel=1e-12)
+            assert cond >= ref.lapack_cond(m) * (1.0 - 1e-14)
+
+
+def test_dense_factor_refuses_zero_and_exactly_singular_matrices():
+    m = np.random.default_rng(4).normal(size=(6, 6)) + 0j
+    with pytest.raises(SingularSystemError, match="system matrix is zero"):
+        hc.DenseFactor(np.zeros_like(m))
+    m[:, 2] = 0.0
+    with pytest.raises(SingularSystemError,
+                       match="system matrix is singular") as err:
+        hc.DenseFactor(m)
+    assert err.value.cond_estimate == float("inf")
+
+
+def test_shifted_solver_modes_are_complex_for_a_real_spectrum():
+    # a symmetric operator of order 0: LAPACK returns its real eigenvalues
+    # in a real array
+    a0 = np.diag([-1.0, -2.0, -3.0]) + 0.1
+    solver = hc.ShiftedSolver(a0[None].astype(complex), 314.0)
+    assert solver.eigvals.dtype == complex
+    np.testing.assert_allclose(np.sort(solver.eigvals.real),
+                               np.linalg.eigvalsh(a0), rtol=1e-14)
+    assert not solver.eigvals.imag.any()
 
 
 # ---------------------------------------------------------------- reconstruct
@@ -324,16 +347,16 @@ def test_modal_solve_matches_a_dense_solve():
     omegas = [0.0, 250.0, -3.5, 1e4]
     solver = hc.ShiftedSolver(a, 314.0)
     m0 = solver.m0
-    shared = solver.solve(omegas, hc.matmul(solver.v_inv, b))
+    shared = solver.solve(omegas, solver.v_inv @ b)
     blocks = solver.solve(omegas, np.stack(
-        [hc.matmul(solver.v_inv, (p + 1) * b) for p in range(4)], axis=1))
+        [solver.v_inv @ ((p + 1) * b) for p in range(4)], axis=1))
     assert shared.shape == blocks.shape == (40, 4, 3)
     for p, omega in enumerate(omegas):
         want = _dense_shifted_solve(m0, omega, b)
         scale = np.abs(want).max()
-        np.testing.assert_allclose(hc.matmul(solver.v, shared[:, p]), want,
+        np.testing.assert_allclose(solver.v @ shared[:, p], want,
                                    rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(hc.matmul(solver.v, blocks[:, p]),
+        np.testing.assert_allclose(solver.v @ blocks[:, p],
                                    (p + 1) * want, rtol=0.0,
                                    atol=1e-12 * (p + 1) * scale)
 
@@ -359,10 +382,10 @@ def test_nearly_defective_operator_raises_or_solves_accurately(entry):
         assert err.cond_estimate > hc.MODE_COND_LIMIT
         return
     m0 = solver.m0
-    y = solver.solve(omegas, hc.matmul(solver.v_inv, b))
+    y = solver.solve(omegas, solver.v_inv @ b)
     for p, omega in enumerate(omegas):
         want = _dense_shifted_solve(m0, omega, b)
-        assert (np.abs(hc.matmul(solver.v, y[:, p]) - want).max()
+        assert (np.abs(solver.v @ y[:, p] - want).max()
                 <= 1e-9 * np.abs(want).max())
 
 

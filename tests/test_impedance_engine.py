@@ -519,12 +519,29 @@ def test_modal_factor_of_random_legs():
             np.testing.assert_array_equal(np.sort_complex(modes.conj()),
                                           modes)
             eye = np.eye(len(modes))
-            np.testing.assert_allclose(
-                hss_core.matmul(solver.v_inv, solver.v), eye, rtol=0.0,
-                atol=1e-12)
+            np.testing.assert_allclose(solver.v_inv @ solver.v, eye, rtol=0.0,
+                                       atol=1e-12)
             for w in 2.0 * np.pi * rng.uniform(5.0, 500.0, size=4):
                 assert solver.check(w) >= np.linalg.cond(
                     solver.m0 - 1j * w * eye, 1)
+
+
+def test_a_scan_point_solves_its_steady_state_and_loop_once(params,
+                                                           monkeypatch):
+    # a caller's operating point, a closed-loop sweep and a circulating
+    # probe around that point share one steady-state solve and one loop
+    built = {}
+    for cls in (hss_core.DenseFactor, ie._Loop):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    monkeypatch.setattr(mm, "_last_steady", None)
+    monkeypatch.setattr(ie, "_cached_factor", None)
+    op = mm.steady_state(params, 8)
+    ie.sweep(params, ACV, [35.0, 80.0], order=8)
+    ie.circulating_impedance_at(params, ACV, 35.0, op=op)
+    assert built == {"DenseFactor": 1, "_Loop": 1}
 
 
 def test_resolvent_matches_dense_solve_on_random_legs():
