@@ -8,9 +8,12 @@ array, d/dt a block-diagonal frequency shift. The periodic steady state
 of a linear time-periodic system is one DenseFactor solve; its responses to a
 perturbation at many frequencies share one real eigendecomposition of the
 unshifted operator, each frequency an elementwise scaling with an O(n)
-condition bound. Every factorisation and product goes through NumPy, so
-one BLAS and LAPACK build, with one thread pool, does all the dense work.
-Nothing here knows about converters.
+condition bound. Both take a dense operator, so a caller that knows a
+symmetry of its system can hand them the operator on one invariant
+subspace, with the same number of states for every harmonic. Every
+factorisation and product goes through NumPy, so one BLAS and LAPACK
+build, with one thread pool, does all the dense work. Nothing here knows
+about converters.
 """
 
 from __future__ import annotations
@@ -92,17 +95,19 @@ class ShiftedSolver:
     1981): right-hand sides go in as v_inv @ b, each shift is a scaling of
     modal coordinates, and solutions come out as v @ y.
 
-    M0 = A - N, the operator_matrix of the (2h + 1, d, d) blocks, must be
-    the operator of a real periodic system, A_-k = conj(A_k), else
-    ValueError. In the basis X_0, X_k + X_-k, j(X_k - X_-k) it is a real
-    M_r = U^-1 M0 U, whose eigenvectors V_r give v = U V_r and v_inv =
-    V_r^-1 U^-1, both from NumPy's LAPACK."""
+    M0 is the dense operator of a harmonic stack of truncation order
+    `order`, with the same d states for each harmonic k at rows
+    d(k + order) on, such as operator_matrix's A - N. It must be the
+    operator of a real periodic system, its blocks (k, l) and (-k, -l)
+    conjugate, else ValueError. In the basis X_0, X_k + X_-k,
+    j(X_k - X_-k) it is a real M_r = U^-1 M0 U, whose eigenvectors V_r
+    give v = U V_r and v_inv = V_r^-1 U^-1, both from NumPy's LAPACK."""
 
-    def __init__(self, blocks: np.ndarray, omega1: float):
-        self.m0, h = operator_matrix(blocks, omega1), len(blocks) // 2
+    def __init__(self, m0: np.ndarray, order: int):
+        self.m0 = m0 = np.asarray(m0, dtype=complex)
         # U^-1 M0 U: pair the columns of blocks k and -k, then the rows
-        real = _pair(_pair(self.m0.T, h, 1, 1, 1j, -1j).T,
-                     h, .5, .5, -.5j, .5j)
+        real = _pair(_pair(m0.T, order, 1, 1, 1j, -1j).T,
+                     order, .5, .5, -.5j, .5j)
         if not (np.linalg.norm(real.imag, 1)
                 <= _REAL_RTOL * np.linalg.norm(real, 1)):
             raise ValueError("operator blocks k and -k are not conjugate")
@@ -115,13 +120,13 @@ class ShiftedSolver:
                                       float("inf")) from None
         # complex even where eig returns a real spectrum as a real array
         self.eigvals = eigvals.astype(complex)
-        self.v = _pair(v_r, h, 1, 1j, 1, -1j)
-        self.v_inv = _pair(v_r_inv.T, h, .5, -.5j, .5, .5j).T
+        self.v = _pair(v_r, order, 1, 1j, 1, -1j)
+        self.v_inv = _pair(v_r_inv.T, order, .5, -.5j, .5, .5j).T
         cond = np.linalg.norm(self.v, 1) * np.linalg.norm(self.v_inv, 1)
         if not cond <= MODE_COND_LIMIT:
             raise SingularSystemError(
                 f"nearly defective operator (modes cond ~ {cond:.3e})", cond)
-        self.mode_cond, self._norm = cond, np.linalg.norm(self.m0, 1)
+        self.mode_cond, self._norm = cond, np.linalg.norm(m0, 1)
 
     def check(self, omega: float) -> float:
         """(||M0||_1 + |omega|) kappa_1(v) / min|eigvals - j*omega|, an O(n)

@@ -5,14 +5,20 @@ behind the load at f_p, reads the output-current response at offset
 harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
 
 The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
-unperturbed one. One real eigendecomposition of M0 per (params, order)
-turns every frequency into an elementwise scaling with an O(n) condition
-bound (hss_core.ShiftedSolver): a sweep solves its grid in chunks of about
-1 MiB, and single-point calls reuse the last factor. Open loop, ac-voltage
-loop, circulating loop and the circulating-path probe all take this one
-path; they differ only in their forcing, their readout row and channels,
-which mmc_model supplies (probe, loop_channels, channel_gains) along with
-the stack layout. impedance_at, circulating_impedance_at and sweep share
+unperturbed one. The leg's half-wave symmetry splits M0, the controller
+channels and the probes into two parity classes of 2(2h + 1) states
+(mmc_model): the series probe excites only the ODD class, the circulating
+probe and the steady state only the EVEN one. So every solve runs on its
+probe's class alone, and M0's modes are the union of both classes' modes.
+One real eigendecomposition per class and (params, order), built when a
+probe first needs it, turns every frequency into an elementwise scaling
+with an O(n) condition bound (hss_core.ShiftedSolver): a sweep solves its
+grid in chunks of about 1 MiB, and single-point calls reuse the last
+factor. Open loop, ac-voltage loop, circulating loop and the
+circulating-path probe all take this one path; they differ only in their
+class, forcing, readout row and channels, which mmc_model supplies
+(probe, loop_channels, channel_gains) along with the stack layout.
+impedance_at, circulating_impedance_at and sweep share
 one evaluation path (_evaluate): a sweep records a failed point, a
 single-point call raises the first error its point meets.
 
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,15 +193,30 @@ def _auto_order(params, freqs, evaluate):
     return MAX_ORDER, results(MAX_ORDER, everything)
 
 
-class _Factor:
-    """Modal solver of the unperturbed operator M0 = A - N for one
-    (params, order), plus the periodic steady state and the last loop
-    set-up built around it."""
+class _Solvers(dict):
+    """The ShiftedSolver of the unperturbed operator M0 = A - N on each
+    half-wave parity class of mmc_model for one (params, order), keyed by
+    the class and built on first use."""
 
     def __init__(self, params, order):
-        a, _ = mmc_model.build_base_hss(params, order)
-        self.solver = hss_core.ShiftedSolver(a, params.omega1)
+        super().__init__()
         self.params, self.order = params, order
+
+    def __missing__(self, parity):
+        solver = self[parity] = hss_core.ShiftedSolver(
+            mmc_model.class_operator(self.params, self.order, parity),
+            self.order)
+        return solver
+
+
+class _Factor:
+    """Modal solvers of M0 for one (params, order), one per parity class,
+    plus the periodic steady state and the last loop set-up built around
+    them."""
+
+    def __init__(self, params, order):
+        self.params, self.order = params, order
+        self.solvers = _Solvers(params, order)
         self._op = self._loop = None
 
     def steady(self):
@@ -231,57 +253,86 @@ def _factor(params, order, held=None):
     return _cached_factor
 
 
+class _Channels(NamedTuple):
+    """One parity class of a _Loop: the class, its modal solver, the
+    channel map F, picks and direct v_p pickups of the class's channels, F
+    in modal coordinates (V^-1 F) and the picked rows of the modes
+    (V[picks])."""
+
+    parity: int
+    solver: hss_core.ShiftedSolver
+    f_map: np.ndarray
+    picks: np.ndarray
+    vp: np.ndarray
+    modal_f: np.ndarray
+    modal_picks: np.ndarray
+
+
 class _Loop:
     """Once-per-sweep set-up of the perturbed leg with its control loops
-    closed, around one modal factor.
+    closed, around the modal solvers of one factor.
 
     Per point the leg solves (M0 - j w I) X + F c = bx together with the
     channel law c_r = gain_r * (scale_r * X[pick_r] + vp_r * v_p) for every
-    controller output c_r (one per loop and source harmonic). X is
-    eliminated first, so the small channel system carries 1/gain and stays
-    exact on resonator poles. Built once: the injection map F, its modal
-    coordinates V^-1 F and the picked rows of the modes V. Per point,
-    vectorised over the points of a chunk: gains and pickup scales, the
-    modal scalings, the channel system and one refinement step of the
-    whole system against M0 - j w I.
+    controller output c_r (one per loop and source harmonic). Operator,
+    channels and probe all split into the two parity classes of
+    mmc_model, so a point solves only its probe's class, with that class's
+    channels. X is eliminated first, so the small channel system carries
+    1/gain and stays exact on resonator poles. Built once per class, on
+    first use: the injection map F, its modal coordinates V^-1 F and the
+    picked rows of the modes V. Per point, vectorised over the points of a
+    chunk: gains and pickup scales, the modal scalings, the channel system
+    and one refinement step of the whole system against M0 - j w I.
     """
 
     def __init__(self, factor, config, op):
-        params, order = factor.params, factor.order
-        self.params, self.order = params, order
-        self.config, self.op = config, op
-        self.solver = solver = factor.solver
-        self.f_map, self.picks, self.vp = mmc_model.loop_channels(
-            params, config, op, order)
-        self.modal_f = solver.v_inv @ self.f_map
-        self.modal_picks = solver.v[self.picks]
-        # complex values one point keeps live: modal stack, channel systems
-        # and inverses, refinement terms (tracemalloc: 0.9x at 2+ per chunk)
-        n4, m = self.f_map.shape
-        self.point_bytes = 16 * ((n4 + 4 * m) * (m + 1) + 6 * n4)
+        self.solvers, self.config, self.op = factor.solvers, config, op
+        self.params, self.order = factor.params, factor.order
+        self._classes = {}
+        # complex values one point of the larger class keeps live: modal
+        # stack, channel systems and inverses, refinement terms
+        # (tracemalloc: 0.9x at 2+ per chunk)
+        n = 2 * (2 * self.order + 1)
+        m = int(np.bincount(mmc_model.channel_parities(config, self.order),
+                            minlength=2).max())
+        self.point_bytes = 16 * ((n + 4 * m) * (m + 1) + 6 * n)
 
-    def solve(self, omegas, bx, v_p, rows):
+    def channels(self, parity):
+        """The _Channels of one class."""
+        if parity not in self._classes:
+            solver = self.solvers[parity]
+            f_map, picks, vp = mmc_model.loop_channels(
+                self.params, self.config, self.op, self.order, parity)
+            self._classes[parity] = _Channels(
+                parity, solver, f_map, picks, vp, solver.v_inv @ f_map,
+                solver.v[picks])
+        return self._classes[parity]
+
+    def solve(self, parity, omegas, bx, v_p, rows):
         """X[rows] per point, (len(rows), points), and per point the
         SingularSystemError that spoiled it, or None.
 
-        bx is the state forcing (right-hand side of the state rows), v_p
-        the series voltage the channel pickups see directly.
+        bx is the state forcing (right-hand side of the state rows) and
+        rows the rows read out, both in the class coordinates of parity;
+        v_p is the series voltage the channel pickups see directly.
         """
         omegas = np.asarray(omegas, dtype=float)
         size = max(1, _CHUNK_BYTES // self.point_bytes)
-        b = np.column_stack([self.modal_f, self.solver.v_inv @ bx[:, None]])
+        channels = self.channels(parity)
+        b = np.column_stack([channels.modal_f,
+                             channels.solver.v_inv @ bx[:, None]])
         out = np.empty((bx[rows].size, omegas.size), dtype=complex)
         errors = []
         for start in range(0, omegas.size, size):
             chunk = omegas[start:start + size]
-            x, err = self._solve_chunk(chunk, b, bx, v_p)
+            x, err = self._solve_chunk(channels, chunk, b, bx, v_p)
             out[:, start:start + chunk.size] = x[rows]
             errors.extend(err)
         return out, errors
 
-    def _solve_chunk(self, omegas, b, bx, v_p):
-        solver = self.solver
-        m = self.f_map.shape[1]
+    def _solve_chunk(self, channels, omegas, b, bx, v_p):
+        parity, solver, f_map, picks, vp, _, modal_picks = channels
+        m = f_map.shape[1]
         errors = []
         for w in omegas:
             try:
@@ -290,7 +341,7 @@ class _Loop:
             except SingularSystemError as exc:
                 errors.append(exc)
         gains, inv_gains, scale = mmc_model.channel_gains(
-            self.params, self.config, self.order, omegas)
+            self.params, self.config, self.order, omegas, parity)
         # row scaling: small gains keep alpha = 1, beta = gain; large or
         # infinite ones switch to alpha = 1/gain, beta = 1 (same equation
         # alpha*c - beta*scale*X[pick] = beta*vp*v_p)
@@ -298,7 +349,7 @@ class _Loop:
         alpha = np.where(small, 1.0, inv_gains)
         beta = np.where(small, gains, 1.0)
         pick_scale = beta * scale
-        bc = beta * self.vp * v_p
+        bc = beta * vp * v_p
         # a point flagged singular may divide by zero; its values are
         # discarded with its error
         with np.errstate(all="ignore"):
@@ -306,7 +357,7 @@ class _Loop:
             yf = y[:, :, :m]
             # picked rows of X for every column: t = picks(M^-1 F) and,
             # in the last column, picks(M^-1 bx)
-            picked = (self.modal_picks @ y.reshape(len(y), -1)).reshape(
+            picked = (modal_picks @ y.reshape(len(y), -1)).reshape(
                 m, omegas.size, m + 1).transpose(1, 0, 2)
             sys = pick_scale[:, :, None] * picked[:, :, :m]
             sys[:, np.arange(m), np.arange(m)] += alpha
@@ -322,10 +373,10 @@ class _Loop:
             c, x = close(y[:, :, m], picked[:, :, m], bc)
             # one refinement step of the whole system against M0 - j w I
             rx = (bx[:, None] - solver.m0 @ x + 1j * omegas * x
-                  - self.f_map @ c.T)
-            rc = bc - alpha * c + pick_scale * x[self.picks].T
+                  - f_map @ c.T)
+            rc = bc - alpha * c + pick_scale * x[picks].T
             yr = solver.solve(omegas, (solver.v_inv @ rx)[:, :, None])[:, :, 0]
-            x += close(yr, (self.modal_picks @ yr).T, rc)[1]
+            x += close(yr, (modal_picks @ yr).T, rc)[1]
         return x, errors
 
 
@@ -393,9 +444,10 @@ def _evaluate(params, config, freqs, order, op, probe, strict):
         if loop_op is None and (probe != "series" or config.mode != "open"):
             loop_op = factor.steady()
         fs = [freqs[i] for i in idx]
-        bx, v_p, row = mmc_model.probe(params, loop_op, h, probe)
+        parity, bx, v_p, row = mmc_model.probe(params, loop_op, h, probe)
         (x,), errors = factor.loop(config, loop_op).solve(
-            2.0 * math.pi * np.asarray(fs, dtype=float), bx, v_p, [row])
+            parity, 2.0 * math.pi * np.asarray(fs, dtype=float), bx, v_p,
+            [row])
         results = [e or _point(params, config, h, probe, f, complex(v))
                    for f, v, e in zip(fs, x, errors)]
         failed = [r for r in results if isinstance(r, Exception)]

@@ -30,7 +30,24 @@ A harmonic stack holds the four states of harmonic k at rows 4(k + h) on,
 or in row k + h of the steady state's (2h + 1, 4) array. This module owns
 that layout: the dc forcing, the steady state, the probes (probe) and the
 controller channels (loop_channels, channel_gains) that the impedance
-engine closes around its modal factor and perturbed_system closes densely.
+engine closes around its modal factors and perturbed_system closes densely.
+
+Half-wave symmetry. The two arms are identical and half a period apart:
+n_u(t + T/2) = n_l(t). So if x(t) solves the leg, so does S x(t + T/2),
+where S swaps v_cu and v_cl and negates i_g. On a harmonic stack this is
+P = diag((-1)^k S), with P M0 P = M0 and P^2 = I, and every stack splits
+into two parity classes that the operator, the channels and the probes
+never mix: P x = x (EVEN: the steady state and the circulating probe) and
+P x = -x (ODD: the series probe). In the split coordinates
+(i_c, v_sum, v_diff, i_g), v_sum = (v_cu + v_cl)/2 and
+v_diff = (v_cu - v_cl)/2, S is diag(1, 1, -1, -1), so each class holds two
+of the four states per harmonic: EVEN holds (i_c, v_sum) at even k and
+(v_diff, i_g) at odd k, ODD the other two. The change of basis is exact
+and, N being a scalar per harmonic, it commutes with the frequency shift:
+a class operator (class_operator) is M0 in split coordinates restricted to
+the class rows, 2(2h + 1) of them. to_class and from_class move a stack
+between state and class coordinates; a controller channel, like a probe,
+belongs to the class of the stack row it picks (channel_parities).
 """
 
 from __future__ import annotations
@@ -199,6 +216,60 @@ def build_base_hss(params: CircuitParams, order: int):
     return _base_blocks(params, order), u
 
 
+# ---------------------------------------------------- half-wave symmetry
+
+EVEN, ODD = 0, 1
+
+
+def _row_parity(order: int) -> np.ndarray:
+    """Parity class of every row of a harmonic stack in split
+    coordinates: (k + [state is v_diff or i_g]) mod 2."""
+    k = np.arange(-order, order + 1)[:, None]
+    return ((k + (np.arange(4) >= 2)) % 2).ravel()
+
+
+def _class_rows(order: int, parity: int) -> np.ndarray:
+    """Rows of a harmonic stack in split coordinates that hold the class
+    parity (EVEN or ODD), ascending: two per harmonic."""
+    return np.flatnonzero(_row_parity(order) == parity)
+
+
+def to_class(x: np.ndarray, order: int, parity: int) -> np.ndarray:
+    """The class parity of x, a harmonic stack of states (n,) or of
+    columns (n, c), in its class coordinates; the other class is dropped."""
+    y = np.array(x, dtype=complex).reshape(2 * order + 1, 4, -1)
+    y[:, 1], y[:, 2] = 0.5 * (y[:, 1] + y[:, 2]), 0.5 * (y[:, 1] - y[:, 2])
+    return y.reshape(np.shape(x))[_class_rows(order, parity)]
+
+
+def from_class(y: np.ndarray, order: int, parity: int) -> np.ndarray:
+    """The harmonic stack of states whose class parity is y, in class
+    coordinates, and whose other class is zero: the inverse of to_class
+    on that class. The entries the symmetry forbids are exactly 0."""
+    x = np.zeros((4 * (2 * order + 1),) + np.shape(y)[1:], dtype=complex)
+    x[_class_rows(order, parity)] = y
+    z = x.reshape(2 * order + 1, 4, -1)
+    z[:, 1], z[:, 2] = z[:, 1] + z[:, 2], z[:, 1] - z[:, 2]
+    return x
+
+
+# (i_c, v_sum, v_diff, i_g) -> (i_c, v_cu, v_cl, i_g) and back
+_SPLIT = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+_JOIN = np.array([[1, 0, 0, 0], [0, .5, .5, 0], [0, .5, -.5, 0],
+                  [0, 0, 0, 1]])
+
+
+def class_operator(params: CircuitParams, order: int, parity: int
+                   ) -> np.ndarray:
+    """Dense unperturbed operator M0 = A - N on one parity class, in its
+    class coordinates: the blocks moved to split coordinates, then the
+    class rows and columns of their operator_matrix."""
+    a, _ = build_base_hss(params, order)
+    rows = _class_rows(order, parity)
+    m0 = hss_core.operator_matrix(_JOIN @ a @ _SPLIT, params.omega1)
+    return m0[np.ix_(rows, rows)]
+
+
 @dataclass(frozen=True)
 class SteadyOperatingPoint:
     """Periodic steady state of the leg: row k + order of the read-only
@@ -227,16 +298,20 @@ _last_steady = None
 def steady_state(params: CircuitParams, order: int) -> SteadyOperatingPoint:
     """Solve the periodic steady state at truncation order `order`.
 
-    The last result is kept and returned again for equal (params, order),
-    so a caller's operating point and the impedance engine's are one
-    object, solved once.
+    The dc forcing and so the steady state lie in the EVEN class: one
+    DenseFactor solve of its class operator, with the entries the
+    symmetry forbids (i_c at odd k, i_g at even k) exactly 0. The last
+    result is kept and returned again for equal (params, order), so a
+    caller's operating point and the impedance engine's are one object,
+    solved once.
     """
     global _last_steady
     last = _last_steady
     if last is None or (last.params, last.order) != (params, order):
-        a, u = build_base_hss(params, order)
-        x = hss_core.DenseFactor(hss_core.operator_matrix(
-            a, params.omega1)).solve(-u).reshape(-1, 4)
+        m0 = class_operator(params, order, EVEN)
+        _, u = build_base_hss(params, order)
+        x = from_class(hss_core.DenseFactor(m0).solve(
+            -to_class(u, order, EVEN)), order, EVEN).reshape(-1, 4)
         x.setflags(write=False)
         last = _last_steady = SteadyOperatingPoint(params, order, x)
     return last
@@ -352,45 +427,79 @@ def series_forcing(params: CircuitParams, order: int, v_p: complex
 
 def probe(params: CircuitParams, op: SteadyOperatingPoint | None, order: int,
           kind: str):
-    """(b, v_p, row) of a unit probe: its state forcing, the series voltage
-    the loop pickups see directly, and the stack row read out. kind
-    "series" (a series voltage behind the load) reads i_g, "circulating"
-    (circulating_probe_forcing, n_hat = 1) i_c, both at offset harmonic 0.
+    """(parity, b, v_p, row) of a unit probe: the class its response lies
+    in, its state forcing in that class's coordinates, the series voltage
+    the loop pickups see directly, and the class row read out. kind
+    "series" (a series voltage behind the load, ODD) reads i_g,
+    "circulating" (circulating_probe_forcing, n_hat = 1, EVEN) i_c, both
+    at offset harmonic 0.
     """
     if kind == "series":
-        return series_forcing(params, order, 1.0), 1.0, 4 * order + 3
-    return -circulating_probe_forcing(params, op, order), 0.0, 4 * order
+        b, v_p, row = series_forcing(params, order, 1.0), 1.0, 4 * order + 3
+    else:
+        b, v_p, row = (-circulating_probe_forcing(params, op, order), 0.0,
+                       4 * order)
+    # like a channel, a probe lies in the class of the row it reads
+    parity = int(_row_parity(order)[row])
+    return (parity, to_class(b, order, parity), v_p,
+            int(np.searchsorted(_class_rows(order, parity), row)))
+
+
+def _channel_rows(config: ControlConfig, order: int) -> list:
+    """Per active loop, the stack rows its channels pick, q = -order..order."""
+    return [4 * np.arange(2 * order + 1) + LOOP_WIRING[loop][1]
+            for loop in active_loops(config)]
+
+
+def channel_parities(config: ControlConfig, order: int) -> np.ndarray:
+    """Parity class of each channel of loop_channels: that of the stack
+    row it picks, which its injection column shares."""
+    return _row_parity(order)[np.concatenate(
+        [np.zeros(0, dtype=int)] + _channel_rows(config, order))]
 
 
 def loop_channels(params: CircuitParams, config: ControlConfig,
-                  op: SteadyOperatingPoint | None, order: int):
+                  op: SteadyOperatingPoint | None, order: int,
+                  parity: int | None = None):
     """(F, picks, direct) of the controller channels config.mode closes,
     one per active loop and source harmonic q, loop-major: column q of a
     loop's part of F lifts its injection blocks, f_{p-q} into block p.
     Channel j reads stack row picks[j], and v_p too where direct[j] is 1
-    (the voltage loop at q = 0)."""
+    (the voltage loop at q = 0). With a parity, only that class's
+    channels, in its class coordinates: F's rows and picks index the
+    class rows."""
     n = 2 * order + 1
-    f, picks, direct = [np.zeros((4 * n, 0), dtype=complex)], [], []
+    f, direct = [np.zeros((4 * n, 0), dtype=complex)], [np.zeros(0)]
     for loop in active_loops(config):
-        _, state, reads_vp = LOOP_WIRING[loop]
         f.append(hss_core.block_toeplitz(
             _injection(params, op, order, loop)[:, :, None]))
-        picks.append(4 * np.arange(n) + state)
-        direct.append((np.arange(n) == order) * float(reads_vp))
-    return (np.hstack(f), np.array(picks, dtype=int).ravel(),
-            np.array(direct, dtype=float).ravel())
+        direct.append((np.arange(n) == order) * float(LOOP_WIRING[loop][2]))
+    f, direct = np.hstack(f), np.concatenate(direct)
+    picks = np.concatenate([np.zeros(0, dtype=int)]
+                           + _channel_rows(config, order))
+    if parity is None:
+        return f, picks, direct
+    keep = channel_parities(config, order) == parity
+    return (to_class(f[:, keep], order, parity),
+            np.searchsorted(_class_rows(order, parity), picks[keep]),
+            direct[keep])
 
 
 def channel_gains(params: CircuitParams, config: ControlConfig, order: int,
-                  omegas):
-    """(gains, inverse gains, pickup scales) of loop_channels' channels at
-    the perturbation frequencies omegas (rad/s), each (points, channels):
-    channel q of a loop filters at omega + q*omega1 (see loop_gains)."""
+                  omegas, parity: int | None = None):
+    """(gains, inverse gains, pickup scales) of loop_channels' channels
+    (of one class with a parity) at the perturbation frequencies omegas
+    (rad/s), each (points, channels): channel q of a loop filters at
+    omega + q*omega1 (see loop_gains)."""
     src = np.asarray(omegas, dtype=float)[:, None] + (
         np.arange(-order, order + 1) * params.omega1)
-    parts = [loop_gains(params, config, loop, src)
-             for loop in active_loops(config)] or [np.zeros((3, len(src), 0))]
-    return [np.concatenate(p, axis=1) for p in zip(*parts)]
+    parts, row_parity = [], _row_parity(order)
+    for loop, rows in zip(active_loops(config),
+                          _channel_rows(config, order)):
+        cols = slice(None) if parity is None else row_parity[rows] == parity
+        parts.append(loop_gains(params, config, loop, src[:, cols]))
+    return [np.concatenate(p, axis=1)
+            for p in zip(*parts or [np.zeros((3, len(src), 0))])]
 
 
 def perturbed_system(params: CircuitParams, config: ControlConfig,

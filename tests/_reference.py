@@ -2,7 +2,8 @@
 Fourier coefficients, time evaluation of a harmonic stack, conjugate
 symmetry, LAPACK's condition estimate of a dense matrix, the insertion
 indices and loop filters in the time and frequency domain, the
-closed-loop response stack, and plain fixed-step RK4 of the time-domain
+closed-loop response stack, full-size dense solves of the steady state
+and of the circulating probe, and plain fixed-step RK4 of the time-domain
 kernel. Plain functions on arrays.
 """
 
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from mmc_hss import impedance_engine, mmc_model
+from mmc_hss import hss_core, impedance_engine, mmc_model
 
 
 def fourier(samples, k):
@@ -80,12 +81,32 @@ def control_transfer(config, omega1, s, loop="acv"):
 def closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
     """Response stack to a series voltage v_p behind the load at omega_p,
     with config's controller channels closed around the engine's factor."""
-    bx = mmc_model.series_forcing(params, order, v_p)
+    odd = mmc_model.ODD
+    bx = mmc_model.to_class(mmc_model.series_forcing(params, order, v_p),
+                            order, odd)
     x, (error,) = impedance_engine._factor(params, order).loop(
-        config, op).solve([omega_p], bx, v_p, slice(None))
+        config, op).solve(odd, [omega_p], bx, v_p, slice(None))
     if error is not None:
         raise error
-    return x[:, 0]
+    return mmc_model.from_class(x[:, 0], order, odd)
+
+
+def dense_steady_stack(params, order):
+    """(2h + 1, 4) steady stack from one LAPACK solve of the full-size
+    (A - N) X = -U, both parity classes included."""
+    a, u = mmc_model.build_base_hss(params, order)
+    m0 = hss_core.operator_matrix(a, params.omega1)
+    return scipy.linalg.solve(m0, -u).reshape(-1, 4)
+
+
+def dense_circulating_impedance(params, config, op, order, freq_hz):
+    """Circulating-path impedance -vdc / i_cp from one LAPACK solve of the
+    full-size perturbed system, its channels closed densely, forced by
+    the common-mode insertion-index probe (n_hat = 1)."""
+    m_p, _ = mmc_model.perturbed_system(params, config, op, order,
+                                        2.0 * math.pi * freq_hz)
+    b = -mmc_model.circulating_probe_forcing(params, op, order)
+    return -params.vdc / scipy.linalg.solve(m_p, b)[4 * order]
 
 
 def rk4_steps(runner, y, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0):

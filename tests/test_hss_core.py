@@ -271,7 +271,8 @@ def test_shifted_solver_modes_are_complex_for_a_real_spectrum():
     # a symmetric operator of order 0: LAPACK returns its real eigenvalues
     # in a real array
     a0 = np.diag([-1.0, -2.0, -3.0]) + 0.1
-    solver = hc.ShiftedSolver(a0[None].astype(complex), 314.0)
+    solver = hc.ShiftedSolver(
+        hc.operator_matrix(a0[None].astype(complex), 314.0), 0)
     assert solver.eigvals.dtype == complex
     np.testing.assert_allclose(np.sort(solver.eigvals.real),
                                np.linalg.eigvalsh(a0), rtol=1e-14)
@@ -304,7 +305,7 @@ def test_shifted_check_bounds_the_condition_number_for_every_shift():
     # and leaves M0 alone
     rng = np.random.default_rng(3)
     a = _random_symmetric_system(rng, 2, 8)[0]
-    solver = hc.ShiftedSolver(a, 314.0)
+    solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 2)
     m0_before = solver.m0.copy()
     bounds = {}
     for omega in (0.0, 250.0, -3.5, 1e4, 250.0):
@@ -316,7 +317,8 @@ def test_shifted_check_bounds_the_condition_number_for_every_shift():
     np.testing.assert_array_equal(solver.m0, m0_before)
     # a scalar operator has kappa_1(v) = 1 and condition number 1, where
     # the bound (1 + |omega|) / |1 + j*omega| lies in [1, sqrt(2)]
-    scalar = hc.ShiftedSolver(np.full((1, 1, 1), -1.0), 314.0)
+    scalar = hc.ShiftedSolver(
+        hc.operator_matrix(np.full((1, 1, 1), -1.0), 314.0), 0)
     for omega in (0.0, 250.0, -3.5, 1e4):
         assert 1.0 <= scalar.check(omega) <= np.sqrt(2.0)
 
@@ -328,7 +330,7 @@ def test_shifted_check_raises_on_an_eigenvalue_at_the_shift():
     rng = np.random.default_rng(3)
     blocks, _ = _random_symmetric_system(rng, 1, 13)
     blocks[:, :, 0] = blocks[:, 0, :] = 0.0
-    solver = hc.ShiftedSolver(blocks, 250.0)
+    solver = hc.ShiftedSolver(hc.operator_matrix(blocks, 250.0), 1)
     with pytest.raises(SingularSystemError, match="singular"):
         solver.check(250.0)
     assert solver.check(251.0) <= hc.COND_LIMIT
@@ -345,7 +347,7 @@ def test_modal_solve_matches_a_dense_solve():
     a = _random_symmetric_system(rng, 2, 8)[0]
     b = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     omegas = [0.0, 250.0, -3.5, 1e4]
-    solver = hc.ShiftedSolver(a, 314.0)
+    solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 2)
     m0 = solver.m0
     shared = solver.solve(omegas, solver.v_inv @ b)
     blocks = solver.solve(omegas, np.stack(
@@ -377,7 +379,7 @@ def test_nearly_defective_operator_raises_or_solves_accurately(entry):
     b = rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1))
     omegas = [0.0, 250.0, -3.5, 1e4]
     try:
-        solver = hc.ShiftedSolver(a, 314.0)
+        solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 0)
     except SingularSystemError as err:
         assert err.cond_estimate > hc.MODE_COND_LIMIT
         return
@@ -402,8 +404,8 @@ def test_an_operator_of_a_complex_system_is_refused(monkeypatch):
     skewed = a.copy()
     skewed[2 - 1] *= 1.0 + 1e-6j
     with pytest.raises(ValueError, match="conjugate"):
-        hc.ShiftedSolver(skewed, 314.0)
+        hc.ShiftedSolver(hc.operator_matrix(skewed, 314.0), 2)
     complex_dc = a.copy()
     complex_dc[2] += 1e-3j
     with pytest.raises(ValueError, match="conjugate"):
-        hc.ShiftedSolver(complex_dc, 314.0)
+        hc.ShiftedSolver(hc.operator_matrix(complex_dc, 314.0), 2)

@@ -2,6 +2,7 @@
 against dense assembly, sweep bookkeeping and resonance search."""
 
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -367,8 +368,8 @@ def test_spot_calls_raise_a_failure_at_any_order_they_evaluate(
     real = hss_core.ShiftedSolver.check
 
     def flaky(self, omega):
-        # order 6: 4 * 13 modes
-        if len(self.eigvals) == 52 and np.isclose(omega,
+        # order 6: 2 * 13 modes per parity class
+        if len(self.eigvals) == 26 and np.isclose(omega,
                                                   2.0 * np.pi * 101.0):
             raise SingularSystemError("synthetic failure")
         return real(self, omega)
@@ -407,8 +408,8 @@ def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
     # sweep frequency, and stays below the guard (these read up to ~1e8)
     omegas = 2.0 * np.pi * np.arange(5.0, 500.5, 1.0)
     for leg in (params, params_m0):
-        for h in (4, 8, 16):
-            solver = ie._Factor(leg, h).solver
+        for h, parity in itertools.product((4, 8, 16), (mm.EVEN, mm.ODD)):
+            solver = ie._Factor(leg, h).solvers[parity]
             eye = np.eye(len(solver.m0))
             for w in omegas:
                 assert (ref.lapack_cond(solver.m0 - 1j * w * eye)
@@ -514,16 +515,19 @@ def test_modal_factor_of_random_legs():
     rng = np.random.default_rng(20261019)
     for h in (4, 8, 16):
         for _ in range(3):
-            solver = ie._Factor(_random_leg(rng), h).solver
-            modes = np.sort_complex(solver.eigvals)
-            np.testing.assert_array_equal(np.sort_complex(modes.conj()),
-                                          modes)
-            eye = np.eye(len(modes))
-            np.testing.assert_allclose(solver.v_inv @ solver.v, eye, rtol=0.0,
-                                       atol=1e-12)
-            for w in 2.0 * np.pi * rng.uniform(5.0, 500.0, size=4):
-                assert solver.check(w) >= np.linalg.cond(
-                    solver.m0 - 1j * w * eye, 1)
+            factor = ie._Factor(_random_leg(rng), h)
+            omegas = 2.0 * np.pi * rng.uniform(5.0, 500.0, size=4)
+            for parity in (mm.EVEN, mm.ODD):
+                solver = factor.solvers[parity]
+                modes = np.sort_complex(solver.eigvals)
+                np.testing.assert_array_equal(np.sort_complex(modes.conj()),
+                                              modes)
+                eye = np.eye(len(modes))
+                np.testing.assert_allclose(solver.v_inv @ solver.v, eye,
+                                           rtol=0.0, atol=1e-12)
+                for w in omegas:
+                    assert solver.check(w) >= np.linalg.cond(
+                        solver.m0 - 1j * w * eye, 1)
 
 
 def test_a_scan_point_solves_its_steady_state_and_loop_once(params,
@@ -542,6 +546,68 @@ def test_a_scan_point_solves_its_steady_state_and_loop_once(params,
     ie.sweep(params, ACV, [35.0, 80.0], order=8)
     ie.circulating_impedance_at(params, ACV, 35.0, op=op)
     assert built == {"DenseFactor": 1, "_Loop": 1}
+
+
+def test_circulating_probe_matches_dense_solve_on_random_legs():
+    # the circulating probe runs on the EVEN class, the series probe on the
+    # ODD one: against a full-size dense solve of the assembled operator
+    rng = np.random.default_rng(20261020)
+    worst = 0.0
+    for _ in range(6):
+        params = _random_leg(rng)
+        for mode in mm.CONTROL_MODES:
+            config = _random_control(rng, mode)
+            for h in (4, 8):
+                op = mm.steady_state(params, h)
+                for f in rng.uniform(5.0, 495.0, size=3):
+                    z = ie.circulating_impedance_at(params, config, f, h,
+                                                    op=op).impedance
+                    z_dense = ref.dense_circulating_impedance(
+                        params, config, op, h, f)
+                    worst = max(worst, abs(z - z_dense) / abs(z_dense))
+    assert worst <= 1e-9
+
+
+def _solver_sizes(monkeypatch):
+    """Matrix order of every ShiftedSolver built from now on, with the
+    factor and steady-state caches emptied."""
+    sizes = []
+    real = hss_core.ShiftedSolver.__init__
+
+    def counting(self, m0, order):
+        sizes.append(len(m0))
+        real(self, m0, order)
+
+    monkeypatch.setattr(hss_core.ShiftedSolver, "__init__", counting)
+    monkeypatch.setattr(ie, "_cached_factor", None)
+    monkeypatch.setattr(mm, "_last_steady", None)
+    return sizes
+
+
+@pytest.mark.parametrize("config", [OPEN, ACV], ids=["open", "acv"])
+def test_a_series_sweep_builds_one_half_size_solver(params, config,
+                                                    monkeypatch):
+    # the series probe lies in the ODD class: one solver of 2(2h + 1)
+    sizes = _solver_sizes(monkeypatch)
+    ie.sweep(params, config, np.arange(5.0, 500.0, 7.0), order=8)
+    assert sizes == [2 * 17]
+
+
+def test_a_scan_point_builds_one_solver_per_class(params, monkeypatch):
+    # the steady state, a closed-loop sweep, spot points and circulating
+    # probes around one operating point build the ODD and the EVEN
+    # solver once each
+    sizes = _solver_sizes(monkeypatch)
+    config = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
+                              sampling_period=1e-4)
+    op = mm.steady_state(params, 8)
+    ie.find_resonances(ie.sweep(params, config, np.arange(5.0, 500.0, 10.0),
+                                order=8))
+    for f in (35.0, 80.0, 120.0):
+        ie.impedance_at(params, config, f, order=8)
+    for f in (30.0, 140.0):
+        ie.circulating_impedance_at(params, config, f, order=8, op=op)
+    assert sizes == [2 * 17, 2 * 17]
 
 
 def test_resolvent_matches_dense_solve_on_random_legs():

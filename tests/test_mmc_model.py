@@ -446,3 +446,105 @@ def test_circulating_probe_forcing_m0(params_m0):
     np.testing.assert_allclose(blocks[5:], 0.0, atol=1e-9)
     half = mm.circulating_probe_forcing(params_m0, op0, 4, n_hat=0.5)
     np.testing.assert_allclose(half, 0.5 * u)
+
+
+# ------------------------------------------------------ half-wave symmetry
+
+
+def _symmetry_legs(params, params_m0):
+    """The reference leg, its m = 0 variant and seeded random legs with a
+    second-harmonic modulation."""
+    rng = np.random.default_rng(20261020)
+    legs = [params, params_m0]
+    for _ in range(3):
+        m = rng.uniform(0.6, 0.9)
+        legs.append(mm.CircuitParams(
+            vdc=rng.uniform(200e3, 640e3),
+            arm_inductance=rng.uniform(0.1, 0.6),
+            arm_resistance=rng.uniform(0.2, 3.0),
+            sm_capacitance=rng.uniform(80e-6, 250e-6),
+            sm_per_arm=int(rng.integers(10, 41)), fundamental_freq=50.0,
+            modulation_index=m, modulation_phase=rng.uniform(-np.pi, np.pi),
+            modulation_index_2h=rng.uniform(0.01, 1.0 - m),
+            modulation_phase_2h=rng.uniform(-np.pi, np.pi),
+            load_resistance=rng.uniform(0.0, 800.0),
+            load_inductance=rng.uniform(0.0, 0.2)))
+    return legs
+
+
+def _half_wave(order):
+    """P = diag((-1)^k S), S swapping v_cu and v_cl and negating i_g, as
+    (perm, sign): (P x)[i] = sign[i] * x[perm[i]]."""
+    n = 2 * order + 1
+    perm = np.arange(4 * n).reshape(n, 4)[:, [0, 2, 1, 3]].ravel()
+    sign = (np.repeat((-1.0) ** np.arange(-order, order + 1), 4)
+            * np.tile([1.0, 1.0, 1.0, -1.0], n))
+    return perm, sign
+
+
+def test_half_wave_shift_commutes_with_the_operator_exactly(params,
+                                                            params_m0):
+    # P M0 P = M0 with no rounding: the two arms are exact mirror images
+    for leg in _symmetry_legs(params, params_m0):
+        for h in (4, 8, 16):
+            a, _ = mm.build_base_hss(leg, h)
+            m0 = hc.operator_matrix(a, leg.omega1)
+            perm, sign = _half_wave(h)
+            np.testing.assert_array_equal(
+                sign[:, None] * m0[np.ix_(perm, perm)] * sign, m0)
+
+
+def test_every_channel_lies_in_the_class_of_the_row_it_picks(params,
+                                                            params_m0):
+    # P F[:, j] = +F[:, j] for an EVEN channel and -F[:, j] for an ODD
+    # one, and the row it picks has the same parity; two loops split
+    # evenly between the classes
+    gains = dict(kpv=1.0, krv=20.0, ra=20.0, sampling_period=1e-4)
+    for leg in _symmetry_legs(params, params_m0):
+        for h in (4, 8, 16):
+            op = mm.steady_state(leg, h)
+            perm, sign = _half_wave(h)
+            for mode in mm.CONTROL_MODES:
+                config = mm.ControlConfig(mode=mode, **gains)
+                f, picks, _ = mm.loop_channels(leg, config, op, h)
+                parity = mm.channel_parities(config, h)
+                want = np.where(parity == mm.EVEN, 1.0, -1.0)
+                np.testing.assert_array_equal(sign[:, None] * f[perm],
+                                              f * want)
+                np.testing.assert_array_equal(perm[picks], picks)
+                np.testing.assert_array_equal(sign[picks], want)
+                if mode == "acv+ccc":
+                    assert (parity == mm.EVEN).sum() == 2 * h + 1
+
+
+def test_steady_state_keeps_the_symmetry_exactly(params, params_m0):
+    # the entries the symmetry forbids are exactly 0 (i_c at odd k, i_g
+    # at even k, v_cu + v_cl at odd k, v_cu - v_cl at even k); the others
+    # match a full-size dense solve
+    for leg in _symmetry_legs(params, params_m0):
+        for h in (4, 8, 16):
+            x = mm.steady_state(leg, h).stack
+            odd = np.arange(-h, h + 1) % 2 == 1
+            assert not x[odd, 0].any() and not x[~odd, 3].any()
+            np.testing.assert_array_equal(x[odd, 1], -x[odd, 2])
+            np.testing.assert_array_equal(x[~odd, 1], x[~odd, 2])
+            dense = ref.dense_steady_stack(leg, h)
+            np.testing.assert_allclose(x, dense, rtol=0.0,
+                                       atol=1e-12 * np.abs(dense).max())
+
+
+def test_class_coordinates_round_trip(params):
+    # from_class inverts to_class on a stack of one class, and a class
+    # operator is the full one restricted to its class
+    h, wp = 4, 2.0 * np.pi * 37.0
+    a, _ = mm.build_base_hss(params, h)
+    m0 = hc.operator_matrix(a, params.omega1)
+    b = mm.series_forcing(params, h, 1.0)
+    x = np.linalg.solve(m0 - 1j * wp * np.eye(len(m0)), b)
+    y = mm.to_class(x, h, mm.ODD)
+    assert y.shape == (2 * (2 * h + 1),)
+    np.testing.assert_allclose(mm.from_class(y, h, mm.ODD), x, rtol=0.0,
+                               atol=1e-14 * np.abs(x).max())
+    m_odd = mm.class_operator(params, h, mm.ODD)
+    np.testing.assert_allclose(m_odd @ y, mm.to_class(m0 @ x, h, mm.ODD),
+                               rtol=0.0, atol=1e-12 * np.abs(m0 @ x).max())
