@@ -24,13 +24,14 @@ single-point call raises the first error its point meets.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
-outputs) instead of assembling the loop-dependent operator. The channel
-system contains the exact analytic inverse of the loop gain, which is zero
-on an undamped resonator pole, so frequencies whose sidebands land on the
-pole (e.g. 100 or 200 Hz with a 50 Hz resonator) solve cleanly; the
-infinite-gain limit turns into a hard constraint that the controller input
-vanishes there. Away from poles this equals the assembled dense operator to
-machine precision (mmc_model.perturbed_system assembles it).
+outputs) instead of assembling the loop-dependent operator. Each channel
+enters the channel system as the scaled row alpha*c = beta*u of its law
+(mmc_model.channel_gains), which is exactly alpha = 0 on an undamped
+resonator pole, so frequencies whose sidebands land on the pole (e.g. 100
+or 200 Hz with a 50 Hz resonator) solve cleanly; the infinite-gain limit
+turns into a hard constraint that the controller input vanishes there.
+Away from poles this equals the assembled dense operator to machine
+precision (mmc_model.perturbed_system assembles it).
 
 The harmonic truncation order defaults to "auto" (order=None): the lowest
 order h >= 4 whose |Z| agrees with order h + 2 within AUTO_ORDER_RTOL at
@@ -273,16 +274,18 @@ class _Loop:
     closed, around the modal solvers of one factor.
 
     Per point the leg solves (M0 - j w I) X + F c = bx together with the
-    channel law c_r = gain_r * (scale_r * X[pick_r] + vp_r * v_p) for every
-    controller output c_r (one per loop and source harmonic). Operator,
-    channels and probe all split into the two parity classes of
-    mmc_model, so a point solves only its probe's class, with that class's
-    channels. X is eliminated first, so the small channel system carries
-    1/gain and stays exact on resonator poles. Built once per class, on
-    first use: the injection map F, its modal coordinates V^-1 F and the
-    picked rows of the modes V. Per point, vectorised over the points of a
-    chunk: gains and pickup scales, the modal scalings, the channel system
-    and one refinement step of the whole system against M0 - j w I.
+    channel law alpha_r * c_r = beta_r * (scale_r * X[pick_r] + vp_r * v_p)
+    for every controller output c_r (one per loop and source harmonic),
+    stacked as mmc_model.channel_gains gives it. Operator, channels and
+    probe all split into the two parity classes of mmc_model, so a point
+    solves only its probe's class, with that class's channels. X is
+    eliminated first, so the small channel system holds alpha on its
+    diagonal and stays exact on resonator poles, where alpha = 0. Built
+    once per class, on first use: the injection map F, its modal
+    coordinates V^-1 F and the picked rows of the modes V. Per point,
+    vectorised over the points of a chunk: the channel law, the modal
+    scalings, the channel system and one refinement step of the whole
+    system against M0 - j w I.
     """
 
     def __init__(self, factor, config, op):
@@ -340,14 +343,8 @@ class _Loop:
                 errors.append(None)
             except SingularSystemError as exc:
                 errors.append(exc)
-        gains, inv_gains, scale = mmc_model.channel_gains(
+        alpha, beta, scale = mmc_model.channel_gains(
             self.params, self.config, self.order, omegas, parity)
-        # row scaling: small gains keep alpha = 1, beta = gain; large or
-        # infinite ones switch to alpha = 1/gain, beta = 1 (same equation
-        # alpha*c - beta*scale*X[pick] = beta*vp*v_p)
-        small = np.isfinite(gains) & (np.abs(gains) <= 1.0)
-        alpha = np.where(small, 1.0, inv_gains)
-        beta = np.where(small, gains, 1.0)
         pick_scale = beta * scale
         bc = beta * vp * v_p
         # a point flagged singular may divide by zero; its values are

@@ -333,49 +333,41 @@ def on_resonant_pole(config: ControlConfig, omega1: float, s: complex) -> bool:
     return abs(den) < _POLE_REL_TOL * omega1 * omega1
 
 
-def _inverse_acv_gain(config: ControlConfig, omega1: float, s):
-    """Inverse of the voltage-loop gain
-    (kf + kpv + krv*s/(s^2 + 2*wc*s + w1^2)) * exp(-1.5*Ts*s), with wc the
-    resonant damping: exact (0) on the undamped resonator pole and inf
-    where the loop is dead (all gains zero); s may be an array."""
-    s = np.asarray(s, dtype=complex)
-    den = _resonator_denominator(config, omega1, s)
-    num = (config.kf + config.kpv) * den + config.krv * s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = den * np.exp(1.5 * config.sampling_period * s) / num
-    return np.where(num == 0, complex(math.inf), inv)[()]
-
-
 def loop_gains(params: CircuitParams, config: ControlConfig, loop: str,
                omegas):
-    """Gains, exact inverse gains and pickup scales of one loop at the
-    source frequencies omegas (rad/s, any array shape).
+    """Channel law (alpha, beta, scale) of one loop at the source
+    frequencies omegas (rad/s, any array shape): its controller output c
+    obeys alpha*c = beta*u, u the pickup, scaled to max(|alpha|, |beta|) = 1
+    (alpha = 1, beta = gain while |gain| <= 1, else alpha = 1/gain,
+    beta = 1). So alpha is exactly 0 on an undamped resonator pole, where
+    the gain is infinite, and beta is 0 for a dead loop.
 
-    The ac-voltage loop regulates v_g with negative feedback; its insertion
-    perturbation is w = +G_v/V_dc * v_gp on the upper arm (opposite on the
-    lower), which opposes the terminal-voltage deviation, and its pickup
-    scale is the load impedance that turns i_g into v_g. The circulating
-    loop emulates a series arm resistance: w = ra*G_d/V_dc * i_cp on both
-    arms, pickup scale 1. On an undamped resonator pole the gain is
-    infinite and its inverse exactly 0; a dead loop has gain 0 and inverse
-    inf.
+    The ac-voltage loop regulates v_g with negative feedback: its gain
+    (kf + kpv + krv*s/(s^2 + 2*wc*s + w1^2)) * exp(-1.5*Ts*s) / V_dc, wc the
+    resonant damping, drives the upper arm's insertion (the lower arm's
+    opposite), and its pickup scale is the load impedance that turns i_g
+    into v_g. The circulating loop emulates a series arm resistance: gain
+    ra*exp(-1.5*Ts*s)/V_dc on both arms, pickup scale 1.
     """
     w = np.asarray(omegas, dtype=float)
-    inv = np.full(w.shape, complex(math.inf))
-    if loop == "acv":
-        inv_g = _inverse_acv_gain(config, params.omega1, 1j * w)
-        finite = np.isfinite(inv_g)
-        inv[finite] = params.vdc * inv_g[finite]
-        gains = np.zeros(w.shape, dtype=complex)
-        live = finite & (inv_g != 0)
-        gains[live] = 1.0 / inv[live]
-        gains[inv_g == 0] = math.inf
-        return gains, inv, params.load_impedance(w)
-    gains = (config.ra / params.vdc) * np.exp(
-        -1.5j * config.sampling_period * w)
-    nonzero = gains != 0
-    inv[nonzero] = 1.0 / gains[nonzero]
-    return gains, inv, np.ones(w.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if loop == "acv":
+            s = 1j * w
+            # without a resonator its denominator cancels, also at +-w1
+            den = (_resonator_denominator(config, params.omega1, s)
+                   if config.krv else 1.0)
+            num = (config.kf + config.kpv) * den + config.krv * s
+            inv = params.vdc * (
+                den * np.exp(1.5 * config.sampling_period * s) / num)
+            gain = np.where(num == 0, 0j, 1.0 / inv)
+            scale = params.load_impedance(w)
+        else:
+            gain = (config.ra / params.vdc) * np.exp(
+                -1.5j * config.sampling_period * w)
+            inv = 1.0 / gain
+            scale = np.ones(w.shape)
+    small = np.abs(gain) <= 1.0
+    return np.where(small, 1.0, inv), np.where(small, gain, 1.0), scale
 
 
 # ------------------------------------------------- perturbation construction
@@ -487,9 +479,11 @@ def loop_channels(params: CircuitParams, config: ControlConfig,
 
 def channel_gains(params: CircuitParams, config: ControlConfig, order: int,
                   omegas, parity: int | None = None):
-    """(gains, inverse gains, pickup scales) of loop_channels' channels
-    (of one class with a parity) at the perturbation frequencies omegas
-    (rad/s), each (points, channels): channel q of a loop filters at
+    """Channel law (alpha, beta, scale) of loop_channels' channels (of one
+    class with a parity) at the perturbation frequencies omegas (rad/s),
+    each (points, channels): channel j's output c_j obeys
+    alpha_j*c_j = beta_j*(scale_j*X[picks_j] + direct_j*v_p), with
+    max(|alpha_j|, |beta_j|) = 1, and channel q of a loop filters at
     omega + q*omega1 (see loop_gains)."""
     src = np.asarray(omegas, dtype=float)[:, None] + (
         np.arange(-order, order + 1) * params.omega1)
@@ -509,14 +503,14 @@ def perturbed_system(params: CircuitParams, config: ControlConfig,
 
     The response X to a unit series voltage behind the load at omega_p
     solves M_p X = b_p, with M_p = M0 - j*omega_p*I (M0 = A - N) plus the
-    channels of loop_channels closed densely: channel j adds
-    gain_j * scale_j * F[:, j] to column picks[j], and its direct v_p
-    pickup gain_j * direct_j * F[:, j] leaves b_p. op is the operating
-    point the loops act around (unused open loop). This is the reference
-    impedance_engine's channel solve is checked against: it shares the
-    channel map and gains but assembles and solves densely. Raises
-    PoleAtResonanceError when a source frequency sits on an undamped
-    resonator pole, where the gain is infinite and M_p does not exist.
+    channels of loop_channels closed densely: with gain_j = beta_j/alpha_j
+    from channel_gains, channel j adds gain_j * scale_j * F[:, j] to column
+    picks[j], and its direct v_p pickup gain_j * direct_j * F[:, j] leaves
+    b_p. op is the operating point the loops act around (unused open loop).
+    This is the reference impedance_engine's channel solve is checked
+    against: it shares the channel map and law but assembles and solves
+    densely. Raises PoleAtResonanceError when a source frequency sits on an
+    undamped resonator pole, where alpha = 0 and M_p does not exist.
     """
     a, _ = build_base_hss(params, order)
     m = hss_core.operator_matrix(a, params.omega1, omega_p)
@@ -529,7 +523,9 @@ def perturbed_system(params: CircuitParams, config: ControlConfig,
             "on the resonant-controller pole; the assembled operator "
             "does not exist there")
     f, picks, direct = loop_channels(params, config, op, order)
-    (gains,), _, (scale,) = channel_gains(params, config, order, [omega_p])
+    (alpha,), (beta,), (scale,) = channel_gains(params, config, order,
+                                                [omega_p])
+    gains = beta / alpha
     m[:, picks] += f * (gains * scale)
     return m, series_forcing(params, order, 1.0) - f @ (gains * direct)
 

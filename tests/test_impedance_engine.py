@@ -145,6 +145,20 @@ def test_acv_impedance_vanishes_at_fundamental(params, op):
     assert z.magnitude < 1e-9
 
 
+def test_proportional_voltage_loop_stays_closed_at_the_fundamental(
+        params, op):
+    # without a resonator the voltage-loop gain is finite at f1, so a
+    # source harmonic exactly there (a 50 Hz series probe at q = 0, a
+    # 100 Hz circulating probe at q = -1) keeps its channel closed and the
+    # impedance is smooth through it
+    prop = mm.ControlConfig(mode="acv", kpv=1.0, sampling_period=1e-4)
+    for at, f in ((ie.impedance_at, 50.0),
+                  (ie.circulating_impedance_at, 100.0)):
+        lo, z, hi = (at(params, prop, f + d, order=4, op=op).impedance
+                     for d in (-1e-3, 0.0, 1e-3))
+        assert abs(z - 0.5 * (lo + hi)) < 1e-4 * abs(z)
+
+
 def test_zero_gain_loops_equal_open_loop(params):
     z_open = ie.impedance_at(params, OPEN, 37.0).impedance
     z_acv0 = ie.impedance_at(

@@ -279,36 +279,79 @@ def test_control_transfer_dc_and_spot_value():
     assert ref.control_transfer(ccc, w1, s, loop="ccc") == pytest.approx(want_ccc)
 
 
-def test_control_transfer_pole_handling():
-    w1 = 100.0 * np.pi
+def test_control_transfer_pole_handling(params):
+    w1 = params.omega1
     undamped = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0)
     assert mm.on_resonant_pole(undamped, w1, 1j * w1)
     assert mm.on_resonant_pole(undamped, w1, -1j * w1)
     assert not mm.on_resonant_pole(undamped, w1, 1.001j * w1)
-    # the exact inverse is defined everywhere and is 0 on the pole
-    assert mm._inverse_acv_gain(undamped, w1, 1j * w1) == 0.0
+    # the channel law is defined everywhere: on the pole at +-f1 the gain
+    # is infinite and the scaled row is exactly 0*c = 1*u
+    alpha, beta, _ = mm.loop_gains(params, undamped, "acv", [w1, -w1])
+    np.testing.assert_array_equal(alpha, 0.0)
+    np.testing.assert_array_equal(beta, 1.0)
 
     damped = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0,
                               resonant_damping=5.0)
-    assert not mm.on_resonant_pole(damped, w1, 1j * w1)
+    no_res = mm.ControlConfig(mode="acv", kpv=1.0, krv=0.0)
     g = ref.control_transfer(damped, w1, 1j * w1)
     assert np.isfinite(g.real) and np.isfinite(g.imag)
+    for cfg in (damped, no_res):
+        assert not mm.on_resonant_pole(cfg, w1, 1j * w1)
+        # a finite, nonzero gain at +-f1: both sides of the law are live
+        alpha, beta, _ = mm.loop_gains(params, cfg, "acv", [w1, -w1])
+        assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+        assert np.all(alpha != 0) and np.all(beta != 0)
+        for a, b, w in zip(alpha, beta, (w1, -w1)):
+            want = (ref.control_transfer(cfg, w1, 1j * w) if cfg.krv
+                    else cmath.exp(-1.5j * cfg.sampling_period * w))
+            assert b / a == pytest.approx(want / params.vdc, rel=1e-12)
 
-    no_res = mm.ControlConfig(mode="acv", kpv=1.0, krv=0.0)
-    assert not mm.on_resonant_pole(no_res, w1, 1j * w1)
 
-
-def test_inverse_gain_matches_reciprocal():
+def test_inverse_gain_matches_reciprocal(params):
     cfg = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0, kf=0.2,
                            sampling_period=1e-4)
-    w1 = 100.0 * np.pi
+    w1 = params.omega1
     rng = np.random.default_rng(11)
-    for w in rng.uniform(-4000.0, 4000.0, size=50):
+    ws = rng.uniform(-4000.0, 4000.0, size=50)
+    alpha, beta, _ = mm.loop_gains(params, cfg, "acv", ws)
+    for w, a, b in zip(ws, alpha, beta):
         s = 1j * w
         if mm.on_resonant_pole(cfg, w1, s):
             continue
-        inv = mm._inverse_acv_gain(cfg, w1, s)
-        assert inv * ref.control_transfer(cfg, w1, s) == pytest.approx(1.0)
+        gain = ref.control_transfer(cfg, w1, s) / params.vdc
+        assert a * gain == pytest.approx(b, rel=1e-12)
+
+
+def test_channel_rows_are_scaled_to_unit_size(params):
+    # max(|alpha|, |beta|) is exactly 1 on every channel, the sidebands
+    # that land on the resonator pole at 100 and 200 Hz included, and a
+    # dead loop is exactly beta = 0
+    omegas = 2 * np.pi * np.array([5.0, 37.0, 50.0, 100.0, 150.0, 200.0,
+                                   499.0])
+    live = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
+                            sampling_period=1e-4)
+    big = replace(live, kpv=1e6, ra=-1e6)  # |gain| > 1: alpha = 1/gain
+    for cfg in (live, big):
+        for h in (4, 16):
+            alpha, beta, _ = mm.channel_gains(params, cfg, h, omegas)
+            np.testing.assert_array_equal(
+                np.maximum(np.abs(alpha), np.abs(beta)), 1.0)
+    # at order 4, 100 Hz puts q = -3 and -1, 200 Hz q = -3 on the pole:
+    # alpha is 0 there, exactly where the sideband is (2*w1 - w1 is exact)
+    src = 2 * np.pi * np.array([[100.0], [200.0]]) + (
+        np.arange(-4, 5) * params.omega1)
+    on_pole = np.array([[mm.on_resonant_pole(live, params.omega1, 1j * w)
+                         for w in row] for row in src])
+    assert np.count_nonzero(on_pole) == 3
+    alpha, _, _ = mm.channel_gains(params, live, 4, src[:, 4])
+    assert np.abs(alpha[:, :9][on_pole]).max() < 1e-8
+    assert alpha[0, 3] == 0
+    for dead in (mm.ControlConfig(mode="acv", kpv=0.0, krv=0.0, kf=0.0),
+                 mm.ControlConfig(mode="ccc", ra=0.0)):
+        alpha, beta, _ = mm.channel_gains(params, dead, 4, omegas)
+        np.testing.assert_array_equal(beta, 0.0)
+        np.testing.assert_array_equal(alpha, 1.0)
 
 
 # --------------------------------------------------------- perturbation build
@@ -358,21 +401,20 @@ def test_feedback_channel_gain_convention(params, op):
     assert mm.active_loops(cfg) == ("acv", "ccc")
     src = wp + np.arange(-4, 5) * params.omega1
 
-    gains, inv, scale = mm.loop_gains(params, cfg, "acv", src)
+    alpha, beta, scale = mm.loop_gains(params, cfg, "acv", src)
     for q in range(-4, 5):
         s = 1j * (wp + q * params.omega1)
-        want = ref.control_transfer(cfg, params.omega1, s) / params.vdc
-        assert gains[q + 4] == pytest.approx(want)
-        assert gains[q + 4] * inv[q + 4] == pytest.approx(1.0)
+        want = ref.control_transfer(cfg, params.omega1, s)
+        assert beta[q + 4] / alpha[q + 4] * params.vdc == pytest.approx(want)
         assert scale[q + 4] == 550.0
     # picks up i_g, and v_p directly
     assert mm.LOOP_WIRING["acv"][1:] == (3, True)
 
-    gains, _, scale = mm.loop_gains(params, cfg, "ccc", src)
+    alpha, beta, scale = mm.loop_gains(params, cfg, "ccc", src)
     for q in range(-4, 5):
         s = 1j * (wp + q * params.omega1)
         want = (20.0 / params.vdc) * cmath.exp(-1.5e-4 * s)
-        assert gains[q + 4] == pytest.approx(want)
+        assert beta[q + 4] / alpha[q + 4] == pytest.approx(want)
         assert scale[q + 4] == 1.0
     assert mm.LOOP_WIRING["ccc"][1:] == (0, False)
 
@@ -380,7 +422,8 @@ def test_feedback_channel_gain_convention(params, op):
     # the voltage loop carries gain_q * scale_q * f_{p-q} in block p
     acv = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0,
                            sampling_period=1e-4)
-    g, _, z = mm.loop_gains(params, acv, "acv", src)
+    alpha, beta, z = mm.loop_gains(params, acv, "acv", src)
+    g = beta / alpha
     f = mm._injection(params, op, 4, "acv")
     lift = (mm.perturbed_system(params, acv, op, 4, wp)[0]
             - mm.perturbed_system(params, OPEN, None, 4, wp)[0])
