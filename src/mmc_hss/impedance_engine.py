@@ -13,14 +13,18 @@ probe's class alone, and M0's modes are the union of both classes' modes.
 One real eigendecomposition per class and (params, order), built when a
 probe first needs it, turns every frequency into an elementwise scaling
 with an O(n) condition bound (hss_core.ShiftedSolver): a sweep solves its
-grid in chunks of about 1 MiB, and single-point calls reuse the last
-factor. Open loop, ac-voltage loop, circulating loop and the
+grid in chunks of about 1 MiB. One store keeps, per (order, class) of the
+current leg, that solver and the last loop set-up closed around it, so the
+single-point calls and automatic-order trials that follow build neither
+again. A loop set-up is matched to its operating point by value, so the
+steady state needs no per-order cache: mmc_model.steady_state keeps only
+its last result. Open loop, ac-voltage loop, circulating loop and the
 circulating-path probe all take this one path; they differ only in their
 class, forcing, readout row and channels, which mmc_model supplies
 (probe, loop_channels, channel_gains) along with the stack layout.
-impedance_at, circulating_impedance_at and sweep share
-one evaluation path (_evaluate): a sweep records a failed point, a
-single-point call raises the first error its point meets.
+impedance_at, circulating_impedance_at and sweep share one evaluation
+path (_evaluate): a sweep records a failed point, a single-point call
+raises the first error its point meets.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
@@ -44,7 +48,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -194,84 +197,37 @@ def _auto_order(params, freqs, evaluate):
     return MAX_ORDER, results(MAX_ORDER, everything)
 
 
-class _Solvers(dict):
-    """The ShiftedSolver of the unperturbed operator M0 = A - N on each
-    half-wave parity class of mmc_model for one (params, order), keyed by
-    the class and built on first use."""
-
-    def __init__(self, params, order):
-        super().__init__()
-        self.params, self.order = params, order
-
-    def __missing__(self, parity):
-        solver = self[parity] = hss_core.ShiftedSolver(
-            mmc_model.class_operator(self.params, self.order, parity),
-            self.order)
-        return solver
+# the leg the store holds, and per (order, parity class) of it the last
+# _Loop closed around that class's modal solver
+_leg = None
+_store = {}
 
 
-class _Factor:
-    """Modal solvers of M0 for one (params, order), one per parity class,
-    plus the periodic steady state and the last loop set-up built around
-    them."""
+def _loop(params, config, op, order, parity):
+    """The _Loop of config around op on one parity class of params at
+    order.
 
-    def __init__(self, params, order):
-        self.params, self.order = params, order
-        self.solvers = _Solvers(params, order)
-        self._op = self._loop = None
-
-    def steady(self):
-        if self._op is None:
-            self._op = mmc_model.steady_state(self.params, self.order)
-        return self._op
-
-    def loop(self, config, op):
-        """The _Loop for config around op, rebuilt only when they change."""
-        last = self._loop
-        if last is None or last.config != config or last.op is not op:
-            last = self._loop = _Loop(self, config, op)
-        return last
-
-
-_cached_factor = None
-
-
-def _factor(params, order, held=None):
-    """held, else the cached factor for (params, order), else a new one.
-
-    The factor returned stays cached, so the single-point calls that follow
-    a sweep (spots, probes) need no new modal factor. Raises ValueError for
-    an order outside 1..MAX_ORDER before anything is built.
+    The class's ShiftedSolver of M0 = A - N is built once and kept in the
+    store with the last loop closed around it, which is reused for an
+    equal config and an equal operating point. A new leg empties the store
+    before anything is built, so two legs' solvers never coexist.
     """
-    global _cached_factor
-    check("order", order, ORDER)
-    if held is None and _cached_factor is not None and (
-            _cached_factor.params, _cached_factor.order) == (params, order):
-        held = _cached_factor
-    # dropped before a new factor is built, so the two never coexist
-    _cached_factor = None
-    _cached_factor = held or _Factor(params, order)
-    return _cached_factor
-
-
-class _Channels(NamedTuple):
-    """One parity class of a _Loop: the class, its modal solver, the
-    channel map F, picks and direct v_p pickups of the class's channels, F
-    in modal coordinates (V^-1 F) and the picked rows of the modes
-    (V[picks])."""
-
-    parity: int
-    solver: hss_core.ShiftedSolver
-    f_map: np.ndarray
-    picks: np.ndarray
-    vp: np.ndarray
-    modal_f: np.ndarray
-    modal_picks: np.ndarray
+    global _leg
+    if params != _leg:
+        _store.clear()
+        _leg = params
+    last = _store.get((order, parity))
+    if last is None or not last.serves(config, op):
+        solver = last.solver if last else hss_core.ShiftedSolver(
+            mmc_model.class_operator(params, order, parity), order)
+        last = _store[order, parity] = _Loop(solver, params, config, op,
+                                             order, parity)
+    return last
 
 
 class _Loop:
     """Once-per-sweep set-up of the perturbed leg with its control loops
-    closed, around the modal solvers of one factor.
+    closed, on one parity class around that class's modal solver.
 
     Per point the leg solves (M0 - j w I) X + F c = bx together with the
     channel law alpha_r * c_r = beta_r * (scale_r * X[pick_r] + vp_r * v_p)
@@ -281,60 +237,61 @@ class _Loop:
     solves only its probe's class, with that class's channels. X is
     eliminated first, so the small channel system holds alpha on its
     diagonal and stays exact on resonator poles, where alpha = 0. Built
-    once per class, on first use: the injection map F, its modal
-    coordinates V^-1 F and the picked rows of the modes V. Per point,
-    vectorised over the points of a chunk: the channel law, the modal
-    scalings, the channel system and one refinement step of the whole
-    system against M0 - j w I.
+    once: the class's channel map F, its picks and direct v_p pickups vp,
+    F in modal coordinates (modal_f = V^-1 F) and the picked rows of the
+    modes (modal_picks = V[picks]). Per point, vectorised over the points
+    of a chunk: the channel law, the modal scalings, the channel system
+    and one refinement step of the whole system against M0 - j w I.
     """
 
-    def __init__(self, factor, config, op):
-        self.solvers, self.config, self.op = factor.solvers, config, op
-        self.params, self.order = factor.params, factor.order
-        self._classes = {}
+    def __init__(self, solver, params, config, op, order, parity):
+        self.solver, self.params, self.config, self.op = (solver, params,
+                                                          config, op)
+        self.order, self.parity = order, parity
+        self.f_map, self.picks, self.vp = mmc_model.loop_channels(
+            params, config, op, order, parity)
+        self.modal_f = solver.v_inv @ self.f_map
+        self.modal_picks = solver.v[self.picks]
         # complex values one point of the larger class keeps live: modal
         # stack, channel systems and inverses, refinement terms
         # (tracemalloc: 0.9x at 2+ per chunk)
-        n = 2 * (2 * self.order + 1)
-        m = int(np.bincount(mmc_model.channel_parities(config, self.order),
+        n = 2 * (2 * order + 1)
+        m = int(np.bincount(mmc_model.channel_parities(config, order),
                             minlength=2).max())
         self.point_bytes = 16 * ((n + 4 * m) * (m + 1) + 6 * n)
 
-    def channels(self, parity):
-        """The _Channels of one class."""
-        if parity not in self._classes:
-            solver = self.solvers[parity]
-            f_map, picks, vp = mmc_model.loop_channels(
-                self.params, self.config, self.op, self.order, parity)
-            self._classes[parity] = _Channels(
-                parity, solver, f_map, picks, vp, solver.v_inv @ f_map,
-                solver.v[picks])
-        return self._classes[parity]
+    def serves(self, config, op):
+        """True for an equal config around an operating point equal to
+        this loop's by value (order and stack)."""
+        own = self.op
+        return self.config == config and (op is own or (
+            op is not None and own is not None and op.order == own.order
+            and np.array_equal(op.stack, own.stack)))
 
-    def solve(self, parity, omegas, bx, v_p, rows):
+    def solve(self, omegas, bx, v_p, rows):
         """X[rows] per point, (len(rows), points), and per point the
         SingularSystemError that spoiled it, or None.
 
         bx is the state forcing (right-hand side of the state rows) and
-        rows the rows read out, both in the class coordinates of parity;
-        v_p is the series voltage the channel pickups see directly.
+        rows the rows read out, both in the class coordinates; v_p is the
+        series voltage the channel pickups see directly.
         """
         omegas = np.asarray(omegas, dtype=float)
         size = max(1, _CHUNK_BYTES // self.point_bytes)
-        channels = self.channels(parity)
-        b = np.column_stack([channels.modal_f,
-                             channels.solver.v_inv @ bx[:, None]])
+        b = np.column_stack([self.modal_f,
+                             self.solver.v_inv @ bx[:, None]])
         out = np.empty((bx[rows].size, omegas.size), dtype=complex)
         errors = []
         for start in range(0, omegas.size, size):
             chunk = omegas[start:start + size]
-            x, err = self._solve_chunk(channels, chunk, b, bx, v_p)
+            x, err = self._solve_chunk(chunk, b, bx, v_p)
             out[:, start:start + chunk.size] = x[rows]
             errors.extend(err)
         return out, errors
 
-    def _solve_chunk(self, channels, omegas, b, bx, v_p):
-        parity, solver, f_map, picks, vp, _, modal_picks = channels
+    def _solve_chunk(self, omegas, b, bx, v_p):
+        solver, f_map, picks = self.solver, self.f_map, self.picks
+        modal_picks = self.modal_picks
         m = f_map.shape[1]
         errors = []
         for w in omegas:
@@ -344,9 +301,9 @@ class _Loop:
             except SingularSystemError as exc:
                 errors.append(exc)
         alpha, beta, scale = mmc_model.channel_gains(
-            self.params, self.config, self.order, omegas, parity)
+            self.params, self.config, self.order, omegas, self.parity)
         pick_scale = beta * scale
-        bc = beta * vp * v_p
+        bc = beta * self.vp * v_p
         # a point flagged singular may divide by zero; its values are
         # discarded with its error
         with np.errstate(all="ignore"):
@@ -423,28 +380,25 @@ def _evaluate(params, config, freqs, order, op, probe, strict):
     ImpedancePoint or the error that spoiled it; strict raises the first
     error met at any order evaluated. A given op fixes order when it is
     None, else None applies the automatic rule. Each order is one batched
-    solve around its factor, with op or, where a loop or the circulating
-    probe needs one, the factor's steady state."""
+    solve on its probe's class (_loop), around op or, where a loop or the
+    circulating probe needs one, the steady state at that order."""
     if op is not None:
         order = op.order if order is None else order
         if op.params != params or op.order < order:
             raise ValueError(
                 "operating point must be for the same params and of at "
                 "least the requested order")
-    held = {}  # factors of the orders the automatic rule may revisit
+    if order is not None:
+        check("order", order, ORDER)
 
     def evaluate(h, idx):
-        for done in [k for k in held if k < h - 2]:
-            del held[done]
-        factor = held[h] = _factor(params, h, held.get(h))
         loop_op = op
         if loop_op is None and (probe != "series" or config.mode != "open"):
-            loop_op = factor.steady()
+            loop_op = mmc_model.steady_state(params, h)
         fs = [freqs[i] for i in idx]
         parity, bx, v_p, row = mmc_model.probe(params, loop_op, h, probe)
-        (x,), errors = factor.loop(config, loop_op).solve(
-            parity, 2.0 * math.pi * np.asarray(fs, dtype=float), bx, v_p,
-            [row])
+        (x,), errors = _loop(params, config, loop_op, h, parity).solve(
+            2.0 * math.pi * np.asarray(fs, dtype=float), bx, v_p, [row])
         results = [e or _point(params, config, h, probe, f, complex(v))
                    for f, v, e in zip(fs, x, errors)]
         failed = [r for r in results if isinstance(r, Exception)]

@@ -70,22 +70,28 @@ def insertion_indices(params, t):
 
 def control_transfer(config, omega1, s, loop="acv"):
     """Loop-filter response with the sampling delay exp(-1.5*Ts*s):
-    acv (kf + kpv + krv*s/(s^2 + 2*wc*s + w1^2)), ccc ra."""
+    acv (kf + kpv + krv*s/(s^2 + 2*wc*s + w1^2), the resonator term only
+    where krv is nonzero), ccc ra."""
     delay = cmath.exp(-1.5 * config.sampling_period * s)
     if loop == "ccc":
         return config.ra * delay
-    den = s * s + 2.0 * config.resonant_damping * s + omega1 * omega1
-    return (config.kf + config.kpv + config.krv * s / den) * delay
+    gain = config.kf + config.kpv
+    if config.krv != 0.0:
+        den = s * s + 2.0 * config.resonant_damping * s + omega1 * omega1
+        gain += config.krv * s / den
+    return gain * delay
 
 
 def closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
     """Response stack to a series voltage v_p behind the load at omega_p,
-    with config's controller channels closed around the engine's factor."""
+    with config's controller channels closed around the engine's modal
+    solver of the ODD class."""
     odd = mmc_model.ODD
     bx = mmc_model.to_class(mmc_model.series_forcing(params, order, v_p),
                             order, odd)
-    x, (error,) = impedance_engine._factor(params, order).loop(
-        config, op).solve(odd, [omega_p], bx, v_p, slice(None))
+    x, (error,) = impedance_engine._loop(params, config, op, order,
+                                         odd).solve([omega_p], bx, v_p,
+                                                    slice(None))
     if error is not None:
         raise error
     return mmc_model.from_class(x[:, 0], order, odd)

@@ -2,9 +2,11 @@
 against dense assembly, sweep bookkeeping and resonance search."""
 
 import dataclasses
+import gc
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -322,8 +324,11 @@ def test_sweep_input_validation(params):
 
 @pytest.mark.parametrize("order", [0, ie.MAX_ORDER + 1])
 def test_sweep_rejects_an_order_out_of_range(params, order, monkeypatch):
-    # refused as a bad argument before any modal factor is built
-    monkeypatch.setattr(ie, "_Factor", None)
+    # refused as a bad argument before any modal or dense factor is built
+    ie._store.clear()
+    monkeypatch.setattr(mm, "_last_steady", None)
+    monkeypatch.setattr(hss_core, "ShiftedSolver", None)
+    monkeypatch.setattr(hss_core, "DenseFactor", None)
     with pytest.raises(ValueError, match="order must lie in 1..16"):
         ie.sweep(params, OPEN, freqs=np.array([35.0, 80.0]), order=order)
 
@@ -398,22 +403,48 @@ def test_spot_calls_raise_a_failure_at_any_order_they_evaluate(
     assert [f for f, _ in res.failures] == [101.0]
 
 
+def _built(monkeypatch, *classes):
+    """Count of the instances of each class built from now on, by name."""
+    built = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
 def test_automatic_spot_point_is_the_sweep_point(params, monkeypatch):
-    # a spot call at the automatic order builds no more factors than the
-    # rule needs, and returns the point a one-frequency sweep returns
-    built = []
-    real = ie._Factor.__init__
+    # repeated spot calls at the automatic order build each (order, class)
+    # solver and loop the rule visits once, for 4 such pairs, and return
+    # the points one-frequency sweeps return
+    ie._store.clear()
+    built = _built(monkeypatch, hss_core.ShiftedSolver, ie._Loop)
+    freqs = (101.0, 101.0, 101.0, 35.0, 80.0, 120.0)
+    points = [ie.impedance_at(params, ACV, f) for f in freqs]
+    assert built["ShiftedSolver"] <= 4 and built["_Loop"] <= 4
+    for f, point in zip(freqs, points):
+        assert point == ie.sweep(params, ACV, [f],
+                                 guard_band_hz=0.0).points[0]
 
-    def counting(self, leg, order):
-        built.append(order)
-        real(self, leg, order)
 
-    monkeypatch.setattr(ie, "_cached_factor", None)
-    monkeypatch.setattr(ie._Factor, "__init__", counting)
-    point = ie.impedance_at(params, ACV, 101.0)
-    assert len(built) <= 4
-    assert point == ie.sweep(params, ACV, [101.0],
-                             guard_band_hz=0.0).points[0]
+def test_the_store_holds_one_leg_and_reuses_an_equal_operating_point(
+        params, params_m0, monkeypatch):
+    # a call on a second leg frees the first leg's solvers, and a copy of
+    # an operating point closes no new loop around the stored solver
+    ie.impedance_at(params, OPEN, 35.0, order=8)
+    first = weakref.ref(ie._store[8, mm.ODD].solver)
+    ie.impedance_at(params_m0, OPEN, 35.0, order=8)
+    gc.collect()
+    assert first() is None
+
+    op = mm.steady_state(params_m0, 8)
+    want = ie.circulating_impedance_at(params_m0, ACV, 35.0, op=op)
+    built = _built(monkeypatch, ie._Loop)
+    copy = mm.SteadyOperatingPoint(params_m0, 8, op.stack.copy())
+    assert ie.circulating_impedance_at(params_m0, ACV, 35.0,
+                                       op=copy) == want
+    assert built == {"_Loop": 0}
 
 
 def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
@@ -423,7 +454,7 @@ def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
     omegas = 2.0 * np.pi * np.arange(5.0, 500.5, 1.0)
     for leg in (params, params_m0):
         for h, parity in itertools.product((4, 8, 16), (mm.EVEN, mm.ODD)):
-            solver = ie._Factor(leg, h).solvers[parity]
+            solver = ie._loop(leg, OPEN, None, h, parity).solver
             eye = np.eye(len(solver.m0))
             for w in omegas:
                 assert (ref.lapack_cond(solver.m0 - 1j * w * eye)
@@ -438,9 +469,9 @@ def test_sweep_memory_stays_within_the_chunk_budget(params):
                               sampling_period=1e-4)
     for h in (4, 8, 16):
         ie.sweep(params, config, order=h)
-        factor = ie._factor(params, h)
-        budget = max(ie._CHUNK_BYTES,
-                     factor.loop(config, factor.steady()).point_bytes)
+        loop = ie._loop(params, config, mm.steady_state(params, h), h,
+                        mm.ODD)
+        budget = max(ie._CHUNK_BYTES, loop.point_bytes)
         tracemalloc.start()
         try:
             ie.sweep(params, config, order=h)
@@ -529,10 +560,10 @@ def test_modal_factor_of_random_legs():
     rng = np.random.default_rng(20261019)
     for h in (4, 8, 16):
         for _ in range(3):
-            factor = ie._Factor(_random_leg(rng), h)
+            leg = _random_leg(rng)
             omegas = 2.0 * np.pi * rng.uniform(5.0, 500.0, size=4)
             for parity in (mm.EVEN, mm.ODD):
-                solver = factor.solvers[parity]
+                solver = ie._loop(leg, OPEN, None, h, parity).solver
                 modes = np.sort_complex(solver.eigvals)
                 np.testing.assert_array_equal(np.sort_complex(modes.conj()),
                                               modes)
@@ -547,19 +578,24 @@ def test_modal_factor_of_random_legs():
 def test_a_scan_point_solves_its_steady_state_and_loop_once(params,
                                                            monkeypatch):
     # a caller's operating point, a closed-loop sweep and a circulating
-    # probe around that point share one steady-state solve and one loop
-    built = {}
-    for cls in (hss_core.DenseFactor, ie._Loop):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
-            built[_name] = built.get(_name, 0) + 1
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counting)
+    # probe around that point share one steady-state solve, and close one
+    # loop on each parity class: the sweep's ODD one, the probe's EVEN one
+    built = _built(monkeypatch, hss_core.DenseFactor)
+    parities = []
+    real = ie._Loop.__init__
+
+    def counting(self, solver, leg, config, op, order, parity):
+        parities.append(parity)
+        real(self, solver, leg, config, op, order, parity)
+
+    monkeypatch.setattr(ie._Loop, "__init__", counting)
     monkeypatch.setattr(mm, "_last_steady", None)
-    monkeypatch.setattr(ie, "_cached_factor", None)
+    ie._store.clear()
     op = mm.steady_state(params, 8)
     ie.sweep(params, ACV, [35.0, 80.0], order=8)
     ie.circulating_impedance_at(params, ACV, 35.0, op=op)
-    assert built == {"DenseFactor": 1, "_Loop": 1}
+    assert built == {"DenseFactor": 1}
+    assert parities == [mm.ODD, mm.EVEN]
 
 
 def test_circulating_probe_matches_dense_solve_on_random_legs():
@@ -584,7 +620,7 @@ def test_circulating_probe_matches_dense_solve_on_random_legs():
 
 def _solver_sizes(monkeypatch):
     """Matrix order of every ShiftedSolver built from now on, with the
-    factor and steady-state caches emptied."""
+    engine's store and the steady-state cache emptied."""
     sizes = []
     real = hss_core.ShiftedSolver.__init__
 
@@ -593,7 +629,7 @@ def _solver_sizes(monkeypatch):
         real(self, m0, order)
 
     monkeypatch.setattr(hss_core.ShiftedSolver, "__init__", counting)
-    monkeypatch.setattr(ie, "_cached_factor", None)
+    ie._store.clear()
     monkeypatch.setattr(mm, "_last_steady", None)
     return sizes
 

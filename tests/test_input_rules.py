@@ -5,7 +5,8 @@ factor is built or any step is integrated."""
 import numpy as np
 import pytest
 
-from mmc_hss import impedance_engine as ie, mmc_model as mm, td_sim as td
+from mmc_hss import (hss_core, impedance_engine as ie, mmc_model as mm,
+                     td_sim as td)
 from mmc_hss.errors import InvalidValueError
 
 LEG = dict(vdc=320e3, arm_inductance=0.36, arm_resistance=1.0,
@@ -81,13 +82,16 @@ PROBES = {
 
 @pytest.mark.parametrize("name", list(PROBES))
 def test_bad_inputs_are_refused_before_any_work(name, monkeypatch):
-    # with no factor to build and no step to take, any work at all ends in
-    # a TypeError or AssertionError instead of the refusal
+    # with no factor to build (none stored, no solver or dense factor
+    # class) and no step to take, any work at all ends in a TypeError or
+    # AssertionError instead of the refusal
     def no_step(*args, **kwargs):
         raise AssertionError("integration started")
 
-    monkeypatch.setattr(ie, "_Factor", None)
-    monkeypatch.setattr(ie, "_cached_factor", None)
+    ie._store.clear()
+    monkeypatch.setattr(mm, "_last_steady", None)
+    monkeypatch.setattr(hss_core, "ShiftedSolver", None)
+    monkeypatch.setattr(hss_core, "DenseFactor", None)
     monkeypatch.setattr(td._Runner, "advance", no_step)
     call, field, reason = PROBES[name]
     with pytest.raises(InvalidValueError) as info:

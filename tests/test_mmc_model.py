@@ -303,8 +303,7 @@ def test_control_transfer_pole_handling(params):
         assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
         assert np.all(alpha != 0) and np.all(beta != 0)
         for a, b, w in zip(alpha, beta, (w1, -w1)):
-            want = (ref.control_transfer(cfg, w1, 1j * w) if cfg.krv
-                    else cmath.exp(-1.5j * cfg.sampling_period * w))
+            want = ref.control_transfer(cfg, w1, 1j * w)
             assert b / a == pytest.approx(want / params.vdc, rel=1e-12)
 
 
