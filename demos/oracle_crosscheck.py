@@ -1,9 +1,10 @@
 """Cross-check of the harmonic impedance model against brute simulation.
 
-The analytic numbers come from one dense harmonic solve per frequency;
-the reference numbers from integrating the nonlinear averaged leg, probing
-it with a small series voltage, and projecting the response onto the
-probe frequency. The two share nothing but the circuit equations, so
+The analytic numbers come from the harmonic model's modal solve per
+frequency, with the controller channels closed around it; the reference
+numbers from integrating the nonlinear averaged leg, probing it with a
+small series voltage, and projecting the response onto the probe
+frequency. The two share nothing but the circuit equations, so
 agreement here is the evidence that the lifted model is wired correctly,
 including the sampled controller with its one-and-a-half-sample delay.
 

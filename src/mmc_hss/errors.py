@@ -81,7 +81,11 @@ class SingularSystemError(ArithmeticError):
 
 
 class PoleAtResonanceError(ValueError):
-    """A controller transfer function was evaluated exactly on an undamped pole."""
+    """A controller transfer function was evaluated exactly on an undamped
+    pole. The package's own solves never raise it (the channel solve is
+    exact on the pole); only a dense assembly of the closed-loop operator,
+    such as the tests' reference, does. It stays exported, and the CLI
+    maps it to exit code 3."""
 
 
 class DegenerateResponseError(ArithmeticError):

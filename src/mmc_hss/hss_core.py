@@ -154,14 +154,12 @@ class ShiftedSolver:
         return (b[:, None] if b.ndim == 2 else b) / pivots[:, :, None]
 
 
-def operator_matrix(blocks: np.ndarray, omega1: float,
-                    omega_off: float = 0.0) -> np.ndarray:
+def operator_matrix(blocks: np.ndarray, omega1: float) -> np.ndarray:
     """Dense A - N, with A the block_toeplitz lift of the (2h + 1, d, d)
     blocks and N the block-diagonal frequency shift whose block k is
-    j(omega_off + k*omega1)*I: with an offset omega_off, the operator of
-    the response to a forcing at that offset."""
+    j*k*omega1*I."""
     h, dim = len(blocks) // 2, blocks.shape[1]
     m = block_toeplitz(blocks)
     m[np.diag_indices_from(m)] -= np.repeat(
-        1j * (omega_off + np.arange(-h, h + 1) * omega1), dim)
+        1j * (np.arange(-h, h + 1) * omega1), dim)
     return m

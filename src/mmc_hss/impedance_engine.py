@@ -34,8 +34,9 @@ enters the channel system as the scaled row alpha*c = beta*u of its law
 resonator pole, so frequencies whose sidebands land on the pole (e.g. 100
 or 200 Hz with a 50 Hz resonator) solve cleanly; the infinite-gain limit
 turns into a hard constraint that the controller input vanishes there.
-Away from poles this equals the assembled dense operator to machine
-precision (mmc_model.perturbed_system assembles it).
+Away from poles this equals a dense solve of the assembled closed-loop
+operator to machine precision; the tests keep that dense assembly as
+their reference.
 
 The harmonic truncation order defaults to "auto" (order=None): the lowest
 order h >= 4 whose |Z| agrees with order h + 2 within AUTO_ORDER_RTOL at
@@ -107,8 +108,6 @@ class ImpedancePoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    params: mmc_model.CircuitParams
-    config: mmc_model.ControlConfig
     order: int
     points: tuple = ()
     excluded: tuple = ()          # guard-banded frequencies, Hz
@@ -347,6 +346,9 @@ def _inverse(sys, errors):
                 inv[p] = np.linalg.inv(s)
             except np.linalg.LinAlgError:
                 inv[p] = np.nan
+                if errors[p] is None:
+                    errors[p] = SingularSystemError(
+                        "channel system is singular", float("inf"))
     cond = (np.abs(sys).sum(axis=1).max(axis=1, initial=0.0)
             * np.abs(inv).sum(axis=1).max(axis=1, initial=0.0))
     for p in np.flatnonzero(~(cond <= hss_core.COND_LIMIT)):
@@ -504,28 +506,24 @@ def sweep(params, config, freqs=None, order: int | None = None,
             f"{len(failures)} of {freqs.size} sweep points failed; "
             f"first: {failures[0][1]}"
         )
-    return SweepResult(params, config, order, points, excluded, failures)
+    return SweepResult(order, points, excluded, failures)
 
 
-def find_resonances(result: SweepResult, kind: str = "both") -> list:
+def find_resonances(result: SweepResult) -> list:
     """Local extrema of |Z| over the sweep grid, parabolically refined.
 
-    Returns Resonance entries sorted by frequency. Refinement fits a
-    parabola through the extremum and its two neighbours; it is skipped at
-    non-uniform spacing (e.g. across the guard band) where the plain grid
-    point is returned.
+    Returns Resonance entries sorted by frequency, peaks and notches alike,
+    each labelled by its kind. Refinement fits a parabola through the
+    extremum and its two neighbours; it is skipped at non-uniform spacing
+    (e.g. across the guard band) where the plain grid point is returned.
     """
-    if kind not in ("peak", "notch", "both"):
-        raise ValueError("kind must be 'peak', 'notch' or 'both'")
     f = result.frequencies
     y = result.magnitudes
     found = []
     for i in range(1, len(y) - 1):
-        is_peak = y[i] > y[i - 1] and y[i] > y[i + 1]
-        is_notch = y[i] < y[i - 1] and y[i] < y[i + 1]
-        if is_peak and kind in ("peak", "both"):
+        if y[i] > y[i - 1] and y[i] > y[i + 1]:
             label = "peak"
-        elif is_notch and kind in ("notch", "both"):
+        elif y[i] < y[i - 1] and y[i] < y[i + 1]:
             label = "notch"
         else:
             continue

@@ -30,7 +30,7 @@ A harmonic stack holds the four states of harmonic k at rows 4(k + h) on,
 or in row k + h of the steady state's (2h + 1, 4) array. This module owns
 that layout: the dc forcing, the steady state, the probes (probe) and the
 controller channels (loop_channels, channel_gains) that the impedance
-engine closes around its modal factors and perturbed_system closes densely.
+engine closes around its modal factors.
 
 Half-wave symmetry. The two arms are identical and half a period apart:
 n_u(t + T/2) = n_l(t). So if x(t) solves the leg, so does S x(t + T/2),
@@ -60,14 +60,11 @@ import numpy as np
 
 from . import hss_core
 from .errors import (ANY, COUNT, FRACTION, NON_NEGATIVE, POSITIVE,
-                     Checked, PoleAtResonanceError, check, rule)
+                     Checked, check, rule)
 
 CONTROL_MODES = ("open", "acv", "ccc", "acv+ccc")
 MODE = rule(CONTROL_MODES.__contains__,
             f"must be one of {', '.join(CONTROL_MODES)}")
-
-# undamped resonant filter counts as on-pole below this relative detuning
-_POLE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -325,14 +322,6 @@ def _resonator_denominator(config: ControlConfig, omega1: float, s: complex
     return s * s + 2.0 * config.resonant_damping * s + omega1 * omega1
 
 
-def on_resonant_pole(config: ControlConfig, omega1: float, s: complex) -> bool:
-    """True when s sits on (or numerically at) an undamped resonator pole."""
-    if config.krv == 0.0 or config.resonant_damping > 0.0:
-        return False
-    den = _resonator_denominator(config, omega1, s)
-    return abs(den) < _POLE_REL_TOL * omega1 * omega1
-
-
 def loop_gains(params: CircuitParams, config: ControlConfig, loop: str,
                omegas):
     """Channel law (alpha, beta, scale) of one loop at the source
@@ -406,14 +395,13 @@ def _injection(params: CircuitParams, op: SteadyOperatingPoint, order: int,
     return f
 
 
-def series_forcing(params: CircuitParams, order: int, v_p: complex
-                   ) -> np.ndarray:
-    """State forcing of a series voltage v_p behind the load at harmonic
+def series_forcing(params: CircuitParams, order: int) -> np.ndarray:
+    """State forcing of a unit series voltage behind the load at harmonic
     offset 0: the right-hand side of (A - N_p) X = b in the output-current
     row."""
     b = np.zeros(4 * (2 * order + 1), dtype=complex)
-    b[4 * order + 3] = 2.0 * v_p / (params.arm_inductance
-                                    + 2.0 * params.load_inductance)
+    b[4 * order + 3] = 2.0 / (params.arm_inductance
+                              + 2.0 * params.load_inductance)
     return b
 
 
@@ -423,11 +411,11 @@ def probe(params: CircuitParams, op: SteadyOperatingPoint | None, order: int,
     in, its state forcing in that class's coordinates, the series voltage
     the loop pickups see directly, and the class row read out. kind
     "series" (a series voltage behind the load, ODD) reads i_g,
-    "circulating" (circulating_probe_forcing, n_hat = 1, EVEN) i_c, both
+    "circulating" (circulating_probe_forcing, EVEN) i_c, both
     at offset harmonic 0.
     """
     if kind == "series":
-        b, v_p, row = series_forcing(params, order, 1.0), 1.0, 4 * order + 3
+        b, v_p, row = series_forcing(params, order), 1.0, 4 * order + 3
     else:
         b, v_p, row = (-circulating_probe_forcing(params, op, order), 0.0,
                        4 * order)
@@ -496,48 +484,13 @@ def channel_gains(params: CircuitParams, config: ControlConfig, order: int,
             for p in zip(*parts or [np.zeros((3, len(src), 0))])]
 
 
-def perturbed_system(params: CircuitParams, config: ControlConfig,
-                     op: SteadyOperatingPoint | None, order: int,
-                     omega_p: float):
-    """Assembled perturbed system (M_p, b_p) at offset omega_p (rad/s).
-
-    The response X to a unit series voltage behind the load at omega_p
-    solves M_p X = b_p, with M_p = M0 - j*omega_p*I (M0 = A - N) plus the
-    channels of loop_channels closed densely: with gain_j = beta_j/alpha_j
-    from channel_gains, channel j adds gain_j * scale_j * F[:, j] to column
-    picks[j], and its direct v_p pickup gain_j * direct_j * F[:, j] leaves
-    b_p. op is the operating point the loops act around (unused open loop).
-    This is the reference impedance_engine's channel solve is checked
-    against: it shares the channel map and law but assembles and solves
-    densely. Raises PoleAtResonanceError when a source frequency sits on an
-    undamped resonator pole, where alpha = 0 and M_p does not exist.
-    """
-    a, _ = build_base_hss(params, order)
-    m = hss_core.operator_matrix(a, params.omega1, omega_p)
-    src = omega_p + np.arange(-order, order + 1) * params.omega1
-    poles = [w for w in src if config.has_acv
-             and on_resonant_pole(config, params.omega1, 1j * w)]
-    if poles:
-        raise PoleAtResonanceError(
-            f"source harmonic at {poles[0] / (2 * math.pi):.6g} Hz sits "
-            "on the resonant-controller pole; the assembled operator "
-            "does not exist there")
-    f, picks, direct = loop_channels(params, config, op, order)
-    (alpha,), (beta,), (scale,) = channel_gains(params, config, order,
-                                                [omega_p])
-    gains = beta / alpha
-    m[:, picks] += f * (gains * scale)
-    return m, series_forcing(params, order, 1.0) - f @ (gains * direct)
-
-
 def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,
-                              order: int, n_hat: complex = 1.0
-                              ) -> np.ndarray:
-    """Forcing stack of a common-mode insertion-index probe.
+                              order: int) -> np.ndarray:
+    """Forcing stack of a unit common-mode insertion-index probe.
 
     A probe delta_n(t) = eps*cos(omega_p*t) applied to both insertion
     indices forces the perturbed system with n_hat = eps/2 times the
-    common-mode injection blocks. The ratio -vdc*n_hat / I_c(omega_p) is the
-    circulating-path impedance.
+    common-mode injection blocks returned here (n_hat = 1). The ratio
+    -vdc*n_hat / I_c(omega_p) is the circulating-path impedance.
     """
-    return n_hat * _injection(params, op, order, "ccc").ravel()
+    return _injection(params, op, order, "ccc").ravel()

@@ -38,7 +38,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -111,7 +111,6 @@ class TimeSeries:
     cycles settling integrated.
     """
 
-    params: CircuitParams
     dt: float
     t: np.ndarray
     i_c: np.ndarray
@@ -445,8 +444,7 @@ def _integrate(runner, z, step, cycles, probe=(0.0, 0.0, 0.0), rec=None):
 
 
 def _series(orbit, rec) -> TimeSeries:
-    return TimeSeries(params=orbit.runner.params, dt=orbit.runner.dt,
-                      periodicity_residual=orbit.residual,
+    return TimeSeries(dt=orbit.runner.dt, periodicity_residual=orbit.residual,
                       settle_cycles_used=orbit.settle_cycles,
                       **dict(zip(_COLUMNS, rec.T)))
 
@@ -679,20 +677,18 @@ def _run(orbit, f_p, v_amp, probe_amp, measure_cycles) -> TimeSeries:
 
 
 def simulate(params: CircuitParams, config: ControlConfig | None,
-             sim: SimConfig, perturb: tuple | None = None) -> TimeSeries:
+             sim: SimConfig) -> TimeSeries:
     """Settle on the periodic orbit, then record a window.
 
-    perturb is an optional (frequency_hz, amplitude_v) pair overriding the
-    values in sim; the perturbation is a series voltage source at the
-    point of connection, and the window lies on the orbit it forces.
-    Without a perturbation the window spans measure_cycles fundamental
-    cycles of the settled orbit. Raises DivergenceError if any state leaves
-    physical range or the orbit is unstable, and warns if the settling
-    budget runs out before the orbit is periodic.
+    sim.perturb_freq and sim.perturb_amplitude set the perturbation, a
+    series voltage source at the point of connection (a positive frequency
+    with amplitude 0 takes the default probe); the window then lies on the
+    orbit it forces. Without a perturbation the window spans
+    measure_cycles fundamental cycles of the settled orbit. Raises
+    DivergenceError if any state leaves physical range or the orbit is
+    unstable, and warns if the settling budget runs out before the orbit
+    is periodic.
     """
-    if perturb is not None:  # the override keeps SimConfig's rules
-        f_p, amp = perturb
-        sim = replace(sim, perturb_freq=f_p, perturb_amplitude=amp)
     f_p, amp = sim.perturb_freq, sim.perturb_amplitude
     if f_p == 0.0 and amp != 0.0:
         raise ValueError("perturbation needs a positive frequency")
@@ -808,19 +804,19 @@ def measure_impedance_many(params: CircuitParams,
 def measure_circulating_impedance(params: CircuitParams,
                                   config: ControlConfig | None,
                                   sim: SimConfig,
-                                  freq_hz: float | None = None,
-                                  probe: float = _DEFAULT_INSERTION_PROBE,
+                                  freq_hz: float | None = None
                                   ) -> ImpedancePoint:
     """Impedance of the internal circulating loop at one frequency.
 
-    The probe here is a small common-mode wiggle added to both insertion
-    indices (the same entry point a circulating-current controller uses),
-    not a terminal voltage. The returned value is the loop impedance
+    The probe here is a small common-mode wiggle of amplitude
+    _DEFAULT_INSERTION_PROBE added to both insertion indices (the same
+    entry point a circulating-current controller uses), not a terminal
+    voltage. The returned value is the loop impedance
     -V_dc * delta_n / delta_I_c net of the settled orbit.
     """
     f_p = check("freq_hz", sim.perturb_freq if freq_hz is None
                 else float(freq_hz), POSITIVE)
-    check("probe", probe, POSITIVE)
+    probe = _DEFAULT_INSERTION_PROBE
     ((_, (i,)),) = _responses(params, config, sim, [f_p], 0.0, probe,
                               ("i_c",))
     if abs(i) < 1e-12 * probe * params.vdc:

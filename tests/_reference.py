@@ -2,9 +2,10 @@
 Fourier coefficients, time evaluation of a harmonic stack, conjugate
 symmetry, LAPACK's condition estimate of a dense matrix, the insertion
 indices and loop filters in the time and frequency domain, the
-closed-loop response stack, full-size dense solves of the steady state
-and of the circulating probe, and plain fixed-step RK4 of the time-domain
-kernel. Plain functions on arrays.
+closed-loop response stack, the full-size perturbed system with the
+controller channels closed densely, full-size dense solves of the steady
+state and of the circulating probe, and plain fixed-step RK4 of the
+time-domain kernel. Plain functions on arrays.
 """
 
 import cmath
@@ -14,6 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from mmc_hss import hss_core, impedance_engine, mmc_model
+from mmc_hss.errors import PoleAtResonanceError
+
+# undamped resonant filter counts as on-pole below this relative detuning
+POLE_REL_TOL = 1e-9
 
 
 def fourier(samples, k):
@@ -82,12 +87,53 @@ def control_transfer(config, omega1, s, loop="acv"):
     return gain * delay
 
 
+def on_resonant_pole(config, omega1, s):
+    """True when s sits on (or numerically at) an undamped resonator pole."""
+    if config.krv == 0.0 or config.resonant_damping > 0.0:
+        return False
+    den = mmc_model._resonator_denominator(config, omega1, s)
+    return abs(den) < POLE_REL_TOL * omega1 * omega1
+
+
+def perturbed_system(params, config, op, order, omega_p):
+    """Assembled perturbed system (M_p, b_p) at offset omega_p (rad/s).
+
+    The response X to a unit series voltage behind the load at omega_p
+    solves M_p X = b_p, with M_p = M0 - j*omega_p*I (M0 = A - N) plus the
+    channels of loop_channels closed densely: with gain_j = beta_j/alpha_j
+    from channel_gains, channel j adds gain_j * scale_j * F[:, j] to column
+    picks[j], and its direct v_p pickup gain_j * direct_j * F[:, j] leaves
+    b_p. op is the operating point the loops act around (unused open loop).
+    This is the reference the engine's channel solve is checked against:
+    it shares the channel map and law but assembles and solves densely.
+    Raises PoleAtResonanceError when a source frequency sits on an
+    undamped resonator pole, where alpha = 0 and M_p does not exist.
+    """
+    a, _ = mmc_model.build_base_hss(params, order)
+    m = hss_core.operator_matrix(a, params.omega1)
+    m[np.diag_indices_from(m)] -= 1j * omega_p
+    src = omega_p + np.arange(-order, order + 1) * params.omega1
+    poles = [w for w in src if config.has_acv
+             and on_resonant_pole(config, params.omega1, 1j * w)]
+    if poles:
+        raise PoleAtResonanceError(
+            f"source harmonic at {poles[0] / (2 * math.pi):.6g} Hz sits "
+            "on the resonant-controller pole; the assembled operator "
+            "does not exist there")
+    f, picks, direct = mmc_model.loop_channels(params, config, op, order)
+    (alpha,), (beta,), (scale,) = mmc_model.channel_gains(
+        params, config, order, [omega_p])
+    gains = beta / alpha
+    m[:, picks] += f * (gains * scale)
+    return m, mmc_model.series_forcing(params, order) - f @ (gains * direct)
+
+
 def closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
     """Response stack to a series voltage v_p behind the load at omega_p,
     with config's controller channels closed around the engine's modal
     solver of the ODD class."""
     odd = mmc_model.ODD
-    bx = mmc_model.to_class(mmc_model.series_forcing(params, order, v_p),
+    bx = mmc_model.to_class(v_p * mmc_model.series_forcing(params, order),
                             order, odd)
     x, (error,) = impedance_engine._loop(params, config, op, order,
                                          odd).solve([omega_p], bx, v_p,
@@ -109,8 +155,8 @@ def dense_circulating_impedance(params, config, op, order, freq_hz):
     """Circulating-path impedance -vdc / i_cp from one LAPACK solve of the
     full-size perturbed system, its channels closed densely, forced by
     the common-mode insertion-index probe (n_hat = 1)."""
-    m_p, _ = mmc_model.perturbed_system(params, config, op, order,
-                                        2.0 * math.pi * freq_hz)
+    m_p, _ = perturbed_system(params, config, op, order,
+                              2.0 * math.pi * freq_hz)
     b = -mmc_model.circulating_probe_forcing(params, op, order)
     return -params.vdc / scipy.linalg.solve(m_p, b)[4 * order]
 

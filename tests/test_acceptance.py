@@ -79,7 +79,7 @@ def test_criterion_1_open_loop_resonance_peak(params, capfd):
     t0 = time.perf_counter()
     sw = ie.sweep(params, OPEN)  # default 5..500 Hz, 1 Hz grid, auto h
     elapsed = time.perf_counter() - t0
-    peaks = ie.find_resonances(sw, "peak")
+    peaks = [r for r in ie.find_resonances(sw) if r.kind == "peak"]
     main = max(peaks, key=lambda r: r.magnitude)
     ok = 18.0 <= main.freq_hz <= 24.0 and elapsed < 10.0
     _report(capfd, 1, "open-loop resonance peak", ok,
@@ -141,8 +141,8 @@ def test_criterion_4_proportional_gain_monotonicity(params, capfd):
     sw2 = ie.sweep(params, ACV2)
     np.testing.assert_array_equal(sw1.frequencies, sw2.frequencies)
     all_lower = bool(np.all(sw2.magnitudes < sw1.magnitudes))
-    peaks1 = ie.find_resonances(sw1, "peak")
-    peaks2 = ie.find_resonances(sw2, "peak")
+    peaks1 = [r for r in ie.find_resonances(sw1) if r.kind == "peak"]
+    peaks2 = [r for r in ie.find_resonances(sw2) if r.kind == "peak"]
     shifts = [min(abs(r.freq_hz - q.freq_hz) for q in peaks2)
               for r in peaks1]
     shift_ok = max(shifts) < 2.0
@@ -207,8 +207,8 @@ def test_criterion_6_truncation_convergence(params, open_sweep, capfd):
     over = open_sweep.frequencies[rel > 0.02]
     clause1 = worst <= 0.02
 
-    f_peak = max(ie.find_resonances(open_sweep, "peak"),
-                 key=lambda r: r.magnitude).freq_hz
+    f_peak = max([r for r in ie.find_resonances(open_sweep)
+                  if r.kind == "peak"], key=lambda r: r.magnitude).freq_hz
     z8 = ie.impedance_at(params, OPEN, f_peak, order=8).impedance
     devs = [abs(abs(ie.impedance_at(params, OPEN, f_peak, order=h)
                     .impedance) - abs(z8)) / abs(z8)
@@ -259,7 +259,7 @@ def test_criterion_8_property_suite(params, capfd):
     for solver in ("open", "acv"):
         if solver == "open":
             xp, xm = (hc.DenseFactor(m).solve(b) for m, b in (
-                mm.perturbed_system(params, OPEN, None, 4, w)
+                ref.perturbed_system(params, OPEN, None, 4, w)
                 for w in (wp, -wp)))
         else:
             xp = ref.closed_loop_response(params, ACV1, op4, 4, +wp)

@@ -299,6 +299,32 @@ def test_sweep_guard_band_row_counts(tmp_path, capsys):
     assert len(open(out).read().splitlines()) == 492
 
 
+def test_sweep_reports_each_failed_point_on_stderr(tmp_path, capsys,
+                                                  monkeypatch):
+    # one line per failed point, "  failed at <f> Hz: <class>: <message>",
+    # which the benchmark's sweep check splits at ": " to count by class;
+    # here zeroing the channel law at 35 Hz makes that point singular
+    real = cli.mmc_model.channel_gains
+
+    def gains(params, config, order, omegas, parity=None):
+        alpha, beta, scale = real(params, config, order, omegas, parity)
+        dead = np.asarray(omegas) == 2.0 * np.pi * 35.0
+        alpha[dead] = beta[dead] = 0.0
+        return alpha, beta, scale
+
+    monkeypatch.setattr(cli.mmc_model, "channel_gains", gains)
+    cfg = _write(tmp_path, "acv.cfg",
+                 "control_mode = acv\nsweep_start_hz = 30\n"
+                 "sweep_stop_hz = 40\nguard_band_hz = 0\n")
+    out = str(tmp_path / "z.csv")
+    assert cli.main(["sweep", "--config", cfg, "--out", out,
+                     "--h", "4"]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.rstrip("\n").endswith(", 1 failures)")
+    assert "wrote 10 rows" in stdout
+    assert "  failed at 35 Hz: SingularSystemError: " in stderr
+
+
 def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
     # the same sweep in fresh processes, with one OpenBLAS thread and with
     # the library's default, writes the same bytes
@@ -474,6 +500,10 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys, cfg_m0):
     bad = _write(tmp_path, "bad.cfg", "modulation_index = 2\n")
     assert cli.main(["steady", "--config", bad]) == 2
     assert "config error" in capsys.readouterr().err
+    # a whole-number key that does not parse as one
+    bad = _write(tmp_path, "int.cfg", "sm_per_arm = abc\n")
+    assert cli.main(["steady", "--config", bad]) == 2
+    assert "line 1: key 'sm_per_arm'" in capsys.readouterr().err
     assert cli.main(["steady", "--config",
                      str(tmp_path / "nothere.cfg")]) == 2
     capsys.readouterr()
@@ -482,6 +512,10 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys, cfg_m0):
                      "--out", out]) == 2
     assert cli.main(["measure", "--config", cfg_m0, "--freqs", "-5",
                      "--out", out]) == 2
+    capsys.readouterr()
+    assert cli.main(["measure", "--config", cfg_m0, "--freqs", ",",
+                     "--out", out]) == 2
+    assert "--freqs list is empty" in capsys.readouterr().err
     # incommensurate probe frequency surfaces as a config problem too
     assert cli.main(["measure", "--config", cfg_m0, "--freqs", "7.3",
                      "--out", out]) == 2

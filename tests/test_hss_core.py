@@ -148,12 +148,12 @@ def test_toeplitz_scalar_cos_squared():
 
 
 def test_shift_operator_diagonal():
-    # with zero blocks A - N is -N: block k is -j(omega_off + k*omega1)*I
+    # with zero blocks A - N is -N: block k is -j*k*omega1*I
     m = hc.operator_matrix(np.zeros((3, 1, 1)), 314.0)
     np.testing.assert_allclose(np.diag(m), [314j, 0.0, -314j])
-    mp = hc.operator_matrix(np.zeros((3, 2, 2)), 314.0, omega_off=100.0)
+    mp = hc.operator_matrix(np.zeros((3, 2, 2)), 314.0)
     np.testing.assert_allclose(
-        np.diag(mp), [214j, 214j, -100j, -100j, -414j, -414j]
+        np.diag(mp), [314j, 314j, 0.0, 0.0, -314j, -314j]
     )
     assert not mp[~np.eye(6, dtype=bool)].any()
     # on random blocks: block (p, q) is A_{p-q} (zero past +-h), less the
@@ -167,8 +167,8 @@ def test_shift_operator_diagonal():
         for q in range(max(p - h, 0), min(p + h + 1, 2 * h + 1)):
             want[p * d:(p + 1) * d, q * d:(q + 1) * d] = blocks[p - q + h]
         want[p * d:(p + 1) * d, p * d:(p + 1) * d] -= np.diag(
-            np.full(d, 1j * (100.0 + (p - h) * 314.0)))
-    np.testing.assert_allclose(hc.operator_matrix(blocks, 314.0, 100.0),
+            np.full(d, 1j * (p - h) * 314.0))
+    np.testing.assert_allclose(hc.operator_matrix(blocks, 314.0),
                                want, rtol=1e-15, atol=0.0)
 
 
@@ -192,8 +192,8 @@ def test_perturbation_scalar_frequency_response():
     # time-invariant xdot = -x + u at offset wp: X_0 = U_0/(1 + j wp)
     wp = 85.0
     a = np.array([0.0, -1.0, 0.0])[:, None, None]
-    x = hc.DenseFactor(hc.operator_matrix(a, 314.0, wp)).solve(
-        -np.array([0.0, 1.0, 0.0], dtype=complex))
+    m_p = hc.operator_matrix(a, 314.0) - 1j * wp * np.eye(3)
+    x = hc.DenseFactor(m_p).solve(-np.array([0.0, 1.0, 0.0], dtype=complex))
     assert x[1] == pytest.approx(1.0 / (1.0 + 1j * wp))
     assert abs(x[2]) < 1e-15
 
@@ -201,8 +201,8 @@ def test_perturbation_scalar_frequency_response():
 def test_perturbation_zero_forcing_gives_zero():
     a = np.zeros((5, 3, 3))
     a[2], a[3] = -np.eye(3), 0.1 * np.ones((3, 3))
-    x = hc.DenseFactor(hc.operator_matrix(a, 314.0, 50.0)).solve(
-        np.zeros(15, dtype=complex))
+    m_p = hc.operator_matrix(a, 314.0) - 50j * np.eye(15)
+    x = hc.DenseFactor(m_p).solve(np.zeros(15, dtype=complex))
     assert np.abs(x).max() == 0.0
 
 
@@ -240,6 +240,11 @@ def test_singular_system_raises_with_estimate():
         hc.DenseFactor(hc.operator_matrix(a, 314.0)).solve(
             -np.array([0.0, 1.0, 0.0], dtype=complex))
     assert err.value.cond_estimate > 1e12
+    # invertible, but past COND_LIMIT
+    with pytest.raises(SingularSystemError,
+                       match="too ill-conditioned") as err:
+        hc.DenseFactor(np.diag([1.0, 1e-13]))
+    assert err.value.cond_estimate > hc.COND_LIMIT
 
 
 def test_dense_factor_condition_is_exact_and_never_below_lapacks():
@@ -334,6 +339,12 @@ def test_shifted_check_raises_on_an_eigenvalue_at_the_shift():
     with pytest.raises(SingularSystemError, match="singular"):
         solver.check(250.0)
     assert solver.check(251.0) <= hc.COND_LIMIT
+    # an eigenvalue 1e-13 from the shift: nonsingular, but past COND_LIMIT
+    near = hc.ShiftedSolver(np.diag([-1e-13, -1.0]), 0)
+    with pytest.raises(SingularSystemError,
+                       match="too ill-conditioned") as err:
+        near.check(0.0)
+    assert err.value.cond_estimate > hc.COND_LIMIT
 
 
 def _dense_shifted_solve(m0, omega, b):

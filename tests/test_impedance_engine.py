@@ -77,7 +77,7 @@ def test_m0_notch_at_arm_resonance(params_m0):
     f_notch = 1.0 / (2.0 * np.pi * np.sqrt(
         4.0 * params_m0.arm_inductance * params_m0.arm_capacitance))
     res = ie.sweep(params_m0, OPEN, freqs=np.arange(45.0, 56.01, 0.25))
-    notches = ie.find_resonances(res, "notch")
+    notches = [r for r in ie.find_resonances(res) if r.kind == "notch"]
     assert len(notches) == 1
     assert notches[0].kind == "notch"
     assert notches[0].freq_hz == pytest.approx(f_notch, abs=0.05)
@@ -111,14 +111,14 @@ def test_response_scales_linearly_with_probe(params, op):
 def test_channel_solve_matches_dense_assembly_off_pole(params, op):
     wp = 2.0 * np.pi * 37.0
 
-    m_p, b_p = mm.perturbed_system(params, ACV, op, 4, wp)
+    m_p, b_p = ref.perturbed_system(params, ACV, op, 4, wp)
     x = np.linalg.solve(m_p, b_p)
     i_gp = x[4 * 4 + 3]
     z_dense = -(1.0 + 550.0 * i_gp) / i_gp
     z_chan = ie.impedance_at(params, ACV, 37.0, order=4, op=op).impedance
     assert abs(z_chan - z_dense) <= 1e-12 * abs(z_dense)
 
-    m2, b2 = mm.perturbed_system(params, CCC, op, 4, wp)
+    m2, b2 = ref.perturbed_system(params, CCC, op, 4, wp)
     x2 = np.linalg.solve(m2, b2)
     i_gp2 = x2[4 * 4 + 3]
     z_dense2 = -(1.0 + 550.0 * i_gp2) / i_gp2
@@ -130,7 +130,7 @@ def test_channel_solve_survives_resonator_pole(params, op):
     # 100 and 200 Hz put a sideband exactly on the undamped 50 Hz pole:
     # the assembled operator does not exist, the channel solve does
     with pytest.raises(PoleAtResonanceError):
-        mm.perturbed_system(params, ACV, op, 4, 2.0 * np.pi * 200.0)
+        ref.perturbed_system(params, ACV, op, 4, 2.0 * np.pi * 200.0)
     z200 = ie.impedance_at(params, ACV, 200.0, order=4, op=op)
     assert z200.magnitude == pytest.approx(102.9163, rel=1e-4)
     assert z200.phase_deg == pytest.approx(95.746, abs=1e-2)
@@ -371,6 +371,36 @@ def test_sweep_records_isolated_failures(params, monkeypatch):
     assert "synthetic failure" in res.failures[0][1]
 
 
+def _dead_channels_at(monkeypatch, freq_hz):
+    """Zero both sides of every channel law at freq_hz, so the channel
+    system of that point is exactly singular."""
+    real = mm.channel_gains
+
+    def gains(params, config, order, omegas, parity=None):
+        alpha, beta, scale = real(params, config, order, omegas, parity)
+        dead = np.asarray(omegas) == 2.0 * np.pi * freq_hz
+        alpha[dead] = beta[dead] = 0.0
+        return alpha, beta, scale
+
+    monkeypatch.setattr(mm, "channel_gains", gains)
+
+
+def test_an_exactly_singular_channel_system_is_reported_singular(
+        params, monkeypatch):
+    # only the dead point fails, as singular with cond inf, and every
+    # other point keeps its bits
+    grid = np.arange(30.0, 40.5, 1.0)
+    want = ie.sweep(params, ACV, grid, order=4, guard_band_hz=0.0)
+    _dead_channels_at(monkeypatch, 35.0)
+    res = ie.sweep(params, ACV, grid, order=4, guard_band_hz=0.0)
+    assert [f for f, _ in res.failures] == [35.0]
+    assert (res.impedances.tobytes()
+            == want.impedances[grid != 35.0].tobytes())
+    with pytest.raises(SingularSystemError, match="singular") as err:
+        ie.impedance_at(params, ACV, 35.0, order=4)
+    assert err.value.cond_estimate == float("inf")
+
+
 def test_sweep_raises_when_too_many_points_fail(params, monkeypatch):
     def broken(self, omega):
         raise SingularSystemError("synthetic failure")
@@ -488,7 +518,7 @@ def _fake_sweep(freqs, mags):
     pts = tuple(
         ie.ImpedancePoint(f, m + 0j, "open", 4) for f, m in zip(freqs, mags)
     )
-    return ie.SweepResult(None, None, 4, pts)
+    return ie.SweepResult(4, pts)
 
 
 def test_find_resonances_on_synthetic_data():
@@ -502,17 +532,13 @@ def test_find_resonances_on_synthetic_data():
     assert both[0].freq_hz == pytest.approx(3.0)
     assert both[0].magnitude == pytest.approx(2.0)
     assert both[1].freq_hz == pytest.approx(6.0, abs=0.5)
-    assert ie.find_resonances(res, "peak")[0].kind == "peak"
-    assert ie.find_resonances(res, "notch")[0].kind == "notch"
-    with pytest.raises(ValueError):
-        ie.find_resonances(res, "trough")
 
 
 def test_open_loop_resonance_map(params):
     # the reference leg shows a large low-frequency peak plus mid-band
     # structure; pin where they sit on the default grid
     res = ie.sweep(params, OPEN)
-    peaks = ie.find_resonances(res, "peak")
+    peaks = [r for r in ie.find_resonances(res) if r.kind == "peak"]
     freqs = [round(r.freq_hz, 1) for r in peaks]
     assert freqs == [21.1, 77.8, 99.3, 119.4]
     assert peaks[0].magnitude == pytest.approx(1896.0, rel=0.05)
@@ -548,8 +574,8 @@ def _random_control(rng, mode):
 def _dense_impedance(params, config, op, order, f):
     # the assembled perturbed system of the mode, solved densely
     wp = 2.0 * np.pi * f
-    i_gp = np.linalg.solve(*mm.perturbed_system(params, config, op, order,
-                                                 wp))[4 * order + 3]
+    i_gp = np.linalg.solve(*ref.perturbed_system(params, config, op, order,
+                                                  wp))[4 * order + 3]
     return -(1.0 + params.load_impedance(wp) * i_gp) / i_gp
 
 

@@ -22,8 +22,8 @@ FINITE, WHOLE = "must be finite", "must be a whole number"
 
 def _series(n=2000, dt=1e-5):
     x = np.zeros(n)
-    return td.TimeSeries(params=PARAMS, dt=dt, t=np.arange(n) * dt, i_c=x,
-                         v_cu=x, v_cl=x, i_g=x, v_g=x, n_u=x, n_l=x)
+    return td.TimeSeries(dt=dt, t=np.arange(n) * dt, i_c=x, v_cu=x, v_cl=x,
+                         i_g=x, v_g=x, n_u=x, n_l=x)
 
 
 # (call, field, reason)
@@ -64,16 +64,13 @@ PROBES = {
                     "freq_hz", FINITE),
     "measure many nan": (lambda: td.measure_impedance_many(
         PARAMS, OPEN, SIM, [35.0, NAN]), "freq_hz", FINITE),
-    "circulating probe nan": (lambda: td.measure_circulating_impedance(
-        PARAMS, OPEN, SIM, 35.0, probe=NAN), "probe", FINITE),
-    "simulate f nan": (lambda: td.simulate(PARAMS, None, SIM,
-                                           perturb=(NAN, 10.0)),
-                       "perturb_freq", FINITE),
-    "simulate amp nan": (lambda: td.simulate(PARAMS, None, SIM,
-                                             perturb=(35.0, NAN)),
+    "simulate f nan": (lambda: td.simulate(PARAMS, None, td.SimConfig(
+        perturb_freq=NAN, perturb_amplitude=10.0)), "perturb_freq", FINITE),
+    "simulate amp nan": (lambda: td.simulate(PARAMS, None, td.SimConfig(
+        perturb_freq=35.0, perturb_amplitude=NAN)),
                          "perturb_amplitude", FINITE),
-    "simulate amp -10": (lambda: td.simulate(PARAMS, None, SIM,
-                                             perturb=(35.0, -10.0)),
+    "simulate amp -10": (lambda: td.simulate(PARAMS, None, td.SimConfig(
+        perturb_freq=35.0, perturb_amplitude=-10.0)),
                          "perturb_amplitude", "must not be negative"),
     "phasor nan": (lambda: td.extract_phasor(_series(), "i_g", NAN),
                    "freq_hz", FINITE),

@@ -34,12 +34,12 @@ ACV = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0, sampling_period=1e-4)
 CCC = mm.ControlConfig(mode="ccc", ra=20.0, sampling_period=1e-4)
 
 
-def _series(params, x, dt=1e-5, t0=1.0):
+def _series(x, dt=1e-5, t0=1.0):
     n = x.size
     t = t0 + np.arange(n) * dt
     z = np.zeros(n)
-    return td.TimeSeries(params=params, dt=dt, t=t, i_c=x, v_cu=z, v_cl=z,
-                         i_g=z, v_g=z, n_u=z, n_l=z)
+    return td.TimeSeries(dt=dt, t=t, i_c=x, v_cu=z, v_cl=z, i_g=z, v_g=z,
+                         n_u=z, n_l=z)
 
 
 # ------------------------------------------------------------- configuration
@@ -69,13 +69,20 @@ def test_step_size_must_fit_grid(params):
             params, mm.ControlConfig(mode="ccc", ra=20.0,
                                      sampling_period=7e-5),
             td.SimConfig())
+    with pytest.raises(ValueError, match="dt must divide the control "
+                                         "sampling period"):
+        td.simulate(
+            params, mm.ControlConfig(mode="ccc", ra=20.0,
+                                     sampling_period=1.5e-5),
+            td.SimConfig())
 
 
 def test_perturbation_validation(params_m0):
     with pytest.raises(ValueError):
-        td.simulate(params_m0, None, td.SimConfig(), perturb=(0.0, 10.0))
+        td.simulate(params_m0, None, td.SimConfig(perturb_amplitude=10.0))
     with pytest.raises(ValueError):
-        td.simulate(params_m0, None, td.SimConfig(), perturb=(-5.0, 10.0))
+        td.simulate(params_m0, None, td.SimConfig(perturb_freq=-5.0,
+                                                  perturb_amplitude=10.0))
     with pytest.raises(ValueError):
         td.measure_impedance(params_m0, None, td.SimConfig())
 
@@ -138,13 +145,13 @@ def test_numpy_scalar_leg_simulates_bit_identically(params):
     runs = []
     for leg in (params, _numpy_scalar_leg(params)):
         td.reset_caches()  # equal legs would share a cached settled orbit
-        runs.append(td.simulate(leg, ACV, td.SimConfig(),
-                                perturb=(35.0, 3200.0)))
+        runs.append(td.simulate(leg, ACV, td.SimConfig(
+            perturb_freq=35.0, perturb_amplitude=3200.0)))
     for f in dataclasses.fields(td.TimeSeries):
         a, b = (getattr(r, f.name) for r in runs)
         if isinstance(a, np.ndarray):
             assert a.tobytes() == b.tobytes(), f.name
-        elif f.name != "params":
+        else:
             assert a == b, f.name
 
 
@@ -313,8 +320,9 @@ def test_m0_is_an_exact_fixed_point(params_m0):
 
 
 def test_simulation_is_deterministic(params):
-    a = td.simulate(params, None, td.SimConfig(), perturb=(35.0, 3200.0))
-    b = td.simulate(params, None, td.SimConfig(), perturb=(35.0, 3200.0))
+    sim = td.SimConfig(perturb_freq=35.0, perturb_amplitude=3200.0)
+    a = td.simulate(params, None, sim)
+    b = td.simulate(params, None, sim)
     np.testing.assert_array_equal(a.i_g, b.i_g)
     np.testing.assert_array_equal(a.v_g, b.v_g)
     np.testing.assert_array_equal(a.t, b.t)
@@ -384,43 +392,45 @@ def test_timeseries_accessors(params_m0):
         s.column("phase_a")
     with pytest.raises(ValueError):
         s.i_c[0] = 1.0  # read-only view
+    with pytest.raises(ValueError, match="share one length"):
+        dataclasses.replace(s, i_c=s.i_c[:-1])
 
 
 # ------------------------------------------------------------------- phasors
 
 
-def test_phasor_of_pure_cosine(params_m0):
+def test_phasor_of_pure_cosine():
     t0, dt, n = 1.0, 1e-5, 4000
     t = t0 + np.arange(n) * dt
     x = 3.3 * np.cos(2 * np.pi * 50.0 * t + 0.7)
-    s = _series(params_m0, x, dt, t0)
+    s = _series(x, dt, t0)
     got = td.extract_phasor(s, "i_c", 50.0)
     assert got == pytest.approx(3.3 * np.exp(0.7j), abs=1e-9)
     # constants project to zero at any probe frequency
-    flat = _series(params_m0, np.full(n, 2.5), dt, t0)
+    flat = _series(np.full(n, 2.5), dt, t0)
     assert abs(td.extract_phasor(flat, "i_c", 50.0)) < 1e-12
 
 
-def test_phasor_separates_two_tones(params_m0):
+def test_phasor_separates_two_tones():
     dt, n = 1e-5, 20000  # 0.2 s holds whole periods of both tones
     t = np.arange(n) * dt
     x = (1.8 * np.cos(2 * np.pi * 35.0 * t - 0.3)
          + 0.6 * np.cos(2 * np.pi * 40.0 * t + 1.1))
-    s = _series(params_m0, x, dt, 0.0)
+    s = _series(x, dt, 0.0)
     assert td.extract_phasor(s, "i_c", 35.0) == pytest.approx(
         1.8 * np.exp(-0.3j), abs=1e-9)
     assert td.extract_phasor(s, "i_c", 40.0) == pytest.approx(
         0.6 * np.exp(1.1j), abs=1e-9)
 
 
-def test_phasor_validation(params_m0):
-    s = _series(params_m0, np.ones(10000))  # 0.1 s window
+def test_phasor_validation():
+    s = _series(np.ones(10000))  # 0.1 s window
     with pytest.raises(ValueError):
         td.extract_phasor(s, "i_c", 35.0)  # 3.5 periods
     with pytest.raises(ValueError):
         td.extract_phasor(s, "i_c", 0.0)
     with pytest.raises(ValueError):
-        td.extract_phasor(_series(params_m0, np.empty(0)), "i_c", 50.0)
+        td.extract_phasor(_series(np.empty(0)), "i_c", 50.0)
 
 
 # ------------------------------------------------------------- measurements
@@ -500,9 +510,6 @@ def test_measured_circulating_impedance(params_m0, params):
                                             120.0)
     z_an = ie.circulating_impedance_at(params, CCC, 120.0)
     assert abs(z_td.impedance - z_an.impedance) < 1e-3 * abs(z_an.impedance)
-    with pytest.raises(ValueError):
-        td.measure_circulating_impedance(params_m0, None, td.SimConfig(),
-                                         80.0, probe=0.0)
 
 
 # ------------------------------------------------------------------ shooting
@@ -569,6 +576,10 @@ def test_a_campaign_costs_the_sum_of_its_runs(params_m0, kernel_steps):
         return sum(kernel_steps)
 
     assert cost([10.0, 35.0]) == cost([10.0], [35.0])
+    # an empty campaign returns no points and integrates nothing
+    assert cost([]) == 0
+    assert td.measure_impedance_many(params_m0, None, td.SimConfig(),
+                                     []) == {}
 
 
 @pytest.mark.parametrize("mode", ["open", "acv", "acv+ccc"])
