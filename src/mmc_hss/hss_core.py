@@ -10,10 +10,11 @@ perturbation at many frequencies share one real eigendecomposition of the
 unshifted operator, each frequency an elementwise scaling with an O(n)
 condition bound. Both take a dense operator, so a caller that knows a
 symmetry of its system can hand them the operator on one invariant
-subspace, with the same number of states for every harmonic. Every
-factorisation and product goes through NumPy, so one BLAS and LAPACK
-build, with one thread pool, does all the dense work. Nothing here knows
-about converters.
+subspace, with the same number of states for every harmonic. One rule
+(refusal) turns every condition number or bound into the error that
+refuses its system. Every factorisation and product goes through NumPy,
+so one BLAS and LAPACK build, with one thread pool, does all the dense
+work. Nothing here knows about converters.
 """
 
 from __future__ import annotations
@@ -45,31 +46,55 @@ def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     return lifted.transpose(0, 2, 1, 3).reshape(n * r, n * c)
 
 
+def inverses(m: np.ndarray):
+    """Inverses of the square matrices m (..., n, n) and each one's exact
+    1-norm condition number ||m||_1 ||m^-1||_1, a scalar for one matrix.
+    An exactly singular matrix gets a NaN inverse and an infinite number.
+    """
+    m = np.asarray(m)
+    singular = np.zeros(m.shape[:-2], dtype=bool)
+    try:
+        m_inv = inv(m)
+    except LinAlgError:
+        m_inv = np.full(m.shape, np.nan, dtype=np.result_type(m, float))
+        for p in np.ndindex(singular.shape):
+            try:
+                m_inv[p] = inv(m[p])
+            except LinAlgError:
+                singular[p] = True
+    cond = (np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+            * np.abs(m_inv).sum(axis=-2).max(axis=-1, initial=0.0))
+    return m_inv, np.where(singular, np.inf, cond)[()]
+
+
+def refusal(cond, what: str):
+    """None for a condition number or bound cond within COND_LIMIT, else
+    the SingularSystemError that refuses the system `what`: singular at an
+    infinite cond, too ill-conditioned past the limit."""
+    if cond <= COND_LIMIT:
+        return None
+    if cond == np.inf:
+        return SingularSystemError(f"{what} is singular", float("inf"))
+    return SingularSystemError(
+        f"{what} too ill-conditioned (cond ~ {cond:.3e})", cond)
+
+
 class DenseFactor:
     """Dense inverse with its exact 1-norm condition number, reusable for
     several right-hand sides.
 
-    cond_estimate is ||m||_1 ||m^-1||_1, never below LAPACK's gecon
-    estimate of it. Raises SingularSystemError (with that number
+    cond_estimate is ||m||_1 ||m^-1||_1 (inverses), never below LAPACK's
+    gecon estimate of it. Raises the refusal of that number (with it
     attached) when it exceeds COND_LIMIT, rather than returning noise.
     """
 
     def __init__(self, m: np.ndarray):
         m = np.asarray(m, dtype=complex)
-        anorm = np.linalg.norm(m, 1)
-        if anorm == 0.0:
+        if not m.any():
             raise SingularSystemError("system matrix is zero", float("inf"))
-        try:
-            self._inv = inv(m)
-        except LinAlgError:
-            raise SingularSystemError("system matrix is singular",
-                                      float("inf")) from None
-        self.cond_estimate = anorm * np.linalg.norm(self._inv, 1)
-        if not self.cond_estimate <= COND_LIMIT:
-            raise SingularSystemError(
-                f"system matrix too ill-conditioned "
-                f"(cond ~ {self.cond_estimate:.3e})", self.cond_estimate
-            )
+        self._inv, self.cond_estimate = inverses(m)
+        if error := refusal(self.cond_estimate, "system matrix"):
+            raise error
         self._m = m
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -101,7 +126,8 @@ class ShiftedSolver:
     operator of a real periodic system, its blocks (k, l) and (-k, -l)
     conjugate, else ValueError. In the basis X_0, X_k + X_-k,
     j(X_k - X_-k) it is a real M_r = U^-1 M0 U, whose eigenvectors V_r
-    give v = U V_r and v_inv = V_r^-1 U^-1, both from NumPy's LAPACK."""
+    give v = U V_r and v_inv = V_r^-1 U^-1, both from NumPy's LAPACK.
+    bounds takes a batch of shifts at once, and refuses none of them."""
 
     def __init__(self, m0: np.ndarray, order: int):
         self.m0 = m0 = np.asarray(m0, dtype=complex)
@@ -128,20 +154,15 @@ class ShiftedSolver:
                 f"nearly defective operator (modes cond ~ {cond:.3e})", cond)
         self.mode_cond, self._norm = cond, np.linalg.norm(m0, 1)
 
-    def check(self, omega: float) -> float:
-        """(||M0||_1 + |omega|) kappa_1(v) / min|eigvals - j*omega|, an O(n)
-        bound on cond_1(M0 - j*omega*I), whose inverse is v diag(1/(eigvals
-        - j*omega)) v_inv; past COND_LIMIT it raises SingularSystemError."""
-        gap = np.abs(self.eigvals - 1j * omega).min()
-        if not gap > 0.0:
-            raise SingularSystemError("shifted system matrix is singular",
-                                      float("inf"))
-        cond = (self._norm + abs(omega)) * self.mode_cond / gap
-        if not cond <= COND_LIMIT:
-            raise SingularSystemError(
-                f"shifted system matrix too ill-conditioned "
-                f"(cond ~ {cond:.3e})", cond)
-        return cond
+    def bounds(self, omegas) -> np.ndarray:
+        """(||M0||_1 + |omega|) kappa_1(v) / min|eigvals - j*omega| for
+        every shift omega, an O(n) bound on cond_1(M0 - j*omega*I), whose
+        inverse is v diag(1/(eigvals - j*omega)) v_inv; inf where a mode
+        lies exactly on the shift."""
+        omegas = np.asarray(omegas, dtype=float)
+        gap = np.abs(self.eigvals[:, None] - 1j * omegas).min(axis=0)
+        return np.divide((self._norm + np.abs(omegas)) * self.mode_cond, gap,
+                         out=np.full(gap.shape, np.inf), where=gap > 0.0)
 
     def solve(self, omegas, b: np.ndarray) -> np.ndarray:
         """Y with (diag(eigvals) - j*omegas[p]*I) Y[:, p] = b[:, p] for

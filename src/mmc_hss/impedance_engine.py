@@ -12,19 +12,19 @@ probe and the steady state only the EVEN one. So every solve runs on its
 probe's class alone, and M0's modes are the union of both classes' modes.
 One real eigendecomposition per class and (params, order), built when a
 probe first needs it, turns every frequency into an elementwise scaling
-with an O(n) condition bound (hss_core.ShiftedSolver): a sweep solves its
-grid in chunks of about 1 MiB. One store keeps, per (order, class) of the
-current leg, that solver and the last loop set-up closed around it, so the
-single-point calls and automatic-order trials that follow build neither
-again. A loop set-up is matched to its operating point by value, so the
-steady state needs no per-order cache: mmc_model.steady_state keeps only
-its last result. Open loop, ac-voltage loop, circulating loop and the
-circulating-path probe all take this one path; they differ only in their
-class, forcing, readout row and channels, which mmc_model supplies
-(probe, loop_channels, channel_gains) along with the stack layout.
-impedance_at, circulating_impedance_at and sweep share one evaluation
-path (_evaluate): a sweep records a failed point, a single-point call
-raises the first error its point meets.
+(hss_core.ShiftedSolver): a sweep solves its grid in chunks of about 1 MiB,
+each chunk with one array of modal condition bounds. One store keeps, per
+(order, class) of the current leg, that solver and the last loop set-up
+closed around it, so the single-point calls and automatic-order trials that
+follow build neither again. A loop set-up is matched to its operating point
+by value, so the steady state needs no per-order cache:
+mmc_model.steady_state keeps only its last result. Open loop, ac-voltage
+loop, circulating loop and the circulating-path probe all take this one
+path; they differ only in their class, forcing, readout row and channels,
+which mmc_model supplies (probe, loop_channels, channel_gains) along with
+the stack layout. impedance_at, circulating_impedance_at and sweep share
+one evaluation path (_evaluate): a sweep records a failed point, a
+single-point call raises the first error its point meets.
 
 Closed-loop modes are solved by closing the controller channels around the
 open-loop operator ("loop closure" on the per-harmonic scalar controller
@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hss_core, mmc_model
-from .errors import (ANY, POSITIVE, WHOLE, DegenerateResponseError,
-                     SingularSystemError, check, rule)
+from .errors import (ANY, POSITIVE, WHOLE, DegenerateResponseError, check,
+                     rule)
 
 DEFAULT_GUARD_BAND_HZ = 2.0
 
@@ -240,7 +240,8 @@ class _Loop:
     F in modal coordinates (modal_f = V^-1 F) and the picked rows of the
     modes (modal_picks = V[picks]). Per point, vectorised over the points
     of a chunk: the channel law, the modal scalings, the channel system
-    and one refinement step of the whole system against M0 - j w I.
+    and one refinement step of the whole system against M0 - j w I. A
+    point's hss_core.refusal is its modal bound's, else its channel's.
     """
 
     def __init__(self, solver, params, config, op, order, parity):
@@ -292,13 +293,8 @@ class _Loop:
         solver, f_map, picks = self.solver, self.f_map, self.picks
         modal_picks = self.modal_picks
         m = f_map.shape[1]
-        errors = []
-        for w in omegas:
-            try:
-                solver.check(w)
-                errors.append(None)
-            except SingularSystemError as exc:
-                errors.append(exc)
+        errors = [hss_core.refusal(bound, "shifted system matrix")
+                  for bound in solver.bounds(omegas)]
         alpha, beta, scale = mmc_model.channel_gains(
             self.params, self.config, self.order, omegas, self.parity)
         pick_scale = beta * scale
@@ -314,7 +310,9 @@ class _Loop:
                 m, omegas.size, m + 1).transpose(1, 0, 2)
             sys = pick_scale[:, :, None] * picked[:, :, :m]
             sys[:, np.arange(m), np.arange(m)] += alpha
-            sys_inv = _inverse(sys, errors)
+            sys_inv, cond = hss_core.inverses(sys)
+            errors = [e or hss_core.refusal(c, "channel system")
+                      for e, c in zip(errors, cond)]
 
             def close(yb, picked_b, rc):
                 # states for the modal solution yb of the state rows, its
@@ -331,32 +329,6 @@ class _Loop:
             yr = solver.solve(omegas, (solver.v_inv @ rx)[:, :, None])[:, :, 0]
             x += close(yr, (modal_picks @ yr).T, rc)[1]
         return x, errors
-
-
-def _inverse(sys, errors):
-    """Inverses of the channel systems sys (points, m, m); a point whose
-    system is singular or too ill-conditioned gets a SingularSystemError
-    in errors."""
-    try:
-        inv = np.linalg.inv(sys)
-    except np.linalg.LinAlgError:
-        inv = np.zeros_like(sys)
-        for p, s in enumerate(sys):
-            try:
-                inv[p] = np.linalg.inv(s)
-            except np.linalg.LinAlgError:
-                inv[p] = np.nan
-                if errors[p] is None:
-                    errors[p] = SingularSystemError(
-                        "channel system is singular", float("inf"))
-    cond = (np.abs(sys).sum(axis=1).max(axis=1, initial=0.0)
-            * np.abs(inv).sum(axis=1).max(axis=1, initial=0.0))
-    for p in np.flatnonzero(~(cond <= hss_core.COND_LIMIT)):
-        if errors[p] is None:
-            errors[p] = SingularSystemError(
-                f"channel system too ill-conditioned (cond ~ {cond[p]:.3e})",
-                float(cond[p]))
-    return inv
 
 
 def _point(params, config, order, probe, freq_hz, response):
@@ -380,10 +352,12 @@ def _point(params, config, order, probe, freq_hz, response):
 def _evaluate(params, config, freqs, order, op, probe, strict):
     """(order, results) of one probe at freqs: per frequency an
     ImpedancePoint or the error that spoiled it; strict raises the first
-    error met at any order evaluated. A given op fixes order when it is
-    None, else None applies the automatic rule. Each order is one batched
-    solve on its probe's class (_loop), around op or, where a loop or the
-    circulating probe needs one, the steady state at that order."""
+    error met at any order evaluated. A config of None is open loop. A given
+    op fixes order when it is None, else None applies the automatic rule.
+    Each order is one batched solve on its probe's class (_loop), around op
+    or, where a loop or the circulating probe needs one, the steady state at
+    that order."""
+    config = mmc_model.ControlConfig() if config is None else config
     if op is not None:
         order = op.order if order is None else order
         if op.params != params or op.order < order:
@@ -420,7 +394,7 @@ def impedance_at(params, config, freq_hz: float, order: int | None = None,
     Parameters
     ----------
     params : CircuitParams
-    config : ControlConfig
+    config : ControlConfig, or None for open loop
     freq_hz : float
         Perturbation frequency, > 0.
     order : int, optional
@@ -477,7 +451,7 @@ def sweep(params, config, freqs=None, order: int | None = None,
     RuntimeWarning, if none does); the result holds the order-h points and
     reports h as its order. Per-point numerical failures are recorded, not
     raised; the sweep raises only if more than a tenth of the points fail.
-    Points are returned in frequency order.
+    Points are returned in frequency order. A config of None is open loop.
     """
     if freqs is None:
         freqs = np.arange(5.0, 500.0 + 0.5, 1.0)
@@ -485,6 +459,7 @@ def sweep(params, config, freqs=None, order: int | None = None,
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
     check("freqs", freqs, POSITIVE)
+    config = mmc_model.ControlConfig() if config is None else config
     if guard_band_hz is None:
         guard_band_hz = _guard_band(config)
     check("guard_band_hz", guard_band_hz, ANY)

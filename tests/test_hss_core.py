@@ -305,46 +305,84 @@ def test_real_signal_detection():
 
 
 def test_shifted_check_bounds_the_condition_number_for_every_shift():
-    # check's modal bound is no smaller than the exact 1-norm condition
-    # number of M0 - j*omega*I or LAPACK's estimate of it, repeats bitwise
-    # and leaves M0 alone
+    # the modal bounds of a batch of shifts are no smaller than the exact
+    # 1-norm condition number of M0 - j*omega*I or LAPACK's estimate of it,
+    # repeat bitwise, one shift alone or in a batch, and leave M0 alone
     rng = np.random.default_rng(3)
     a = _random_symmetric_system(rng, 2, 8)[0]
     solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 2)
     m0_before = solver.m0.copy()
-    bounds = {}
-    for omega in (0.0, 250.0, -3.5, 1e4, 250.0):
-        bound = solver.check(omega)
+    omegas = [0.0, 250.0, -3.5, 1e4, 250.0]
+    bounds = solver.bounds(omegas)
+    assert bounds.shape == (5,)
+    for omega, bound in zip(omegas, bounds):
         shifted = solver.m0 - 1j * omega * np.eye(40)
         assert bound >= np.linalg.cond(shifted, 1)
         assert bound >= ref.lapack_cond(shifted)
-        assert bounds.setdefault(omega, bound) == bound
+        assert solver.bounds([omega])[0] == bound
+    assert bounds[1] == bounds[4]
     np.testing.assert_array_equal(solver.m0, m0_before)
     # a scalar operator has kappa_1(v) = 1 and condition number 1, where
     # the bound (1 + |omega|) / |1 + j*omega| lies in [1, sqrt(2)]
     scalar = hc.ShiftedSolver(
         hc.operator_matrix(np.full((1, 1, 1), -1.0), 314.0), 0)
-    for omega in (0.0, 250.0, -3.5, 1e4):
-        assert 1.0 <= scalar.check(omega) <= np.sqrt(2.0)
+    unit = scalar.bounds([0.0, 250.0, -3.5, 1e4])
+    assert ((1.0 <= unit) & (unit <= np.sqrt(2.0))).all()
 
 
 def test_shifted_check_raises_on_an_eigenvalue_at_the_shift():
     # the first state is decoupled from the others, so at order 1 the
     # shift block -1 gives M0 the exact eigenvalue j*omega1 = 250j, in the
-    # real form and in the modal form
+    # real form and in the modal form: its bound is inf, without a
+    # division warning, and refusal calls it singular
     rng = np.random.default_rng(3)
     blocks, _ = _random_symmetric_system(rng, 1, 13)
     blocks[:, :, 0] = blocks[:, 0, :] = 0.0
     solver = hc.ShiftedSolver(hc.operator_matrix(blocks, 250.0), 1)
-    with pytest.raises(SingularSystemError, match="singular"):
-        solver.check(250.0)
-    assert solver.check(251.0) <= hc.COND_LIMIT
+    on, off = solver.bounds([250.0, 251.0])
+    assert on == np.inf
+    err = hc.refusal(on, "shifted system matrix")
+    assert isinstance(err, SingularSystemError)
+    assert str(err) == "shifted system matrix is singular"
+    assert err.cond_estimate == float("inf")
+    assert off <= hc.COND_LIMIT
+    assert hc.refusal(off, "shifted system matrix") is None
+    # a zero operator at a zero shift: singular too, not 0/0
+    assert hc.ShiftedSolver(np.zeros((1, 1)), 0).bounds([0.0]) == np.inf
     # an eigenvalue 1e-13 from the shift: nonsingular, but past COND_LIMIT
     near = hc.ShiftedSolver(np.diag([-1e-13, -1.0]), 0)
-    with pytest.raises(SingularSystemError,
-                       match="too ill-conditioned") as err:
-        near.check(0.0)
-    assert err.value.cond_estimate > hc.COND_LIMIT
+    (bound,) = near.bounds([0.0])
+    assert hc.COND_LIMIT < bound < np.inf
+    err = hc.refusal(bound, "shifted system matrix")
+    assert str(err) == ("shifted system matrix too ill-conditioned "
+                        f"(cond ~ {bound:.3e})")
+    assert err.cond_estimate == bound
+
+
+def test_inverses_of_a_batch_with_singular_and_ill_conditioned_members():
+    # one batch holds a regular, an exactly singular and a past-limit
+    # matrix: the singular one gets a NaN inverse and an infinite number,
+    # the others their own inverse bit for bit and its exact 1-norm
+    # condition number, and refusal tells the three apart
+    rng = np.random.default_rng(28)
+    regular = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    singular = regular.copy()
+    singular[:, 3] = 0.0
+    ill = np.diag([1.0, 2.0, 3.0, 4.0, 1e-13]).astype(complex)
+    m_inv, cond = hc.inverses(np.stack([regular, singular, ill]))
+    assert m_inv.shape == (3, 5, 5) and cond.shape == (3,)
+    assert np.isnan(m_inv[1]).all() and cond[1] == np.inf
+    for p, m in ((0, regular), (2, ill)):
+        want = np.linalg.inv(m)
+        assert m_inv[p].tobytes() == want.tobytes()
+        assert cond[p] == np.linalg.norm(m, 1) * np.linalg.norm(want, 1)
+    assert hc.refusal(cond[0], "m") is None
+    assert str(hc.refusal(cond[1], "m")) == "m is singular"
+    assert str(hc.refusal(cond[2], "m")).startswith("m too ill-conditioned")
+    # one matrix gives its inverse and a scalar number
+    one_inv, one_cond = hc.inverses(regular)
+    assert one_inv.tobytes() == m_inv[0].tobytes()
+    assert np.ndim(one_cond) == 0 and one_cond == cond[0]
 
 
 def _dense_shifted_solve(m0, omega, b):

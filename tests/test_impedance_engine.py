@@ -171,6 +171,19 @@ def test_zero_gain_loops_equal_open_loop(params):
     assert z_ccc0 == pytest.approx(z_open, rel=1e-13)
 
 
+def test_a_config_of_none_is_open_loop(params):
+    # as in the time-domain oracle, None stands for ControlConfig(): the
+    # same bits and the mode "open" for a sweep and both spot probes
+    grid = np.array([20.0, 35.0, 120.0])
+    res = ie.sweep(params, None, grid, order=4)
+    assert res == ie.sweep(params, mm.ControlConfig(), grid, order=4)
+    assert {p.mode for p in res.points} == {"open"}
+    for probe in (ie.impedance_at, ie.circulating_impedance_at):
+        point = probe(params, None, 35.0)
+        assert point == probe(params, mm.ControlConfig(), 35.0)
+        assert point.mode == "open"
+
+
 def test_truncation_refinement_converges(params):
     # doubling the kept sidebands shrinks the update between orders
     for f in (21.0, 80.0):
@@ -354,21 +367,28 @@ def test_auto_order_sweep_of_an_emptied_grid(params):
     assert res.points == () and res.failures == ()
     assert res.excluded == (50.0,)
 
+def _singular_at(monkeypatch, freq_hz, modes=None):
+    """Put a mode exactly on the shift at freq_hz, as the modal bound sees
+    it, for the solvers with this many modes (any by default)."""
+    real = hss_core.ShiftedSolver.bounds
+
+    def bounds(self, omegas):
+        out = real(self, omegas)
+        if modes is None or len(self.eigvals) == modes:
+            out[np.isclose(omegas, 2.0 * np.pi * freq_hz)] = np.inf
+        return out
+
+    monkeypatch.setattr(hss_core.ShiftedSolver, "bounds", bounds)
+
+
 def test_sweep_records_isolated_failures(params, monkeypatch):
-    real = hss_core.ShiftedSolver.check
-
-    def flaky(self, omega):
-        if np.isclose(omega, 2.0 * np.pi * 20.0):
-            raise SingularSystemError("synthetic failure")
-        return real(self, omega)
-
-    monkeypatch.setattr(hss_core.ShiftedSolver, "check", flaky)
+    _singular_at(monkeypatch, 20.0)
     grid = np.arange(10.0, 22.0, 1.0)  # 12 points, 1 failure is under 10%
     res = ie.sweep(params, OPEN, freqs=grid)
     assert len(res.points) == 11
     assert len(res.failures) == 1
     assert res.failures[0][0] == 20.0
-    assert "synthetic failure" in res.failures[0][1]
+    assert "shifted system matrix is singular" in res.failures[0][1]
 
 
 def _dead_channels_at(monkeypatch, freq_hz):
@@ -402,11 +422,10 @@ def test_an_exactly_singular_channel_system_is_reported_singular(
 
 
 def test_sweep_raises_when_too_many_points_fail(params, monkeypatch):
-    def broken(self, omega):
-        raise SingularSystemError("synthetic failure")
-
-    monkeypatch.setattr(hss_core.ShiftedSolver, "check", broken)
-    with pytest.raises(DegenerateResponseError):
+    monkeypatch.setattr(hss_core.ShiftedSolver, "bounds",
+                        lambda self, omegas: np.full(len(omegas), np.inf))
+    with pytest.raises(DegenerateResponseError,
+                       match="shifted system matrix is singular"):
         ie.sweep(params, OPEN, freqs=np.arange(10.0, 20.0, 1.0))
 
 
@@ -414,19 +433,12 @@ def test_spot_calls_raise_a_failure_at_any_order_they_evaluate(
         params, monkeypatch):
     # the automatic rule evaluates a spot point at several orders: an error
     # at any of them is raised, while a sweep records it as one failure
-    real = hss_core.ShiftedSolver.check
-
-    def flaky(self, omega):
-        # order 6: 2 * 13 modes per parity class
-        if len(self.eigvals) == 26 and np.isclose(omega,
-                                                  2.0 * np.pi * 101.0):
-            raise SingularSystemError("synthetic failure")
-        return real(self, omega)
-
-    monkeypatch.setattr(hss_core.ShiftedSolver, "check", flaky)
-    with pytest.raises(SingularSystemError, match="synthetic failure"):
+    # order 6: 2 * 13 modes per parity class
+    _singular_at(monkeypatch, 101.0, modes=26)
+    message = "shifted system matrix is singular"
+    with pytest.raises(SingularSystemError, match=message):
         ie.impedance_at(params, ACV, 101.0)
-    with pytest.raises(SingularSystemError, match="synthetic failure"):
+    with pytest.raises(SingularSystemError, match=message):
         ie.circulating_impedance_at(params, ACV, 101.0)
     res = ie.sweep(params, ACV, np.arange(96.0, 108.0), order=6)
     assert len(res.points) == 11
@@ -478,17 +490,21 @@ def test_the_store_holds_one_leg_and_reuses_an_equal_operating_point(
 
 
 def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
-    # on the reference leg and its m = 0 variant, check's modal bound is
-    # no smaller than LAPACK's condition estimate of M0 - j*omega*I at any
-    # sweep frequency, and stays below the guard (these read up to ~1e8)
+    # on the reference leg and its m = 0 variant, the modal bound of every
+    # sweep frequency is no smaller than LAPACK's condition estimate of
+    # M0 - j*omega*I, stays below the guard (these read up to ~1e8) and is
+    # bit for bit the bound of that frequency's shift alone
     omegas = 2.0 * np.pi * np.arange(5.0, 500.5, 1.0)
     for leg in (params, params_m0):
         for h, parity in itertools.product((4, 8, 16), (mm.EVEN, mm.ODD)):
             solver = ie._loop(leg, OPEN, None, h, parity).solver
             eye = np.eye(len(solver.m0))
-            for w in omegas:
+            scale = np.linalg.norm(solver.m0, 1)
+            for w, bound in zip(omegas, solver.bounds(omegas)):
                 assert (ref.lapack_cond(solver.m0 - 1j * w * eye)
-                        <= solver.check(w) < hss_core.COND_LIMIT)
+                        <= bound < hss_core.COND_LIMIT)
+                gap = np.abs(solver.eigvals - 1j * w).min()
+                assert bound == (scale + abs(w)) * solver.mode_cond / gap
 
 
 def test_sweep_memory_stays_within_the_chunk_budget(params):
@@ -581,7 +597,7 @@ def _dense_impedance(params, config, op, order, f):
 
 def test_modal_factor_of_random_legs():
     # the real form's spectrum is exactly closed under conjugation, the
-    # modes invert to roundoff, and check bounds the exact 1-norm
+    # modes invert to roundoff, and the modal bound exceeds the exact 1-norm
     # condition number of M0 - j*omega*I at sampled shifts
     rng = np.random.default_rng(20261019)
     for h in (4, 8, 16):
@@ -596,8 +612,8 @@ def test_modal_factor_of_random_legs():
                 eye = np.eye(len(modes))
                 np.testing.assert_allclose(solver.v_inv @ solver.v, eye,
                                            rtol=0.0, atol=1e-12)
-                for w in omegas:
-                    assert solver.check(w) >= np.linalg.cond(
+                for w, bound in zip(omegas, solver.bounds(omegas)):
+                    assert bound >= np.linalg.cond(
                         solver.m0 - 1j * w * eye, 1)
 
 
