@@ -6,13 +6,13 @@ is the plain array of its Fourier blocks, A_k at blocks[k + h], shape
 (2h + 1, d, d); multiplication by it is the block-Toeplitz lift of that
 array, d/dt a block-diagonal frequency shift. The periodic steady state
 of a linear time-periodic system is one DenseFactor solve; its responses to a
-perturbation at many frequencies share one real eigendecomposition of the
-unshifted operator, each frequency an elementwise scaling with an O(n)
-condition bound. Both take a dense operator, so a caller that knows a
-symmetry of its system can hand them the operator on one invariant
-subspace, with the same number of states for every harmonic. One rule
-(refusal) turns every condition number or bound into the error that
-refuses its system. Every factorisation and product goes through NumPy,
+perturbation at many values of the Laplace variable s share one real
+eigendecomposition of the unshifted operator, each s an elementwise
+scaling with an O(n) condition bound. Both take a dense operator, so a
+caller that knows a symmetry of its system can hand them the operator on
+one invariant subspace, with the same number of states for every
+harmonic. One rule (refusal) turns every condition number or bound into
+the error that refuses its system. Every factorisation and product goes through NumPy,
 so one BLAS and LAPACK build, with one thread pool, does all the dense
 work. Nothing here knows about converters.
 """
@@ -115,7 +115,7 @@ def _pair(x: np.ndarray, order: int, p, q, r, t) -> np.ndarray:
 
 
 class ShiftedSolver:
-    """Solves (M0 - j*omega*I) X = B for many shifts omega from one
+    """Solves (M0 - s*I) X = B for many complex shifts s from one
     eigendecomposition M0 = v diag(eigvals) v_inv (Laub, IEEE TAC 26(2),
     1981): right-hand sides go in as v_inv @ b, each shift is a scaling of
     modal coordinates, and solutions come out as v @ y.
@@ -154,24 +154,24 @@ class ShiftedSolver:
                 f"nearly defective operator (modes cond ~ {cond:.3e})", cond)
         self.mode_cond, self._norm = cond, np.linalg.norm(m0, 1)
 
-    def bounds(self, omegas) -> np.ndarray:
-        """(||M0||_1 + |omega|) kappa_1(v) / min|eigvals - j*omega| for
-        every shift omega, an O(n) bound on cond_1(M0 - j*omega*I), whose
-        inverse is v diag(1/(eigvals - j*omega)) v_inv; inf where a mode
-        lies exactly on the shift."""
-        omegas = np.asarray(omegas, dtype=float)
-        gap = np.abs(self.eigvals[:, None] - 1j * omegas).min(axis=0)
-        return np.divide((self._norm + np.abs(omegas)) * self.mode_cond, gap,
+    def bounds(self, shifts) -> np.ndarray:
+        """(||M0||_1 + |s|) kappa_1(v) / min|eigvals - s| for every complex
+        shift s, an O(n) bound on cond_1(M0 - s*I), whose inverse is
+        v diag(1/(eigvals - s)) v_inv; inf where a mode lies exactly on
+        the shift."""
+        s = np.asarray(shifts, dtype=complex)
+        gap = np.abs(self.eigvals[:, None] - s).min(axis=0)
+        return np.divide((self._norm + np.abs(s)) * self.mode_cond, gap,
                          out=np.full(gap.shape, np.inf), where=gap > 0.0)
 
-    def solve(self, omegas, b: np.ndarray) -> np.ndarray:
-        """Y with (diag(eigvals) - j*omegas[p]*I) Y[:, p] = b[:, p] for
-        every shift p.
+    def solve(self, shifts, b: np.ndarray) -> np.ndarray:
+        """Y with (diag(eigvals) - shifts[p]*I) Y[:, p] = b[:, p] for every
+        complex shift p.
 
         b is (n, k), shared by all shifts, or (n, P, k) with one block per
         shift; returns (n, P, k).
         """
-        pivots = self.eigvals[:, None] - 1j * np.asarray(omegas, dtype=float)
+        pivots = self.eigvals[:, None] - np.asarray(shifts, dtype=complex)
         return (b[:, None] if b.ndim == 2 else b) / pivots[:, :, None]
 
 

@@ -4,20 +4,21 @@ An impedance point forces the perturbed system with a unit series voltage
 behind the load at f_p, reads the output-current response at offset
 harmonic 0, and forms Z = -v_gp / i_gp with v_gp = v_p + Z_load * i_gp.
 
-The perturbed operator at f_p is M0 - j*2*pi*f_p*I, where M0 = A - N is the
-unperturbed one. The leg's half-wave symmetry splits M0, the controller
-channels and the probes into two parity classes of 2(2h + 1) states
-(mmc_model): the series probe excites only the ODD class, the circulating
-probe and the steady state only the EVEN one. So every solve runs on its
-probe's class alone, and M0's modes are the union of both classes' modes.
-One real eigendecomposition per class and (params, order), built when a
-probe first needs it, turns every frequency into an elementwise scaling
-(hss_core.ShiftedSolver): a sweep solves its grid in chunks of about 1 MiB,
-each chunk with one array of modal condition bounds. One store keeps, per
-(order, class) of the current leg, that solver and the last loop set-up
-closed around it, so the single-point calls and automatic-order trials that
-follow build neither again. A loop set-up is matched to its operating point
-by value, so the steady state needs no per-order cache:
+The perturbed operator at f_p is M0 - s*I, with M0 = A - N the unperturbed
+one and s = j*2*pi*f_p the Laplace variable, which _evaluate forms once and
+everything below it carries. The leg's half-wave symmetry splits M0, the
+controller channels and the probes into two parity classes of 2(2h + 1)
+states (mmc_model): the series probe excites only the ODD class, the
+circulating probe and the steady state only the EVEN one. So every solve
+runs on its probe's class alone, and M0's modes are the union of both
+classes' modes. One real eigendecomposition per class and (params, order),
+built when a probe first needs it, turns every s into an elementwise
+scaling (hss_core.ShiftedSolver): a sweep solves its grid in chunks of
+about 1 MiB, each chunk with one array of modal condition bounds. One store
+keeps, per (order, class) of the current leg, that solver and the last loop
+set-up closed around it, so the single-point calls and automatic-order
+trials that follow build neither again. A loop set-up is matched to its
+operating point by value, so the steady state needs no per-order cache:
 mmc_model.steady_state keeps only its last result. Open loop, ac-voltage
 loop, circulating loop and the circulating-path probe all take this one
 path; they differ only in their class, forcing, readout row and channels,
@@ -228,7 +229,7 @@ class _Loop:
     """Once-per-sweep set-up of the perturbed leg with its control loops
     closed, on one parity class around that class's modal solver.
 
-    Per point the leg solves (M0 - j w I) X + F c = bx together with the
+    Per point s the leg solves (M0 - s I) X + F c = bx together with the
     channel law alpha_r * c_r = beta_r * (scale_r * X[pick_r] + vp_r * v_p)
     for every controller output c_r (one per loop and source harmonic),
     stacked as mmc_model.channel_gains gives it. Operator, channels and
@@ -240,7 +241,7 @@ class _Loop:
     F in modal coordinates (modal_f = V^-1 F) and the picked rows of the
     modes (modal_picks = V[picks]). Per point, vectorised over the points
     of a chunk: the channel law, the modal scalings, the channel system
-    and one refinement step of the whole system against M0 - j w I. A
+    and one refinement step of the whole system against M0 - s I. A
     point's hss_core.refusal is its modal bound's, else its channel's.
     """
 
@@ -268,46 +269,46 @@ class _Loop:
             op is not None and own is not None and op.order == own.order
             and np.array_equal(op.stack, own.stack)))
 
-    def solve(self, omegas, bx, v_p, rows):
+    def solve(self, s, bx, v_p, rows):
         """X[rows] per point, (len(rows), points), and per point the
         SingularSystemError that spoiled it, or None.
 
-        bx is the state forcing (right-hand side of the state rows) and
-        rows the rows read out, both in the class coordinates; v_p is the
+        s holds each point's Laplace variable, bx the state forcing and
+        rows the rows read out, both in the class coordinates, and v_p the
         series voltage the channel pickups see directly.
         """
-        omegas = np.asarray(omegas, dtype=float)
+        s = np.asarray(s, dtype=complex)
         size = max(1, _CHUNK_BYTES // self.point_bytes)
         b = np.column_stack([self.modal_f,
                              self.solver.v_inv @ bx[:, None]])
-        out = np.empty((bx[rows].size, omegas.size), dtype=complex)
+        out = np.empty((bx[rows].size, s.size), dtype=complex)
         errors = []
-        for start in range(0, omegas.size, size):
-            chunk = omegas[start:start + size]
+        for start in range(0, s.size, size):
+            chunk = s[start:start + size]
             x, err = self._solve_chunk(chunk, b, bx, v_p)
             out[:, start:start + chunk.size] = x[rows]
             errors.extend(err)
         return out, errors
 
-    def _solve_chunk(self, omegas, b, bx, v_p):
+    def _solve_chunk(self, s, b, bx, v_p):
         solver, f_map, picks = self.solver, self.f_map, self.picks
         modal_picks = self.modal_picks
         m = f_map.shape[1]
         errors = [hss_core.refusal(bound, "shifted system matrix")
-                  for bound in solver.bounds(omegas)]
+                  for bound in solver.bounds(s)]
         alpha, beta, scale = mmc_model.channel_gains(
-            self.params, self.config, self.order, omegas, self.parity)
+            self.params, self.config, self.order, s, self.parity)
         pick_scale = beta * scale
         bc = beta * self.vp * v_p
         # a point flagged singular may divide by zero; its values are
         # discarded with its error
         with np.errstate(all="ignore"):
-            y = solver.solve(omegas, b)
+            y = solver.solve(s, b)
             yf = y[:, :, :m]
             # picked rows of X for every column: t = picks(M^-1 F) and,
             # in the last column, picks(M^-1 bx)
             picked = (modal_picks @ y.reshape(len(y), -1)).reshape(
-                m, omegas.size, m + 1).transpose(1, 0, 2)
+                m, s.size, m + 1).transpose(1, 0, 2)
             sys = pick_scale[:, :, None] * picked[:, :, :m]
             sys[:, np.arange(m), np.arange(m)] += alpha
             sys_inv, cond = hss_core.inverses(sys)
@@ -322,11 +323,10 @@ class _Loop:
                 return c, solver.v @ (yb - np.einsum("ipc,pc->ip", yf, c))
 
             c, x = close(y[:, :, m], picked[:, :, m], bc)
-            # one refinement step of the whole system against M0 - j w I
-            rx = (bx[:, None] - solver.m0 @ x + 1j * omegas * x
-                  - f_map @ c.T)
+            # one refinement step of the whole system against M0 - s I
+            rx = bx[:, None] - solver.m0 @ x + s * x - f_map @ c.T
             rc = bc - alpha * c + pick_scale * x[picks].T
-            yr = solver.solve(omegas, (solver.v_inv @ rx)[:, :, None])[:, :, 0]
+            yr = solver.solve(s, (solver.v_inv @ rx)[:, :, None])[:, :, 0]
             x += close(yr, (modal_picks @ yr).T, rc)[1]
         return x, errors
 
@@ -373,8 +373,9 @@ def _evaluate(params, config, freqs, order, op, probe, strict):
             loop_op = mmc_model.steady_state(params, h)
         fs = [freqs[i] for i in idx]
         parity, bx, v_p, row = mmc_model.probe(params, loop_op, h, probe)
+        s = 1j * (2.0 * math.pi * np.asarray(fs, dtype=float))
         (x,), errors = _loop(params, config, loop_op, h, parity).solve(
-            2.0 * math.pi * np.asarray(fs, dtype=float), bx, v_p, [row])
+            s, bx, v_p, [row])
         results = [e or _point(params, config, h, probe, f, complex(v))
                    for f, v, e in zip(fs, x, errors)]
         failed = [r for r in results if isinstance(r, Exception)]
@@ -455,7 +456,10 @@ def sweep(params, config, freqs=None, order: int | None = None,
     """
     if freqs is None:
         freqs = np.arange(5.0, 500.0 + 0.5, 1.0)
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = np.asarray(freqs, dtype=float).ravel()
+    if (np.diff(freqs) < 0.0).any():
+        # only then: np.sort's first call maps ~0.4 MB of sort kernels
+        freqs = np.sort(freqs)
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
     check("freqs", freqs, POSITIVE)

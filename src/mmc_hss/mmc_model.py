@@ -322,26 +322,24 @@ def _resonator_denominator(config: ControlConfig, omega1: float, s: complex
     return s * s + 2.0 * config.resonant_damping * s + omega1 * omega1
 
 
-def loop_gains(params: CircuitParams, config: ControlConfig, loop: str,
-               omegas):
-    """Channel law (alpha, beta, scale) of one loop at the source
-    frequencies omegas (rad/s, any array shape): its controller output c
-    obeys alpha*c = beta*u, u the pickup, scaled to max(|alpha|, |beta|) = 1
-    (alpha = 1, beta = gain while |gain| <= 1, else alpha = 1/gain,
-    beta = 1). So alpha is exactly 0 on an undamped resonator pole, where
-    the gain is infinite, and beta is 0 for a dead loop.
+def loop_gains(params: CircuitParams, config: ControlConfig, loop: str, s):
+    """Channel law (alpha, beta, scale) of one loop at the Laplace variable
+    s (complex, any shape): its controller output c obeys alpha*c = beta*u,
+    u the pickup, scaled to max(|alpha|, |beta|) = 1 (alpha = 1,
+    beta = gain while |gain| <= 1, else alpha = 1/gain, beta = 1). So alpha
+    is exactly 0 on an undamped resonator pole, where the gain is infinite,
+    and beta is 0 for a dead loop.
 
     The ac-voltage loop regulates v_g with negative feedback: its gain
     (kf + kpv + krv*s/(s^2 + 2*wc*s + w1^2)) * exp(-1.5*Ts*s) / V_dc, wc the
     resonant damping, drives the upper arm's insertion (the lower arm's
-    opposite), and its pickup scale is the load impedance that turns i_g
-    into v_g. The circulating loop emulates a series arm resistance: gain
-    ra*exp(-1.5*Ts*s)/V_dc on both arms, pickup scale 1.
+    opposite), and its pickup scale is the load impedance R_load + s*L_load
+    that turns i_g into v_g. The circulating loop emulates a series arm
+    resistance: gain ra*exp(-1.5*Ts*s)/V_dc on both arms, pickup scale 1.
     """
-    w = np.asarray(omegas, dtype=float)
+    s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         if loop == "acv":
-            s = 1j * w
             # without a resonator its denominator cancels, also at +-w1
             den = (_resonator_denominator(config, params.omega1, s)
                    if config.krv else 1.0)
@@ -349,12 +347,12 @@ def loop_gains(params: CircuitParams, config: ControlConfig, loop: str,
             inv = params.vdc * (
                 den * np.exp(1.5 * config.sampling_period * s) / num)
             gain = np.where(num == 0, 0j, 1.0 / inv)
-            scale = params.load_impedance(w)
+            scale = params.load_resistance + s * params.load_inductance
         else:
             gain = (config.ra / params.vdc) * np.exp(
-                -1.5j * config.sampling_period * w)
+                -1.5 * config.sampling_period * s)
             inv = 1.0 / gain
-            scale = np.ones(w.shape)
+            scale = np.ones(s.shape)
     small = np.abs(gain) <= 1.0
     return np.where(small, 1.0, inv), np.where(small, gain, 1.0), scale
 
@@ -439,15 +437,13 @@ def channel_parities(config: ControlConfig, order: int) -> np.ndarray:
 
 
 def loop_channels(params: CircuitParams, config: ControlConfig,
-                  op: SteadyOperatingPoint | None, order: int,
-                  parity: int | None = None):
-    """(F, picks, direct) of the controller channels config.mode closes,
-    one per active loop and source harmonic q, loop-major: column q of a
-    loop's part of F lifts its injection blocks, f_{p-q} into block p.
-    Channel j reads stack row picks[j], and v_p too where direct[j] is 1
-    (the voltage loop at q = 0). With a parity, only that class's
-    channels, in its class coordinates: F's rows and picks index the
-    class rows."""
+                  op: SteadyOperatingPoint | None, order: int, parity: int):
+    """(F, picks, direct) of the controller channels config.mode closes on
+    the class parity, one per active loop and source harmonic q of that
+    class, loop-major, in its class coordinates: column q of a loop's part
+    of F lifts its injection blocks, f_{p-q} into block p, and F's rows and
+    picks index the class rows. Channel j reads class row picks[j], and v_p
+    too where direct[j] is 1 (the voltage loop at q = 0)."""
     n = 2 * order + 1
     f, direct = [np.zeros((4 * n, 0), dtype=complex)], [np.zeros(0)]
     for loop in active_loops(config):
@@ -457,8 +453,6 @@ def loop_channels(params: CircuitParams, config: ControlConfig,
     f, direct = np.hstack(f), np.concatenate(direct)
     picks = np.concatenate([np.zeros(0, dtype=int)]
                            + _channel_rows(config, order))
-    if parity is None:
-        return f, picks, direct
     keep = channel_parities(config, order) == parity
     return (to_class(f[:, keep], order, parity),
             np.searchsorted(_class_rows(order, parity), picks[keep]),
@@ -466,19 +460,18 @@ def loop_channels(params: CircuitParams, config: ControlConfig,
 
 
 def channel_gains(params: CircuitParams, config: ControlConfig, order: int,
-                  omegas, parity: int | None = None):
-    """Channel law (alpha, beta, scale) of loop_channels' channels (of one
-    class with a parity) at the perturbation frequencies omegas (rad/s),
-    each (points, channels): channel j's output c_j obeys
+                  s, parity: int):
+    """Channel law (alpha, beta, scale) of loop_channels' channels on the
+    class parity at the points' Laplace variable s (complex), each
+    (points, channels): channel j's output c_j obeys
     alpha_j*c_j = beta_j*(scale_j*X[picks_j] + direct_j*v_p), with
-    max(|alpha_j|, |beta_j|) = 1, and channel q of a loop filters at
-    omega + q*omega1 (see loop_gains)."""
-    src = np.asarray(omegas, dtype=float)[:, None] + (
+    max(|alpha_j|, |beta_j|) = 1, and channel q of a loop filters at the
+    source harmonic s + j*q*omega1 (see loop_gains)."""
+    src = np.asarray(s, dtype=complex)[:, None] + 1j * (
         np.arange(-order, order + 1) * params.omega1)
     parts, row_parity = [], _row_parity(order)
-    for loop, rows in zip(active_loops(config),
-                          _channel_rows(config, order)):
-        cols = slice(None) if parity is None else row_parity[rows] == parity
+    for loop, rows in zip(active_loops(config), _channel_rows(config, order)):
+        cols = row_parity[rows] == parity
         parts.append(loop_gains(params, config, loop, src[:, cols]))
     return [np.concatenate(p, axis=1)
             for p in zip(*parts or [np.zeros((3, len(src), 0))])]

@@ -315,7 +315,7 @@ def _steps_per_cycle(params: CircuitParams, dt: float) -> int:
     return spc
 
 
-def _control_strides(params, config, dt, spc):
+def _control_strides(config, dt, spc):
     ratio = config.sampling_period / dt
     every = int(round(ratio))
     if every < 1 or abs(ratio - every) > 1e-9 * max(1.0, ratio):
@@ -369,7 +369,7 @@ class _Runner:
         use_acv = 1 if (config is not None and config.has_acv) else 0
         use_ccc = 1 if (config is not None and config.has_ccc) else 0
         if use_acv or use_ccc:
-            every = _control_strides(params, config, dt, self.spc)
+            every = _control_strides(config, dt, self.spc)
             w1ts = params.omega1 * config.sampling_period
             rot_c = math.cos(w1ts)
             rot_s = math.sin(w1ts)
@@ -560,7 +560,7 @@ def _orbit(params, config, dt, budget, tol, reference_budget):
         y = np.array([0.0, params.vdc, params.vdc, 0.0])
     else:
         ref = _orbit(params, None, dt, reference_budget, tol, None)
-        every = _control_strides(params, config, dt, ref.runner.spc)
+        every = _control_strides(config, dt, ref.runner.spc)
         vref = ref.cycle.v_g[::every]
         icref = ref.cycle.i_c[::every]
         y = ref.z[:4]
@@ -581,7 +581,7 @@ def _settle_campaign(params, config, sim) -> _Orbit:
         orbits = [_orbit(params, None, dt, sim.settle_cycles, tol, None)]
     else:
         # refuse a sampling period off the step grid before settling
-        _control_strides(params, config, dt, _steps_per_cycle(params, dt))
+        _control_strides(config, dt, _steps_per_cycle(params, dt))
         ref_budget = sim.reference_settle_cycles
         orbits = [_orbit(params, None, dt, ref_budget, tol, None),
                   _orbit(params, config, dt, sim.settle_cycles, tol,

@@ -2,10 +2,13 @@
 Fourier coefficients, time evaluation of a harmonic stack, conjugate
 symmetry, LAPACK's condition estimate of a dense matrix, the insertion
 indices and loop filters in the time and frequency domain, the
-closed-loop response stack, the full-size perturbed system with the
-controller channels closed densely, full-size dense solves of the steady
-state and of the circulating probe, and plain fixed-step RK4 of the
-time-domain kernel. Plain functions on arrays.
+closed-loop response stack, the full-size channel map and channel law of
+both parity classes together, the full-size perturbed system with those
+channels closed densely, full-size dense solves of the steady state and
+of the circulating probe, and plain fixed-step RK4 of the time-domain
+kernel. Plain functions on arrays; like the package, every frequency
+domain reference takes the Laplace variable s, j*omega on the imaginary
+axis.
 """
 
 import cmath
@@ -95,48 +98,79 @@ def on_resonant_pole(config, omega1, s):
     return abs(den) < POLE_REL_TOL * omega1 * omega1
 
 
-def perturbed_system(params, config, op, order, omega_p):
-    """Assembled perturbed system (M_p, b_p) at offset omega_p (rad/s).
+def loop_channels(params, config, op, order):
+    """Full-size (F, picks, direct) of the controller channels config.mode
+    closes, both parity classes, in state coordinates: one per active loop
+    and source harmonic q, loop-major. Column q of a loop's part of F lifts
+    its injection blocks, f_{p-q} into block p; channel j reads stack row
+    picks[j], and v_p too where direct[j] is 1 (the voltage loop at
+    q = 0). mmc_model.loop_channels gives one class of these."""
+    n = 2 * order + 1
+    f, picks, direct = [np.zeros((4 * n, 0), dtype=complex)], [], []
+    for loop in mmc_model.active_loops(config):
+        _, state, reads_vp = mmc_model.LOOP_WIRING[loop]
+        f.append(hss_core.block_toeplitz(
+            mmc_model._injection(params, op, order, loop)[:, :, None]))
+        picks.append(4 * np.arange(n) + state)
+        direct.append((np.arange(n) == order) * float(reads_vp))
+    return (np.hstack(f), np.concatenate([np.zeros(0, dtype=int)] + picks),
+            np.concatenate([np.zeros(0)] + direct))
 
-    The response X to a unit series voltage behind the load at omega_p
-    solves M_p X = b_p, with M_p = M0 - j*omega_p*I (M0 = A - N) plus the
-    channels of loop_channels closed densely: with gain_j = beta_j/alpha_j
-    from channel_gains, channel j adds gain_j * scale_j * F[:, j] to column
+
+def channel_gains(params, config, order, s):
+    """Full-size channel law (alpha, beta, scale) of loop_channels'
+    channels at the values s of the Laplace variable, each
+    (points, channels): channel q of a loop filters at s + j*q*omega1.
+    mmc_model.channel_gains gives one class of these."""
+    src = np.asarray(s, dtype=complex)[:, None] + 1j * (
+        np.arange(-order, order + 1) * params.omega1)
+    parts = [mmc_model.loop_gains(params, config, loop, src)
+             for loop in mmc_model.active_loops(config)]
+    return [np.concatenate(p, axis=1)
+            for p in zip(*parts or [np.zeros((3, len(src), 0))])]
+
+
+def perturbed_system(params, config, op, order, s):
+    """Assembled perturbed system (M_p, b_p) at the Laplace variable s.
+
+    The response X to a unit series voltage behind the load at s solves
+    M_p X = b_p, with M_p = M0 - s*I (M0 = A - N) plus the channels of
+    loop_channels closed densely: with gain_j = beta_j/alpha_j from
+    channel_gains, channel j adds gain_j * scale_j * F[:, j] to column
     picks[j], and its direct v_p pickup gain_j * direct_j * F[:, j] leaves
     b_p. op is the operating point the loops act around (unused open loop).
     This is the reference the engine's channel solve is checked against:
-    it shares the channel map and law but assembles and solves densely.
-    Raises PoleAtResonanceError when a source frequency sits on an
+    it shares the injection blocks and loop law but assembles and solves
+    densely. Raises PoleAtResonanceError when a source harmonic sits on an
     undamped resonator pole, where alpha = 0 and M_p does not exist.
     """
     a, _ = mmc_model.build_base_hss(params, order)
     m = hss_core.operator_matrix(a, params.omega1)
-    m[np.diag_indices_from(m)] -= 1j * omega_p
-    src = omega_p + np.arange(-order, order + 1) * params.omega1
-    poles = [w for w in src if config.has_acv
-             and on_resonant_pole(config, params.omega1, 1j * w)]
+    m[np.diag_indices_from(m)] -= s
+    src = s + 1j * (np.arange(-order, order + 1) * params.omega1)
+    poles = [z for z in src if config.has_acv
+             and on_resonant_pole(config, params.omega1, z)]
     if poles:
         raise PoleAtResonanceError(
-            f"source harmonic at {poles[0] / (2 * math.pi):.6g} Hz sits "
-            "on the resonant-controller pole; the assembled operator "
+            f"source harmonic at {poles[0].imag / (2 * math.pi):.6g} Hz "
+            "sits on the resonant-controller pole; the assembled operator "
             "does not exist there")
-    f, picks, direct = mmc_model.loop_channels(params, config, op, order)
-    (alpha,), (beta,), (scale,) = mmc_model.channel_gains(
-        params, config, order, [omega_p])
+    f, picks, direct = loop_channels(params, config, op, order)
+    (alpha,), (beta,), (scale,) = channel_gains(params, config, order, [s])
     gains = beta / alpha
     m[:, picks] += f * (gains * scale)
     return m, mmc_model.series_forcing(params, order) - f @ (gains * direct)
 
 
-def closed_loop_response(params, config, op, order, omega_p, v_p=1.0):
-    """Response stack to a series voltage v_p behind the load at omega_p,
-    with config's controller channels closed around the engine's modal
-    solver of the ODD class."""
+def closed_loop_response(params, config, op, order, s, v_p=1.0):
+    """Response stack to a series voltage v_p behind the load at the
+    Laplace variable s, with config's controller channels closed around
+    the engine's modal solver of the ODD class."""
     odd = mmc_model.ODD
     bx = mmc_model.to_class(v_p * mmc_model.series_forcing(params, order),
                             order, odd)
     x, (error,) = impedance_engine._loop(params, config, op, order,
-                                         odd).solve([omega_p], bx, v_p,
+                                         odd).solve([s], bx, v_p,
                                                     slice(None))
     if error is not None:
         raise error
@@ -156,7 +190,7 @@ def dense_circulating_impedance(params, config, op, order, freq_hz):
     full-size perturbed system, its channels closed densely, forced by
     the common-mode insertion-index probe (n_hat = 1)."""
     m_p, _ = perturbed_system(params, config, op, order,
-                              2.0 * math.pi * freq_hz)
+                              1j * (2.0 * math.pi * freq_hz))
     b = -mmc_model.circulating_probe_forcing(params, op, order)
     return -params.vdc / scipy.linalg.solve(m_p, b)[4 * order]
 

@@ -259,11 +259,11 @@ def test_criterion_8_property_suite(params, capfd):
     for solver in ("open", "acv"):
         if solver == "open":
             xp, xm = (hc.DenseFactor(m).solve(b) for m, b in (
-                ref.perturbed_system(params, OPEN, None, 4, w)
+                ref.perturbed_system(params, OPEN, None, 4, 1j * w)
                 for w in (wp, -wp)))
         else:
-            xp = ref.closed_loop_response(params, ACV1, op4, 4, +wp)
-            xm = ref.closed_loop_response(params, ACV1, op4, 4, -wp)
+            xp = ref.closed_loop_response(params, ACV1, op4, 4, 1j * wp)
+            xm = ref.closed_loop_response(params, ACV1, op4, 4, -1j * wp)
         worst = np.abs(xm.reshape(-1, 4)[::-1]
                        - xp.reshape(-1, 4).conj()).max()
         pairs.append(worst / np.abs(xp).max())

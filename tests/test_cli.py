@@ -306,9 +306,9 @@ def test_sweep_reports_each_failed_point_on_stderr(tmp_path, capsys,
     # here zeroing the channel law at 35 Hz makes that point singular
     real = cli.mmc_model.channel_gains
 
-    def gains(params, config, order, omegas, parity=None):
-        alpha, beta, scale = real(params, config, order, omegas, parity)
-        dead = np.asarray(omegas) == 2.0 * np.pi * 35.0
+    def gains(params, config, order, s, parity):
+        alpha, beta, scale = real(params, config, order, s, parity)
+        dead = np.asarray(s) == 1j * (2.0 * np.pi * 35.0)
         alpha[dead] = beta[dead] = 0.0
         return alpha, beta, scale
 

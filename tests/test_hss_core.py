@@ -304,29 +304,36 @@ def test_real_signal_detection():
     assert not ref.is_real([1 + 1j, 0.0, 1 + 1j], 1)
 
 
+# shifts s = j*omega on the imaginary axis, and s = sigma + j*omega off it
+# on either side
+_SHIFTS = [0.0, 250j, -3.5j, 1e4j, 40.0 + 250j, -40.0 - 3.5j, -7.0 + 1e4j,
+           3.0]
+
+
 def test_shifted_check_bounds_the_condition_number_for_every_shift():
-    # the modal bounds of a batch of shifts are no smaller than the exact
-    # 1-norm condition number of M0 - j*omega*I or LAPACK's estimate of it,
-    # repeat bitwise, one shift alone or in a batch, and leave M0 alone
+    # the modal bounds of a batch of complex shifts s are no smaller than
+    # the exact 1-norm condition number of M0 - s*I or LAPACK's estimate
+    # of it, repeat bitwise, one shift alone or in a batch, and leave M0
+    # alone
     rng = np.random.default_rng(3)
     a = _random_symmetric_system(rng, 2, 8)[0]
     solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 2)
     m0_before = solver.m0.copy()
-    omegas = [0.0, 250.0, -3.5, 1e4, 250.0]
-    bounds = solver.bounds(omegas)
-    assert bounds.shape == (5,)
-    for omega, bound in zip(omegas, bounds):
-        shifted = solver.m0 - 1j * omega * np.eye(40)
+    shifts = _SHIFTS + [250j]
+    bounds = solver.bounds(shifts)
+    assert bounds.shape == (len(shifts),)
+    for s, bound in zip(shifts, bounds):
+        shifted = solver.m0 - s * np.eye(40)
         assert bound >= np.linalg.cond(shifted, 1)
         assert bound >= ref.lapack_cond(shifted)
-        assert solver.bounds([omega])[0] == bound
-    assert bounds[1] == bounds[4]
+        assert solver.bounds([s])[0] == bound
+    assert bounds[1] == bounds[-1]
     np.testing.assert_array_equal(solver.m0, m0_before)
     # a scalar operator has kappa_1(v) = 1 and condition number 1, where
     # the bound (1 + |omega|) / |1 + j*omega| lies in [1, sqrt(2)]
     scalar = hc.ShiftedSolver(
         hc.operator_matrix(np.full((1, 1, 1), -1.0), 314.0), 0)
-    unit = scalar.bounds([0.0, 250.0, -3.5, 1e4])
+    unit = scalar.bounds([0.0, 250j, -3.5j, 1e4j])
     assert ((1.0 <= unit) & (unit <= np.sqrt(2.0))).all()
 
 
@@ -339,7 +346,7 @@ def test_shifted_check_raises_on_an_eigenvalue_at_the_shift():
     blocks, _ = _random_symmetric_system(rng, 1, 13)
     blocks[:, :, 0] = blocks[:, 0, :] = 0.0
     solver = hc.ShiftedSolver(hc.operator_matrix(blocks, 250.0), 1)
-    on, off = solver.bounds([250.0, 251.0])
+    on, off = solver.bounds([250j, 251j])
     assert on == np.inf
     err = hc.refusal(on, "shifted system matrix")
     assert isinstance(err, SingularSystemError)
@@ -385,25 +392,26 @@ def test_inverses_of_a_batch_with_singular_and_ill_conditioned_members():
     assert np.ndim(one_cond) == 0 and one_cond == cond[0]
 
 
-def _dense_shifted_solve(m0, omega, b):
-    return scipy.linalg.solve(m0 - 1j * omega * np.eye(len(m0)), b)
+def _dense_shifted_solve(m0, s, b):
+    return scipy.linalg.solve(m0 - s * np.eye(len(m0)), b)
 
 
 def test_modal_solve_matches_a_dense_solve():
-    # v @ solve(omegas, v_inv @ b) is (M0 - j*omega*I)^-1 b for every shift,
-    # with one right-hand side shared by all shifts or one block per shift
+    # v @ solve(shifts, v_inv @ b) is (M0 - s*I)^-1 b for every complex
+    # shift s, with one right-hand side shared by all shifts or one block
+    # per shift
     rng = np.random.default_rng(11)
     a = _random_symmetric_system(rng, 2, 8)[0]
     b = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
-    omegas = [0.0, 250.0, -3.5, 1e4]
     solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 2)
     m0 = solver.m0
-    shared = solver.solve(omegas, solver.v_inv @ b)
-    blocks = solver.solve(omegas, np.stack(
-        [solver.v_inv @ ((p + 1) * b) for p in range(4)], axis=1))
-    assert shared.shape == blocks.shape == (40, 4, 3)
-    for p, omega in enumerate(omegas):
-        want = _dense_shifted_solve(m0, omega, b)
+    n = len(_SHIFTS)
+    shared = solver.solve(_SHIFTS, solver.v_inv @ b)
+    blocks = solver.solve(_SHIFTS, np.stack(
+        [solver.v_inv @ ((p + 1) * b) for p in range(n)], axis=1))
+    assert shared.shape == blocks.shape == (40, n, 3)
+    for p, s in enumerate(_SHIFTS):
+        want = _dense_shifted_solve(m0, s, b)
         scale = np.abs(want).max()
         np.testing.assert_allclose(solver.v @ shared[:, p], want,
                                    rtol=0.0, atol=1e-12 * scale)
@@ -426,16 +434,16 @@ def test_nearly_defective_operator_raises_or_solves_accurately(entry):
     q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     a = (q @ a0 @ q.T)[None]
     b = rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1))
-    omegas = [0.0, 250.0, -3.5, 1e4]
+    shifts = [0.0, 250j, -3.5j, 1e4j]
     try:
         solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 0)
     except SingularSystemError as err:
         assert err.cond_estimate > hc.MODE_COND_LIMIT
         return
     m0 = solver.m0
-    y = solver.solve(omegas, solver.v_inv @ b)
-    for p, omega in enumerate(omegas):
-        want = _dense_shifted_solve(m0, omega, b)
+    y = solver.solve(shifts, solver.v_inv @ b)
+    for p, s in enumerate(shifts):
+        want = _dense_shifted_solve(m0, s, b)
         assert (np.abs(solver.v @ y[:, p] - want).max()
                 <= 1e-9 * np.abs(want).max())
 

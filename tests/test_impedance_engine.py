@@ -102,8 +102,8 @@ def test_m0_ccc_adds_emulated_resistance_in_series(params_m0):
 
 def test_response_scales_linearly_with_probe(params, op):
     wp = 2.0 * np.pi * 37.0
-    x1 = ref.closed_loop_response(params, ACV, op, 4, wp, v_p=1.0)
-    x2 = ref.closed_loop_response(params, ACV, op, 4, wp, v_p=17.3)
+    x1 = ref.closed_loop_response(params, ACV, op, 4, 1j * wp, v_p=1.0)
+    x2 = ref.closed_loop_response(params, ACV, op, 4, 1j * wp, v_p=17.3)
     floor = 1e-13 * np.abs(x2).max()
     np.testing.assert_allclose(x2, 17.3 * x1, rtol=1e-12, atol=floor)
 
@@ -111,14 +111,14 @@ def test_response_scales_linearly_with_probe(params, op):
 def test_channel_solve_matches_dense_assembly_off_pole(params, op):
     wp = 2.0 * np.pi * 37.0
 
-    m_p, b_p = ref.perturbed_system(params, ACV, op, 4, wp)
+    m_p, b_p = ref.perturbed_system(params, ACV, op, 4, 1j * wp)
     x = np.linalg.solve(m_p, b_p)
     i_gp = x[4 * 4 + 3]
     z_dense = -(1.0 + 550.0 * i_gp) / i_gp
     z_chan = ie.impedance_at(params, ACV, 37.0, order=4, op=op).impedance
     assert abs(z_chan - z_dense) <= 1e-12 * abs(z_dense)
 
-    m2, b2 = ref.perturbed_system(params, CCC, op, 4, wp)
+    m2, b2 = ref.perturbed_system(params, CCC, op, 4, 1j * wp)
     x2 = np.linalg.solve(m2, b2)
     i_gp2 = x2[4 * 4 + 3]
     z_dense2 = -(1.0 + 550.0 * i_gp2) / i_gp2
@@ -130,7 +130,7 @@ def test_channel_solve_survives_resonator_pole(params, op):
     # 100 and 200 Hz put a sideband exactly on the undamped 50 Hz pole:
     # the assembled operator does not exist, the channel solve does
     with pytest.raises(PoleAtResonanceError):
-        ref.perturbed_system(params, ACV, op, 4, 2.0 * np.pi * 200.0)
+        ref.perturbed_system(params, ACV, op, 4, 2j * np.pi * 200.0)
     z200 = ie.impedance_at(params, ACV, 200.0, order=4, op=op)
     assert z200.magnitude == pytest.approx(102.9163, rel=1e-4)
     assert z200.phase_deg == pytest.approx(95.746, abs=1e-2)
@@ -223,8 +223,8 @@ def test_operating_point_must_match(params, op):
 
 
 def test_degenerate_response_detected(params, monkeypatch):
-    def no_response(self, omegas, b):
-        return np.zeros((len(self.eigvals), np.size(omegas), b.shape[-1]),
+    def no_response(self, shifts, b):
+        return np.zeros((len(self.eigvals), np.size(shifts), b.shape[-1]),
                         dtype=complex)
 
     monkeypatch.setattr(hss_core.ShiftedSolver, "solve", no_response)
@@ -255,6 +255,19 @@ def test_sweep_default_grid_open(params):
     assert f[0] == 5.0 and f[-1] == 500.0
     assert np.all(np.diff(f) > 0)
     assert np.all(np.isfinite(res.impedances))
+
+
+def test_a_shuffled_grid_sweeps_as_the_sorted_grid(params):
+    # points come back in frequency order whatever the order of the grid,
+    # bit for bit those of the sorted grid, so find_resonances sees the
+    # same curve and reports no extrema of the input order
+    grid = np.arange(5.0, 500.5, 1.0)
+    shuffled = np.random.default_rng(31).permutation(grid)
+    want = ie.sweep(params, ACV, grid, order=8)
+    got = ie.sweep(params, ACV, shuffled, order=8)
+    assert got == want
+    assert got.impedances.tobytes() == want.impedances.tobytes()
+    assert ie.find_resonances(got) == ie.find_resonances(want)
 
 
 def test_sweep_guard_band_around_fundamental(params):
@@ -372,10 +385,10 @@ def _singular_at(monkeypatch, freq_hz, modes=None):
     it, for the solvers with this many modes (any by default)."""
     real = hss_core.ShiftedSolver.bounds
 
-    def bounds(self, omegas):
-        out = real(self, omegas)
+    def bounds(self, shifts):
+        out = real(self, shifts)
         if modes is None or len(self.eigvals) == modes:
-            out[np.isclose(omegas, 2.0 * np.pi * freq_hz)] = np.inf
+            out[np.isclose(shifts, 2j * np.pi * freq_hz)] = np.inf
         return out
 
     monkeypatch.setattr(hss_core.ShiftedSolver, "bounds", bounds)
@@ -396,9 +409,9 @@ def _dead_channels_at(monkeypatch, freq_hz):
     system of that point is exactly singular."""
     real = mm.channel_gains
 
-    def gains(params, config, order, omegas, parity=None):
-        alpha, beta, scale = real(params, config, order, omegas, parity)
-        dead = np.asarray(omegas) == 2.0 * np.pi * freq_hz
+    def gains(params, config, order, s, parity):
+        alpha, beta, scale = real(params, config, order, s, parity)
+        dead = np.asarray(s) == 1j * (2.0 * np.pi * freq_hz)
         alpha[dead] = beta[dead] = 0.0
         return alpha, beta, scale
 
@@ -423,7 +436,7 @@ def test_an_exactly_singular_channel_system_is_reported_singular(
 
 def test_sweep_raises_when_too_many_points_fail(params, monkeypatch):
     monkeypatch.setattr(hss_core.ShiftedSolver, "bounds",
-                        lambda self, omegas: np.full(len(omegas), np.inf))
+                        lambda self, shifts: np.full(len(shifts), np.inf))
     with pytest.raises(DegenerateResponseError,
                        match="shifted system matrix is singular"):
         ie.sweep(params, OPEN, freqs=np.arange(10.0, 20.0, 1.0))
@@ -500,7 +513,7 @@ def test_modal_guard_bounds_lapack_estimate_on_mmc_legs(params, params_m0):
             solver = ie._loop(leg, OPEN, None, h, parity).solver
             eye = np.eye(len(solver.m0))
             scale = np.linalg.norm(solver.m0, 1)
-            for w, bound in zip(omegas, solver.bounds(omegas)):
+            for w, bound in zip(omegas, solver.bounds(1j * omegas)):
                 assert (ref.lapack_cond(solver.m0 - 1j * w * eye)
                         <= bound < hss_core.COND_LIMIT)
                 gap = np.abs(solver.eigvals - 1j * w).min()
@@ -591,7 +604,7 @@ def _dense_impedance(params, config, op, order, f):
     # the assembled perturbed system of the mode, solved densely
     wp = 2.0 * np.pi * f
     i_gp = np.linalg.solve(*ref.perturbed_system(params, config, op, order,
-                                                  wp))[4 * order + 3]
+                                                  1j * wp))[4 * order + 3]
     return -(1.0 + params.load_impedance(wp) * i_gp) / i_gp
 
 
@@ -612,7 +625,7 @@ def test_modal_factor_of_random_legs():
                 eye = np.eye(len(modes))
                 np.testing.assert_allclose(solver.v_inv @ solver.v, eye,
                                            rtol=0.0, atol=1e-12)
-                for w, bound in zip(omegas, solver.bounds(omegas)):
+                for w, bound in zip(omegas, solver.bounds(1j * omegas)):
                     assert bound >= np.linalg.cond(
                         solver.m0 - 1j * w * eye, 1)
 

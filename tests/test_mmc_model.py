@@ -8,6 +8,7 @@ depth 0.847 into a 550 ohm resistive load.
 """
 
 import cmath
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -287,7 +288,8 @@ def test_control_transfer_pole_handling(params):
     assert not ref.on_resonant_pole(undamped, w1, 1.001j * w1)
     # the channel law is defined everywhere: on the pole at +-f1 the gain
     # is infinite and the scaled row is exactly 0*c = 1*u
-    alpha, beta, _ = mm.loop_gains(params, undamped, "acv", [w1, -w1])
+    alpha, beta, _ = mm.loop_gains(params, undamped, "acv",
+                                   [1j * w1, -1j * w1])
     np.testing.assert_array_equal(alpha, 0.0)
     np.testing.assert_array_equal(beta, 1.0)
 
@@ -299,7 +301,8 @@ def test_control_transfer_pole_handling(params):
     for cfg in (damped, no_res):
         assert not ref.on_resonant_pole(cfg, w1, 1j * w1)
         # a finite, nonzero gain at +-f1: both sides of the law are live
-        alpha, beta, _ = mm.loop_gains(params, cfg, "acv", [w1, -w1])
+        alpha, beta, _ = mm.loop_gains(params, cfg, "acv",
+                                       [1j * w1, -1j * w1])
         assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
         assert np.all(alpha != 0) and np.all(beta != 0)
         for a, b, w in zip(alpha, beta, (w1, -w1)):
@@ -313,7 +316,7 @@ def test_inverse_gain_matches_reciprocal(params):
     w1 = params.omega1
     rng = np.random.default_rng(11)
     ws = rng.uniform(-4000.0, 4000.0, size=50)
-    alpha, beta, _ = mm.loop_gains(params, cfg, "acv", ws)
+    alpha, beta, _ = mm.loop_gains(params, cfg, "acv", 1j * ws)
     for w, a, b in zip(ws, alpha, beta):
         s = 1j * w
         if ref.on_resonant_pole(cfg, w1, s):
@@ -323,19 +326,20 @@ def test_inverse_gain_matches_reciprocal(params):
 
 
 def test_channel_rows_are_scaled_to_unit_size(params):
-    # max(|alpha|, |beta|) is exactly 1 on every channel, the sidebands
-    # that land on the resonator pole at 100 and 200 Hz included, and a
-    # dead loop is exactly beta = 0
-    omegas = 2 * np.pi * np.array([5.0, 37.0, 50.0, 100.0, 150.0, 200.0,
-                                   499.0])
+    # max(|alpha|, |beta|) is exactly 1 on every channel of both classes,
+    # the sidebands that land on the resonator pole at 100 and 200 Hz
+    # included, and a dead loop is exactly beta = 0
+    s = 2j * np.pi * np.array([5.0, 37.0, 50.0, 100.0, 150.0, 200.0,
+                               499.0])
     live = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
                             sampling_period=1e-4)
     big = replace(live, kpv=1e6, ra=-1e6)  # |gain| > 1: alpha = 1/gain
-    for cfg in (live, big):
-        for h in (4, 16):
-            alpha, beta, _ = mm.channel_gains(params, cfg, h, omegas)
-            np.testing.assert_array_equal(
-                np.maximum(np.abs(alpha), np.abs(beta)), 1.0)
+    for cfg, h, parity in itertools.product((live, big), (4, 16),
+                                            (mm.EVEN, mm.ODD)):
+        alpha, beta, _ = mm.channel_gains(params, cfg, h, s, parity)
+        assert alpha.shape == (len(s), 2 * h + 1)
+        np.testing.assert_array_equal(
+            np.maximum(np.abs(alpha), np.abs(beta)), 1.0)
     # at order 4, 100 Hz puts q = -3 and -1, 200 Hz q = -3 on the pole:
     # alpha is 0 there, exactly where the sideband is (2*w1 - w1 is exact)
     src = 2 * np.pi * np.array([[100.0], [200.0]]) + (
@@ -343,12 +347,13 @@ def test_channel_rows_are_scaled_to_unit_size(params):
     on_pole = np.array([[ref.on_resonant_pole(live, params.omega1, 1j * w)
                           for w in row] for row in src])
     assert np.count_nonzero(on_pole) == 3
-    alpha, _, _ = mm.channel_gains(params, live, 4, src[:, 4])
+    alpha, _, _ = ref.channel_gains(params, live, 4, 1j * src[:, 4])
     assert np.abs(alpha[:, :9][on_pole]).max() < 1e-8
     assert alpha[0, 3] == 0
-    for dead in (mm.ControlConfig(mode="acv", kpv=0.0, krv=0.0, kf=0.0),
-                 mm.ControlConfig(mode="ccc", ra=0.0)):
-        alpha, beta, _ = mm.channel_gains(params, dead, 4, omegas)
+    for dead, parity in itertools.product(
+            (mm.ControlConfig(mode="acv", kpv=0.0, krv=0.0, kf=0.0),
+             mm.ControlConfig(mode="ccc", ra=0.0)), (mm.EVEN, mm.ODD)):
+        alpha, beta, _ = mm.channel_gains(params, dead, 4, s, parity)
         np.testing.assert_array_equal(beta, 0.0)
         np.testing.assert_array_equal(alpha, 1.0)
 
@@ -361,7 +366,7 @@ OPEN = mm.ControlConfig(mode="open")
 
 def test_openloop_perturbation_structure(params):
     wp = 2 * np.pi * 80.0
-    m_p, b_p = ref.perturbed_system(params, OPEN, None, 3, wp)
+    m_p, b_p = ref.perturbed_system(params, OPEN, None, 3, 1j * wp)
     base, _ = mm.build_base_hss(params, 3)
     base = hc.block_toeplitz(base)
     off = ~np.eye(len(m_p), dtype=bool)
@@ -384,7 +389,7 @@ def test_openloop_response_conjugate_pairing(params):
     wp = 2 * np.pi * 80.0
     xs = {}
     for sgn in (+1, -1):
-        m_p, b_p = ref.perturbed_system(params, OPEN, None, 4, sgn * wp)
+        m_p, b_p = ref.perturbed_system(params, OPEN, None, 4, 1j * sgn * wp)
         xs[sgn] = hc.DenseFactor(m_p).solve(b_p).reshape(-1, 4)
     np.testing.assert_allclose(xs[-1][::-1], xs[+1].conj(), rtol=1e-10,
                                atol=1e-18)
@@ -400,7 +405,7 @@ def test_feedback_channel_gain_convention(params, op):
     assert mm.active_loops(cfg) == ("acv", "ccc")
     src = wp + np.arange(-4, 5) * params.omega1
 
-    alpha, beta, scale = mm.loop_gains(params, cfg, "acv", src)
+    alpha, beta, scale = mm.loop_gains(params, cfg, "acv", 1j * src)
     for q in range(-4, 5):
         s = 1j * (wp + q * params.omega1)
         want = ref.control_transfer(cfg, params.omega1, s)
@@ -409,7 +414,7 @@ def test_feedback_channel_gain_convention(params, op):
     # picks up i_g, and v_p directly
     assert mm.LOOP_WIRING["acv"][1:] == (3, True)
 
-    alpha, beta, scale = mm.loop_gains(params, cfg, "ccc", src)
+    alpha, beta, scale = mm.loop_gains(params, cfg, "ccc", 1j * src)
     for q in range(-4, 5):
         s = 1j * (wp + q * params.omega1)
         want = (20.0 / params.vdc) * cmath.exp(-1.5e-4 * s)
@@ -417,15 +422,27 @@ def test_feedback_channel_gain_convention(params, op):
         assert scale[q + 4] == 1.0
     assert mm.LOOP_WIRING["ccc"][1:] == (0, False)
 
+    # off the imaginary axis, sigma of either sign: both laws are the loop
+    # filter and delay at s = sigma + j*omega, and the voltage loop's pickup
+    # scale is the load impedance R_load + s*L_load
+    leg = replace(params, load_inductance=0.05)
+    for s in (np.array([-30.0, 25.0])[:, None] + 1j * src).ravel():
+        for loop in ("acv", "ccc"):
+            (alpha,), (beta,), (scale,) = mm.loop_gains(leg, cfg, loop, [s])
+            want = ref.control_transfer(cfg, leg.omega1, s, loop)
+            assert beta / alpha * leg.vdc == pytest.approx(want, rel=1e-12)
+            assert scale == pytest.approx(
+                550.0 + 0.05 * s if loop == "acv" else 1.0, rel=1e-15)
+
     # the assembled operator lifts exactly these gains: column 4q + 3 of
     # the voltage loop carries gain_q * scale_q * f_{p-q} in block p
     acv = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0,
                            sampling_period=1e-4)
-    alpha, beta, z = mm.loop_gains(params, acv, "acv", src)
+    alpha, beta, z = mm.loop_gains(params, acv, "acv", 1j * src)
     g = beta / alpha
     f = mm._injection(params, op, 4, "acv")
-    lift = (ref.perturbed_system(params, acv, op, 4, wp)[0]
-            - ref.perturbed_system(params, OPEN, None, 4, wp)[0])
+    lift = (ref.perturbed_system(params, acv, op, 4, 1j * wp)[0]
+            - ref.perturbed_system(params, OPEN, None, 4, 1j * wp)[0])
     for q in range(9):
         col = np.zeros((9, 4), dtype=complex)
         for p in range(max(0, q - 4), min(9, q + 5)):
@@ -452,17 +469,17 @@ def test_injection_blocks_mirror_steady_waveforms(params, op):
 
 def test_zero_gain_loops_collapse_to_open_loop(params, op):
     wp = 2 * np.pi * 37.0
-    m_open, b_open = ref.perturbed_system(params, OPEN, None, 4, wp)
+    m_open, b_open = ref.perturbed_system(params, OPEN, None, 4, 1j * wp)
 
     cfg = mm.ControlConfig(mode="acv", kpv=0.0, krv=0.0)
-    m_acv, b_acv = ref.perturbed_system(params, cfg, op, 4, wp)
+    m_acv, b_acv = ref.perturbed_system(params, cfg, op, 4, 1j * wp)
     np.testing.assert_array_equal(m_acv, m_open)
     # b reduces to the direct series-voltage entry
     np.testing.assert_array_equal(b_acv, b_open)
     np.testing.assert_allclose(b_acv[3::4], np.eye(9)[4] * 2.0 / 0.36)
 
     ccc0 = mm.ControlConfig(mode="ccc", ra=0.0)
-    m_ccc, b_ccc = ref.perturbed_system(params, ccc0, op, 4, wp)
+    m_ccc, b_ccc = ref.perturbed_system(params, ccc0, op, 4, 1j * wp)
     np.testing.assert_array_equal(m_ccc, m_open)
     np.testing.assert_array_equal(b_ccc, b_open)
 
@@ -471,8 +488,8 @@ def test_acv_build_raises_on_resonator_pole(params, op):
     cfg = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0)
     # 100 Hz offset: source harmonic q = -1 lands exactly on the 50 Hz pole
     with pytest.raises(PoleAtResonanceError):
-        ref.perturbed_system(params, cfg, op, 4, 2 * np.pi * 100.0)
-    m_p, b_p = ref.perturbed_system(params, cfg, op, 4, 2 * np.pi * 37.0)
+        ref.perturbed_system(params, cfg, op, 4, 2j * np.pi * 100.0)
+    m_p, b_p = ref.perturbed_system(params, cfg, op, 4, 2j * np.pi * 37.0)
     assert m_p.shape == (36, 36) and b_p.shape == (36,)
 
 
@@ -538,7 +555,8 @@ def test_every_channel_lies_in_the_class_of_the_row_it_picks(params,
                                                             params_m0):
     # P F[:, j] = +F[:, j] for an EVEN channel and -F[:, j] for an ODD
     # one, and the row it picks has the same parity; two loops split
-    # evenly between the classes
+    # evenly between the classes, and each class's channels are those of
+    # the full-size map in its class coordinates
     gains = dict(kpv=1.0, krv=20.0, ra=20.0, sampling_period=1e-4)
     for leg in _symmetry_legs(params, params_m0):
         for h in (4, 8, 16):
@@ -546,7 +564,7 @@ def test_every_channel_lies_in_the_class_of_the_row_it_picks(params,
             perm, sign = _half_wave(h)
             for mode in mm.CONTROL_MODES:
                 config = mm.ControlConfig(mode=mode, **gains)
-                f, picks, _ = mm.loop_channels(leg, config, op, h)
+                f, picks, _ = ref.loop_channels(leg, config, op, h)
                 parity = mm.channel_parities(config, h)
                 want = np.where(parity == mm.EVEN, 1.0, -1.0)
                 np.testing.assert_array_equal(sign[:, None] * f[perm],
@@ -555,6 +573,14 @@ def test_every_channel_lies_in_the_class_of_the_row_it_picks(params,
                 np.testing.assert_array_equal(sign[picks], want)
                 if mode == "acv+ccc":
                     assert (parity == mm.EVEN).sum() == 2 * h + 1
+                for cls in (mm.EVEN, mm.ODD):
+                    keep = parity == cls
+                    f_c, picks_c, _ = mm.loop_channels(leg, config, op, h,
+                                                       cls)
+                    np.testing.assert_array_equal(
+                        f_c, mm.to_class(f[:, keep], h, cls))
+                    np.testing.assert_array_equal(
+                        mm._class_rows(h, cls)[picks_c], picks[keep])
 
 
 def test_steady_state_keeps_the_symmetry_exactly(params, params_m0):
