@@ -456,10 +456,7 @@ def sweep(params, config, freqs=None, order: int | None = None,
     """
     if freqs is None:
         freqs = np.arange(5.0, 500.0 + 0.5, 1.0)
-    freqs = np.asarray(freqs, dtype=float).ravel()
-    if (np.diff(freqs) < 0.0).any():
-        # only then: np.sort's first call maps ~0.4 MB of sort kernels
-        freqs = np.sort(freqs)
+    freqs = np.sort(np.asarray(freqs, dtype=float).ravel())
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
     check("freqs", freqs, POSITIVE)
