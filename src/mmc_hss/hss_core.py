@@ -12,9 +12,9 @@ scaling with an O(n) condition bound. Both take a dense operator, so a
 caller that knows a symmetry of its system can hand them the operator on
 one invariant subspace, with the same number of states for every
 harmonic. One rule (refusal) turns every condition number or bound into
-the error that refuses its system. Every factorisation and product goes through NumPy,
-so one BLAS and LAPACK build, with one thread pool, does all the dense
-work. Nothing here knows about converters.
+the error that refuses its system. Every factorisation and product goes
+through NumPy, so one BLAS and LAPACK build, with one thread pool, does
+all the dense work. Nothing here knows about converters.
 """
 
 from __future__ import annotations

@@ -253,12 +253,12 @@ class _Loop:
             params, config, op, order, parity)
         self.modal_f = solver.v_inv @ self.f_map
         self.modal_picks = solver.v[self.picks]
-        # complex values one point of the larger class keeps live: modal
-        # stack, channel systems and inverses, refinement terms
-        # (tracemalloc: 0.9x at 2+ per chunk)
+        # complex values one point keeps live: modal stack, channel systems
+        # and inverses, refinement terms (tracemalloc: 0.9x at 2+ per
+        # chunk); both classes chunk at the longer class's channel count m
         n = 2 * (2 * order + 1)
-        m = int(np.bincount(mmc_model.channel_parities(config, order),
-                            minlength=2).max())
+        m = max(sum(q.size for _, q in mmc_model.class_channels(
+            config, order, cls)) for cls in (mmc_model.EVEN, mmc_model.ODD))
         self.point_bytes = 16 * ((n + 4 * m) * (m + 1) + 6 * n)
 
     def serves(self, config, op):
@@ -452,11 +452,11 @@ def sweep(params, config, freqs=None, order: int | None = None,
     RuntimeWarning, if none does); the result holds the order-h points and
     reports h as its order. Per-point numerical failures are recorded, not
     raised; the sweep raises only if more than a tenth of the points fail.
-    Points are returned in frequency order. A config of None is open loop.
+    One point per distinct frequency, ascending. A config of None is open loop.
     """
     if freqs is None:
         freqs = np.arange(5.0, 500.0 + 0.5, 1.0)
-    freqs = np.sort(np.asarray(freqs, dtype=float).ravel())
+    freqs = np.unique(np.asarray(freqs, dtype=float))
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
     check("freqs", freqs, POSITIVE)

@@ -47,7 +47,7 @@ and, N being a scalar per harmonic, it commutes with the frequency shift:
 a class operator (class_operator) is M0 in split coordinates restricted to
 the class rows, 2(2h + 1) of them. to_class and from_class move a stack
 between state and class coordinates; a controller channel, like a probe,
-belongs to the class of the stack row it picks (channel_parities).
+belongs to the class of the stack row it picks (class_channels).
 """
 
 from __future__ import annotations
@@ -423,40 +423,35 @@ def probe(params: CircuitParams, op: SteadyOperatingPoint | None, order: int,
             int(np.searchsorted(_class_rows(order, parity), row)))
 
 
-def _channel_rows(config: ControlConfig, order: int) -> list:
-    """Per active loop, the stack rows its channels pick, q = -order..order."""
-    return [4 * np.arange(2 * order + 1) + LOOP_WIRING[loop][1]
+def class_channels(config: ControlConfig, order: int, parity: int) -> list:
+    """Per active loop, voltage loop first, (loop, q): the ascending source
+    harmonics q whose channel picks a stack row, 4(q + order) plus the
+    loop's pickup state, that lies in the class parity."""
+    q = np.arange(-order, order + 1)
+    return [(loop, q[_row_parity(order)[4 * (q + order)
+                                        + LOOP_WIRING[loop][1]] == parity])
             for loop in active_loops(config)]
-
-
-def channel_parities(config: ControlConfig, order: int) -> np.ndarray:
-    """Parity class of each channel of loop_channels: that of the stack
-    row it picks, which its injection column shares."""
-    return _row_parity(order)[np.concatenate(
-        [np.zeros(0, dtype=int)] + _channel_rows(config, order))]
 
 
 def loop_channels(params: CircuitParams, config: ControlConfig,
                   op: SteadyOperatingPoint | None, order: int, parity: int):
-    """(F, picks, direct) of the controller channels config.mode closes on
-    the class parity, one per active loop and source harmonic q of that
-    class, loop-major, in its class coordinates: column q of a loop's part
-    of F lifts its injection blocks, f_{p-q} into block p, and F's rows and
+    """(F, picks, direct) of the channels class_channels lists on the class
+    parity, loop-major, in its class coordinates: F keeps column q + order
+    of a loop's lifted injection (f_{p-q} in block p), and F's rows and
     picks index the class rows. Channel j reads class row picks[j], and v_p
     too where direct[j] is 1 (the voltage loop at q = 0)."""
-    n = 2 * order + 1
-    f, direct = [np.zeros((4 * n, 0), dtype=complex)], [np.zeros(0)]
-    for loop in active_loops(config):
+    f = [np.zeros((4 * (2 * order + 1), 0), dtype=complex)]
+    picks, direct = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for loop, q in class_channels(config, order, parity):
+        _, state, reads_vp = LOOP_WIRING[loop]
         f.append(hss_core.block_toeplitz(
-            _injection(params, op, order, loop)[:, :, None]))
-        direct.append((np.arange(n) == order) * float(LOOP_WIRING[loop][2]))
-    f, direct = np.hstack(f), np.concatenate(direct)
-    picks = np.concatenate([np.zeros(0, dtype=int)]
-                           + _channel_rows(config, order))
-    keep = channel_parities(config, order) == parity
-    return (to_class(f[:, keep], order, parity),
-            np.searchsorted(_class_rows(order, parity), picks[keep]),
-            direct[keep])
+            _injection(params, op, order, loop)[:, :, None])[:, q + order])
+        picks.append(4 * (q + order) + state)
+        direct.append((q == 0) * float(reads_vp))
+    return (to_class(np.hstack(f), order, parity),
+            np.searchsorted(_class_rows(order, parity),
+                            np.concatenate(picks)),
+            np.concatenate(direct))
 
 
 def channel_gains(params: CircuitParams, config: ControlConfig, order: int,
@@ -465,16 +460,13 @@ def channel_gains(params: CircuitParams, config: ControlConfig, order: int,
     class parity at the points' Laplace variable s (complex), each
     (points, channels): channel j's output c_j obeys
     alpha_j*c_j = beta_j*(scale_j*X[picks_j] + direct_j*v_p), with
-    max(|alpha_j|, |beta_j|) = 1, and channel q of a loop filters at the
-    source harmonic s + j*q*omega1 (see loop_gains)."""
-    src = np.asarray(s, dtype=complex)[:, None] + 1j * (
-        np.arange(-order, order + 1) * params.omega1)
-    parts, row_parity = [], _row_parity(order)
-    for loop, rows in zip(active_loops(config), _channel_rows(config, order)):
-        cols = row_parity[rows] == parity
-        parts.append(loop_gains(params, config, loop, src[:, cols]))
+    max(|alpha_j|, |beta_j|) = 1; a loop's channel q filters at the source
+    harmonic s + j*q*omega1 (see loop_gains), for class_channels' q only."""
+    s = np.asarray(s, dtype=complex)[:, None]
+    parts = [loop_gains(params, config, loop, s + 1j * (q * params.omega1))
+             for loop, q in class_channels(config, order, parity)]
     return [np.concatenate(p, axis=1)
-            for p in zip(*parts or [np.zeros((3, len(src), 0))])]
+            for p in zip(*parts or [np.zeros((3, len(s), 0))])]
 
 
 def circulating_probe_forcing(params: CircuitParams, op: SteadyOperatingPoint,

@@ -270,6 +270,22 @@ def test_a_shuffled_grid_sweeps_as_the_sorted_grid(params):
     assert ie.find_resonances(got) == ie.find_resonances(want)
 
 
+def test_a_repeated_frequency_is_swept_once_and_keeps_its_resonance(params):
+    # find_resonances needs strictly smaller neighbours, so a grid entry
+    # listed twice must not come back as two equal points flanking the
+    # 21.07 Hz open-loop peak
+    grid = np.arange(15.0, 27.5, 1.0)
+    twice = np.sort(np.append(grid, 21.0))
+    assert twice.size == 14
+    want = ie.sweep(params, OPEN, grid, order=4)
+    got = ie.sweep(params, OPEN, twice, order=4)
+    assert len(got.points) == 13
+    assert got == want
+    (peak,) = ie.find_resonances(got)
+    assert peak.kind == "peak"
+    assert abs(peak.freq_hz - 21.07) < 0.01
+
+
 def test_sweep_guard_band_around_fundamental(params):
     grid = np.arange(44.0, 57.0, 1.0)
     res = ie.sweep(params, ACV, freqs=grid)

@@ -556,16 +556,18 @@ def test_every_channel_lies_in_the_class_of_the_row_it_picks(params,
     # P F[:, j] = +F[:, j] for an EVEN channel and -F[:, j] for an ODD
     # one, and the row it picks has the same parity; two loops split
     # evenly between the classes, and each class's channels are those of
-    # the full-size map in its class coordinates
+    # the full-size map in its class coordinates; per loop, the classes'
+    # source harmonics from class_channels partition -h..h (odd orders
+    # swap which class is larger) and count loop_channels' columns
     gains = dict(kpv=1.0, krv=20.0, ra=20.0, sampling_period=1e-4)
     for leg in _symmetry_legs(params, params_m0):
-        for h in (4, 8, 16):
+        for h in (3, 4, 5, 8, 16):
             op = mm.steady_state(leg, h)
             perm, sign = _half_wave(h)
             for mode in mm.CONTROL_MODES:
                 config = mm.ControlConfig(mode=mode, **gains)
                 f, picks, _ = ref.loop_channels(leg, config, op, h)
-                parity = mm.channel_parities(config, h)
+                parity = mm._row_parity(h)[picks]
                 want = np.where(parity == mm.EVEN, 1.0, -1.0)
                 np.testing.assert_array_equal(sign[:, None] * f[perm],
                                               f * want)
@@ -573,10 +575,20 @@ def test_every_channel_lies_in_the_class_of_the_row_it_picks(params,
                 np.testing.assert_array_equal(sign[picks], want)
                 if mode == "acv+ccc":
                     assert (parity == mm.EVEN).sum() == 2 * h + 1
+                split = {cls: mm.class_channels(config, h, cls)
+                         for cls in (mm.EVEN, mm.ODD)}
+                for (loop, even), (same, odd) in zip(split[mm.EVEN],
+                                                     split[mm.ODD]):
+                    assert loop == same
+                    np.testing.assert_array_equal(
+                        np.sort(np.concatenate([even, odd])),
+                        np.arange(-h, h + 1))
                 for cls in (mm.EVEN, mm.ODD):
                     keep = parity == cls
                     f_c, picks_c, _ = mm.loop_channels(leg, config, op, h,
                                                        cls)
+                    assert f_c.shape[1] == sum(q.size
+                                               for _, q in split[cls])
                     np.testing.assert_array_equal(
                         f_c, mm.to_class(f[:, keep], h, cls))
                     np.testing.assert_array_equal(
