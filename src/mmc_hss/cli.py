@@ -7,10 +7,10 @@ Four workflows over one flat key = value configuration file:
   measure  time-domain impedance at listed frequencies, to CSV
   compare  analytic vs time-domain at listed frequencies, with tolerances
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
-4 tolerance failure (compare only). CSV columns are fixed:
-freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg with phase in (-180, 180]
-and 9 significant digits, so identical configurations produce
+Exit codes: 0 success, 2 configuration problem or unwritable output path,
+3 numerical failure, 4 tolerance failure (compare only). CSV columns are
+fixed: freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg with phase in
+(-180, 180] and 9 significant digits, so identical configurations produce
 byte-identical files.
 """
 
@@ -397,6 +397,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # ConfigError and every rule a value breaks
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an output path that cannot be written
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -53,6 +53,7 @@ belongs to the class of the stack row it picks (class_channels).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -289,9 +290,7 @@ class SteadyOperatingPoint:
         return complex(row[self._INDEX[name]])
 
 
-_last_steady = None
-
-
+@functools.lru_cache(maxsize=1)
 def steady_state(params: CircuitParams, order: int) -> SteadyOperatingPoint:
     """Solve the periodic steady state at truncation order `order`.
 
@@ -302,16 +301,12 @@ def steady_state(params: CircuitParams, order: int) -> SteadyOperatingPoint:
     caller's operating point and the impedance engine's are one object,
     solved once.
     """
-    global _last_steady
-    last = _last_steady
-    if last is None or (last.params, last.order) != (params, order):
-        m0 = class_operator(params, order, EVEN)
-        _, u = build_base_hss(params, order)
-        x = from_class(hss_core.DenseFactor(m0).solve(
-            -to_class(u, order, EVEN)), order, EVEN).reshape(-1, 4)
-        x.setflags(write=False)
-        last = _last_steady = SteadyOperatingPoint(params, order, x)
-    return last
+    m0 = class_operator(params, order, EVEN)
+    _, u = build_base_hss(params, order)
+    x = from_class(hss_core.DenseFactor(m0).solve(
+        -to_class(u, order, EVEN)), order, EVEN).reshape(-1, 4)
+    x.setflags(write=False)
+    return SteadyOperatingPoint(params, order, x)
 
 
 # ------------------------------------------------------------------ control

@@ -13,10 +13,11 @@ small dense solves.
 Periodic orbits are found by shooting (Aprille and Trick, Proc. IEEE
 60(1), 1972): Newton steps on the map that takes the state at one cycle
 boundary to the next, with the Jacobian taken by finite differences of
-the same kernel, one integrated cycle per column. A campaign settles
-once, on the unperturbed orbit, and forks one probe run per frequency
-from it (states and controller memory alike). A probe run switches the
-probe on at full amplitude and steps onto the orbit it forces, then
+the same kernel, one integrated cycle per column. A campaign refuses its
+inputs before any integration, settles once, on the unperturbed orbit,
+and forks one probe run per frequency from its state vector, which holds
+the plant states and the controller memory alike. A probe run switches
+the probe on at full amplitude and steps onto the orbit it forces, then
 records the measurement window there; no ramp, no waiting for
 transients. The unperturbed orbit repeats every cycle, so its phasor at
 the probe frequency comes from one recorded cycle: nonzero only at
@@ -150,31 +151,35 @@ def write_trajectory_csv(series: TimeSeries, path) -> None:
 # ---------------------------------------------------------------------------
 # integration kernel
 #
-# The span stepper is flat float arithmetic so it can be compiled with numba
-# when that is installed; the pure-Python version is the fallback and the
-# reference. It reads its state into Python floats: numpy-scalar arithmetic
-# is about four times slower, and warns where a diverging run overflows
-# (_check_state reports that). The right-hand side is inlined. Insertion
-# indices and probe voltage depend only on time, so each step evaluates them
-# once at t, t + dt/2 and t + dt; every expression keeps its operand order.
-# A drive term that is exactly zero (second harmonic, circulating command,
-# insertion probe) is skipped: it would add +-0.0 to an insertion index that
-# is never -0.0. References and record are flat buffer views (_flat); step i
-# records at rec[8*i] .. rec[8*i + 7], in under half the time of 2-D ndarray
-# indexing. numba gets flat arrays over the same buffers. Set
-# MMC_HSS_NO_JIT=1 to force the fallback.
+# A run's state is one caller-owned vector z, stepped in place: the plant
+# states (i_c, v_cu, v_cl, i_g), then the controller memory: the resonant
+# integrator pair xa, xb and each loop's command, pending since the last
+# sample and applied since the one before (vm_pend, vm_app, dn_pend, dn_app).
+# The span stepper is flat float arithmetic so numba can compile it; the
+# pure-Python version is the fallback and the reference. It reads z into
+# Python floats: numpy-scalar arithmetic is about four times slower, and
+# warns where a diverging run overflows (_integrate reports that). The
+# right-hand side is inlined. Insertion indices and probe voltage depend
+# only on time, so each step evaluates them once at t, t + dt/2 and t + dt;
+# every expression keeps its operand order. A drive term that is exactly
+# zero (second harmonic, circulating command, insertion probe) is skipped:
+# it would add +-0.0 to an insertion index that is never -0.0. References
+# and record are flat buffer views (_flat), numba's flat arrays over the
+# same buffers; step i records at rec[8*i] .. rec[8*i + 7], in under half
+# the time of 2-D ndarray indexing. Set MMC_HSS_NO_JIT=1 to force the
+# fallback.
 
 
-def _advance_py(y, step0, n_steps, dt,
+def _advance_py(z, step0, n_steps, dt,
                 r_arm, l_arm, c_arm, vdc, l_eff, r_out, r_load, l_load,
                 w1, mod1, th1, mod2, th2,
                 use_acv, use_ccc, kp_eff, rot_c, rot_s, g1, g2, ra_over_vdc,
-                ctrl_every, vref, icref, ctrl,
+                ctrl_every, vref, icref,
                 wp, vamp, pamp, rec):
-    y0, y1, y2, y3 = float(y[0]), float(y[1]), float(y[2]), float(y[3])
-    xa, xb = float(ctrl[0]), float(ctrl[1])
-    vm_pend, vm_app = float(ctrl[2]), float(ctrl[3])
-    dn_pend, dn_app = float(ctrl[4]), float(ctrl[5])
+    y0, y1, y2, y3 = float(z[0]), float(z[1]), float(z[2]), float(z[3])
+    xa, xb = float(z[4]), float(z[5])
+    vm_pend, vm_app = float(z[6]), float(z[7])
+    dn_pend, dn_app = float(z[8]), float(z[9])
     n_ref = vref.shape[0]
     rec_on = rec.shape[0] > 0
     closed = use_acv == 1 or use_ccc == 1
@@ -278,9 +283,9 @@ def _advance_py(y, step0, n_steps, dt,
         y2 += sixth * (d2 + 2.0 * e2 + 2.0 * f2 + g2_)
         y3 += sixth * (d3 + 2.0 * e3 + 2.0 * f3 + g3_)
 
-    y[0], y[1], y[2], y[3] = y0, y1, y2, y3
-    ctrl[0], ctrl[1], ctrl[2] = xa, xb, vm_pend
-    ctrl[3], ctrl[4], ctrl[5] = vm_app, dn_pend, dn_app
+    z[0], z[1], z[2], z[3] = y0, y1, y2, y3
+    z[4], z[5], z[6] = xa, xb, vm_pend
+    z[7], z[8], z[9] = vm_app, dn_pend, dn_app
 
 
 _ADVANCE, _BUFFER = _advance_py, memoryview
@@ -339,13 +344,6 @@ def _common_cycles(params: CircuitParams, f_p) -> int:
     return cycles
 
 
-def _check_state(y, t):
-    for v in y:
-        if not math.isfinite(v) or abs(v) > _BLOWUP_LIMIT:
-            raise DivergenceError(
-                f"simulation diverged by t = {t:.6f} s", time=t)
-
-
 def _cycle_residual(cur, prev):
     worst = 0.0
     for j in range(1, 5):
@@ -360,7 +358,8 @@ _ZERO_REF = np.zeros(1)
 
 
 class _Runner:
-    """Bundles the kernel's argument soup for one (params, config, dt)."""
+    """The kernel's constants for one (params, config, dt), and the
+    controller memory a run starts from; never changed after __init__."""
 
     def __init__(self, params, config, dt, vref, icref):
         self.params = params
@@ -394,26 +393,27 @@ class _Runner:
             np.ascontiguousarray(vref, dtype=float),
             np.ascontiguousarray(icref, dtype=float),
         )
-        self.ctrl = np.zeros(6)
+        self.memory = np.zeros(6)
         if use_acv:
             # seed the resonant state on the open-loop modulation voltage so
             # the loop starts near its own steady state instead of winding up
             amp = 0.5 * params.modulation_index * params.vdc
-            self.ctrl[0] = amp * math.cos(params.modulation_phase)
-            self.ctrl[1] = -amp * math.sin(params.modulation_phase)
-            self.ctrl[2] = self.ctrl[3] = self.ctrl[0]
+            xa = amp * math.cos(params.modulation_phase)
+            xb = -amp * math.sin(params.modulation_phase)
+            self.memory[:4] = xa, xb, xa, xa
+        self.memory.setflags(write=False)
 
-    def advance(self, y, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0,
+    def advance(self, z, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0,
                 rec=None):
+        """Step the state vector z in place; returns the step reached."""
         *consts, vref, icref = self.args
-        _ADVANCE(y, step0, n_steps, self.dt, *consts, _flat(vref),
-                 _flat(icref), self.ctrl, wp, vamp, pamp, _flat(rec))
+        _ADVANCE(z, step0, n_steps, self.dt, *consts, _flat(vref),
+                 _flat(icref), wp, vamp, pamp, _flat(rec))
         return step0 + n_steps
 
 
-# A cycle-boundary state z holds the four plant states, then the controller
-# memory (xa, xb, vm_pend, vm_app, dn_pend, dn_app). Shooting solves only
-# for the plant and the memory the mode uses.
+# entries of the state vector z; shooting solves only for the plant and the
+# memory the mode uses
 _PLANT = (0, 1, 2, 3)
 _ACV_MEMORY = (4, 5, 6)   # xa, xb, vm_pend
 _CCC_MEMORY = (8,)        # dn_pend
@@ -434,13 +434,13 @@ def _integrate(runner, z, step, cycles, probe=(0.0, 0.0, 0.0), rec=None):
     end state. The first boundary applies the pending commands, so the
     applied entries start equal to them; a probe is at full amplitude from
     the first step."""
-    y = z[:4].copy()
-    runner.ctrl = z[4:].copy()
-    runner.ctrl[3] = runner.ctrl[2]
-    runner.ctrl[5] = runner.ctrl[4]
-    end = runner.advance(y, step, cycles * runner.spc, *probe, rec=rec)
-    _check_state(y, end * runner.dt)
-    return np.concatenate((y, runner.ctrl))
+    z = z.copy()
+    z[7], z[9] = z[6], z[8]
+    end = runner.advance(z, step, cycles * runner.spc, *probe, rec=rec)
+    if not all(math.isfinite(v) and abs(v) <= _BLOWUP_LIMIT for v in z[:4]):
+        t = end * runner.dt
+        raise DivergenceError(f"simulation diverged by t = {t:.6f} s", time=t)
+    return z
 
 
 def _series(orbit, rec) -> TimeSeries:
@@ -452,26 +452,27 @@ def _series(orbit, rec) -> TimeSeries:
 class _Orbit:
     """Periodic orbit of one (params, config, dt), settled by shooting.
 
-    Settling integrates two cycles and stops there if they agree to tol.
-    Otherwise it takes Newton steps on the one-cycle map z -> P(z). The
-    unknowns are the plant states and the controller memory the mode uses;
-    an unused entry is a free constant of the map (Floquet multiplier
-    exactly 1), and moving it would select another orbit. The Jacobian phi
-    comes from finite differences of the kernel, one cycle per column, in
-    coordinates scaled per unknown. It is kept for chord steps while each
-    step cuts the residual a hundredfold and rebuilt when one does not.
-    Below tol, settling stops at the first step that no longer cuts it a
-    hundredfold, which leaves the orbit at roundoff level: it stands in
-    for an unperturbed baseline run. Every integrated cycle counts against
-    the budget; a budget too small for a Jacobian is spent on plain cycles
-    or chord steps.
+    Settling integrates two cycles from the plant states y and the runner's
+    initial memory, and stops there if they agree to tol. Otherwise it
+    takes Newton steps on the one-cycle map z -> P(z). The unknowns are the
+    plant states and the controller memory the mode uses; an unused entry
+    is a free constant of the map (Floquet multiplier exactly 1), and
+    moving it would select another orbit. The Jacobian phi comes from
+    finite differences of the kernel, one cycle per column, in coordinates
+    scaled per unknown. It is kept for chord steps while each step cuts the
+    residual a hundredfold and rebuilt when one does not. Below tol,
+    settling stops at the first step that no longer cuts it a hundredfold,
+    which leaves the orbit at roundoff level: it stands in for an
+    unperturbed baseline run. Every integrated cycle counts against the
+    budget; a budget too small for a Jacobian is spent on plain cycles or
+    chord steps.
 
     z is the settled state and cycle the recorded cycle that ends there.
     An orbit that settled without Newton gets phi at the start of that
     cycle; those columns are not counted in settle_cycles.
     """
 
-    def __init__(self, runner, z, free, budget, tol):
+    def __init__(self, runner, y, free, budget, tol):
         self.runner = runner
         self.free = np.array(free)
         self.tol = tol
@@ -479,7 +480,7 @@ class _Orbit:
         self.used = 0
         spc = runner.spc
         first, rec = np.empty((spc, 8)), np.empty((spc, 8))
-        base = self._cycle(z, first)
+        base = self._cycle(np.concatenate((y, runner.memory)), first)
         z = self._cycle(base, rec)
         self.scale = np.concatenate((
             np.maximum(np.sqrt(np.mean(rec[:, 1:5] ** 2, axis=0)), 1.0),
@@ -550,24 +551,25 @@ class _Orbit:
 def _orbit(params, config, dt, budget, tol, reference_budget):
     """Settled orbit, cached per operating point and settling knobs.
 
-    Open loop (config None) settles from a cold start. A closed loop starts
-    from the open-loop orbit settled on reference_budget, whose cycle also
-    gives the controllers their sampled references.
+    Open loop (config None) settles from a cold start. A closed loop
+    refuses a sampling period off the step grid, then starts from the
+    open-loop orbit settled on reference_budget, whose cycle also gives the
+    controllers their sampled references.
     """
     free = _PLANT
     if config is None:
         vref = icref = _ZERO_REF
         y = np.array([0.0, params.vdc, params.vdc, 0.0])
     else:
+        every = _control_strides(config, dt, _steps_per_cycle(params, dt))
         ref = _orbit(params, None, dt, reference_budget, tol, None)
-        every = _control_strides(config, dt, ref.runner.spc)
         vref = ref.cycle.v_g[::every]
         icref = ref.cycle.i_c[::every]
         y = ref.z[:4]
         free += (_ACV_MEMORY if config.has_acv else ()) \
             + (_CCC_MEMORY if config.has_ccc else ())
     runner = _Runner(params, config, dt, vref, icref)
-    return _Orbit(runner, np.concatenate((y, runner.ctrl)), free, budget, tol)
+    return _Orbit(runner, y, free, budget, tol)
 
 
 def _settle_campaign(params, config, sim) -> _Orbit:
@@ -580,12 +582,10 @@ def _settle_campaign(params, config, sim) -> _Orbit:
     if config is None or config.mode == "open":
         orbits = [_orbit(params, None, dt, sim.settle_cycles, tol, None)]
     else:
-        # refuse a sampling period off the step grid before settling
-        _control_strides(config, dt, _steps_per_cycle(params, dt))
+        # settles the reference after refusing its sampling period
         ref_budget = sim.reference_settle_cycles
-        orbits = [_orbit(params, None, dt, ref_budget, tol, None),
-                  _orbit(params, config, dt, sim.settle_cycles, tol,
-                         ref_budget)]
+        orbit = _orbit(params, config, dt, sim.settle_cycles, tol, ref_budget)
+        orbits = [_orbit(params, None, dt, ref_budget, tol, None), orbit]
     for orbit in orbits:
         if orbit.residual > tol:
             _warn_caller(f"settling budget exhausted at residual "
@@ -634,24 +634,22 @@ def _forced_end(orbit, probe, period):
     return end
 
 
-def _run(orbit, f_p, v_amp, probe_amp, measure_cycles) -> TimeSeries:
+def _run(orbit, f_p, period, v_amp, probe_amp, measure_cycles) -> TimeSeries:
     """One run forked from the settled orbit, recording measure_cycles
-    periods of its own.
+    periods of its own: `period` cycles, the common period of f1 and f_p.
 
     Without a probe the period is one cycle and the window continues the
     settled orbit. With one, the run starts on the forced orbit instead of
-    ramping towards it. The forced orbit repeats after the common period of
-    f1 and f_p, `period` cycles. The map over one period has Jacobian
-    phi**period, exactly in open loop and to first order in the probe
-    amplitude in closed loop, so chord-Newton steps from the settled state
-    (the first one from _forced_end) converge on the forced orbit: open
-    loop needs one, closed loops a few. The steps stop once a period's end
-    state misses its start by less than tol relative to the probe's
+    ramping towards it. The map over one period of the forced orbit has
+    Jacobian phi**period, exactly in open loop and to first order in the
+    probe amplitude in closed loop, so chord-Newton steps from the settled
+    state (the first one from _forced_end) converge on the forced orbit:
+    open loop needs one, closed loops a few. The steps stop once a period's
+    end state misses its start by less than tol relative to the probe's
     displacement of the orbit; that last period is the head of the window.
     A run still off its orbit after _PROBE_STEPS more steps warns.
     """
     runner, spc = orbit.runner, orbit.runner.spc
-    period = _common_cycles(runner.params, f_p) if f_p > 0.0 else 1
     probe = (2.0 * math.pi * f_p, v_amp, probe_amp)
     rec = np.empty((measure_cycles * period * spc, 8))
     head = rec[:period * spc]
@@ -689,14 +687,14 @@ def simulate(params: CircuitParams, config: ControlConfig | None,
     unstable, and warns if the settling budget runs out before the orbit
     is periodic.
     """
-    f_p, amp = sim.perturb_freq, sim.perturb_amplitude
+    f_p, amp, period = sim.perturb_freq, sim.perturb_amplitude, 1
     if f_p == 0.0 and amp != 0.0:
         raise ValueError("perturbation needs a positive frequency")
     if f_p > 0.0:
         amp = _probe_amplitude(params, amp)
-        _common_cycles(params, f_p)  # refused before settling
+        period = _common_cycles(params, f_p)  # refused before settling
     orbit = _settle_campaign(params, config, sim)
-    return _run(orbit, f_p, amp, 0.0, sim.measure_cycles)
+    return _run(orbit, f_p, period, amp, 0.0, sim.measure_cycles)
 
 
 def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
@@ -721,31 +719,25 @@ def extract_phasor(series: TimeSeries, signal: str, freq_hz: float) -> complex:
     return complex(2.0 / n * np.sum(x * kernel))
 
 
-def _orbit_phasor(orbit, signal, f_p):
-    """Phasor of the settled orbit at f_p. The orbit repeats every cycle, so
-    over any window it has its one-cycle phasor at harmonics of f1 and none
-    elsewhere; this stands in for an unperturbed baseline run."""
-    if _common_cycles(orbit.runner.params, f_p) != 1:
-        return 0j
-    return extract_phasor(orbit.cycle, signal, f_p)
-
-
 def _responses(params, config, sim, freqs, v_amp, probe_amp, signals):
     """Yields (f_p, phasors of signals net of the settled orbit) per
     frequency.
 
-    Every frequency is checked before settling. One settle, then one probe
-    run per frequency, each forked from the settled orbit and recording
-    measure_cycles common periods of f1 and its own probe, so a frequency's
-    result does not depend on the others.
+    Every frequency's common period is found before settling. One settle,
+    then one probe run per frequency, each forked from the settled orbit
+    and recording measure_cycles common periods of f1 and its own probe, so
+    a frequency's result does not depend on the others. The settled orbit
+    repeats every cycle, so over any window it has its one-cycle phasor at
+    harmonics of f1 (period 1) and none elsewhere; that stands in for an
+    unperturbed baseline run.
     """
-    for f_p in freqs:
-        _common_cycles(params, f_p)
+    periods = [_common_cycles(params, f_p) for f_p in freqs]
     orbit = _settle_campaign(params, config, sim)
-    for f_p in freqs:
-        pert = _run(orbit, f_p, v_amp, probe_amp, sim.measure_cycles)
+    for f_p, period in zip(freqs, periods):
+        pert = _run(orbit, f_p, period, v_amp, probe_amp, sim.measure_cycles)
         yield f_p, [extract_phasor(pert, s, f_p)
-                    - _orbit_phasor(orbit, s, f_p) for s in signals]
+                    - (extract_phasor(orbit.cycle, s, f_p) if period == 1
+                       else 0j) for s in signals]
 
 
 def _probe_amplitude(params, amp):
@@ -770,8 +762,7 @@ def measure_impedance(params: CircuitParams, config: ControlConfig | None,
     The returned point carries order 0 because no harmonic truncation is
     involved.
     """
-    f_p = check("freq_hz", sim.perturb_freq if freq_hz is None
-                else float(freq_hz), POSITIVE)
+    f_p = sim.perturb_freq if freq_hz is None else float(freq_hz)
     return measure_impedance_many(params, config, sim, [f_p])[f_p]
 
 
@@ -814,8 +805,7 @@ def measure_circulating_impedance(params: CircuitParams,
     voltage. The returned value is the loop impedance
     -V_dc * delta_n / delta_I_c net of the settled orbit.
     """
-    f_p = check("freq_hz", sim.perturb_freq if freq_hz is None
-                else float(freq_hz), POSITIVE)
+    f_p = sim.perturb_freq if freq_hz is None else float(freq_hz)
     probe = _DEFAULT_INSERTION_PROBE
     ((_, (i,)),) = _responses(params, config, sim, [f_p], 0.0, probe,
                               ("i_c",))

@@ -195,21 +195,22 @@ def dense_circulating_impedance(params, config, op, order, freq_hz):
     return -params.vdc / scipy.linalg.solve(m_p, b)[4 * order]
 
 
-def rk4_steps(runner, y, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0):
+def rk4_steps(runner, z, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0):
     """Plain fixed-step RK4 of what td_sim's kernel integrates, from the
-    constants of runner.args and the controller memory runner.ctrl.
+    constants of runner.args and the state vector z: plant states, then
+    controller memory.
 
     One right-hand side, called four times per step, with every drive
     term written out, zero terms included, in the kernel's operand order.
     Commands sampled at a control boundary take effect at the next one.
-    Returns the end state, the end memory and the (n_steps, 8) record.
+    Returns the end state vector and the (n_steps, 8) record.
     """
     (r_arm, l_arm, c_arm, vdc, l_eff, r_out, r_load, l_load, w1, mod1, th1,
      mod2, th2, use_acv, use_ccc, kp_eff, rot_c, rot_s, g1, g2, ra_over_vdc,
      every, vref, icref) = runner.args
-    xa, xb, vm_pend, vm_app, dn_pend, dn_app = map(float, runner.ctrl)
+    y = [float(v) for v in z[:4]]
+    xa, xb, vm_pend, vm_app, dn_pend, dn_app = map(float, z[4:])
     dt = runner.dt
-    y = [float(v) for v in y]
 
     def drive(t):
         """Insertion indices and series probe voltage at t."""
@@ -257,5 +258,5 @@ def rk4_steps(runner, y, step0, n_steps, wp=0.0, vamp=0.0, pamp=0.0):
         k4 = rhs(shift(y, dt, k3), *end)
         y = [a + dt / 6.0 * (p + 2.0 * q + 2.0 * r + u)
              for a, p, q, r, u in zip(y, k1, k2, k3, k4)]
-    return (np.array(y), np.array([xa, xb, vm_pend, vm_app, dn_pend, dn_app]),
+    return (np.array([*y, xa, xb, vm_pend, vm_app, dn_pend, dn_app]),
             np.array(rows).reshape(n_steps, 8))

@@ -522,6 +522,22 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys, cfg_m0):
     capsys.readouterr()
 
 
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, cfg_m0):
+    # a missing directory is a configuration problem named on stderr, not
+    # a traceback; nothing is created
+    missing = tmp_path / "missing"
+    out = str(missing / "x.csv")
+    assert cli.main(["sweep", "--config", cfg_m0, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and out in err
+    for args in (["steady", "--dump-config", out],
+                 ["measure", "--freqs", "200", "--out",
+                  str(tmp_path / "m.csv"), "--dump-trajectory", out]):
+        assert cli.main([args[0], "--config", cfg_m0, *args[1:]]) == 2
+        assert out in capsys.readouterr().err
+    assert not missing.exists()
+
+
 def test_non_finite_values_are_config_errors(tmp_path, capsys, cfg_m0):
     # NaN passes every ordered comparison, so each float key and each
     # --freqs entry is checked for finiteness before its range check

@@ -368,7 +368,7 @@ def test_sweep_input_validation(params):
 def test_sweep_rejects_an_order_out_of_range(params, order, monkeypatch):
     # refused as a bad argument before any modal or dense factor is built
     ie._store.clear()
-    monkeypatch.setattr(mm, "_last_steady", None)
+    mm.steady_state.cache_clear()
     monkeypatch.setattr(hss_core, "ShiftedSolver", None)
     monkeypatch.setattr(hss_core, "DenseFactor", None)
     with pytest.raises(ValueError, match="order must lie in 1..16"):
@@ -660,7 +660,7 @@ def test_a_scan_point_solves_its_steady_state_and_loop_once(params,
         real(self, solver, leg, config, op, order, parity)
 
     monkeypatch.setattr(ie._Loop, "__init__", counting)
-    monkeypatch.setattr(mm, "_last_steady", None)
+    mm.steady_state.cache_clear()
     ie._store.clear()
     op = mm.steady_state(params, 8)
     ie.sweep(params, ACV, [35.0, 80.0], order=8)
@@ -701,7 +701,7 @@ def _solver_sizes(monkeypatch):
 
     monkeypatch.setattr(hss_core.ShiftedSolver, "__init__", counting)
     ie._store.clear()
-    monkeypatch.setattr(mm, "_last_steady", None)
+    mm.steady_state.cache_clear()
     return sizes
 
 

@@ -86,7 +86,7 @@ def test_bad_inputs_are_refused_before_any_work(name, monkeypatch):
         raise AssertionError("integration started")
 
     ie._store.clear()
-    monkeypatch.setattr(mm, "_last_steady", None)
+    mm.steady_state.cache_clear()
     monkeypatch.setattr(hss_core, "ShiftedSolver", None)
     monkeypatch.setattr(hss_core, "DenseFactor", None)
     monkeypatch.setattr(td._Runner, "advance", no_step)

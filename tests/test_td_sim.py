@@ -57,14 +57,22 @@ def test_sim_config_validation():
             td.SimConfig(**bad)
 
 
-def test_step_size_must_fit_grid(params):
+def test_step_size_must_fit_grid(params, monkeypatch):
     # dt has to divide the cycle, resolve it with >= 200 steps, and divide
-    # the control sampling period
+    # the control sampling period; a closed loop refuses its sampling
+    # period before the open-loop reference takes a step
     with pytest.raises(ValueError):
         td.simulate(params, None, td.SimConfig(dt=3e-5))
     with pytest.raises(ValueError):
         td.simulate(params, None, td.SimConfig(dt=2e-4))
-    with pytest.raises(ValueError):
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    td.reset_caches()
+    monkeypatch.setattr(td._Runner, "advance", no_step)
+    with pytest.raises(ValueError, match="control sampling period must "
+                                         "divide the fundamental period"):
         td.simulate(
             params, mm.ControlConfig(mode="ccc", ra=20.0,
                                      sampling_period=7e-5),
@@ -117,9 +125,10 @@ def _kernel_case(params, mode):
     vref = 1.3e5 * np.cos(2 * np.pi * k / 200 + 0.1)
     icref = 30.0 + 5.0 * np.sin(2 * np.pi * k / 100)
     runner = td._Runner(params, cfg, 1e-5, vref, icref)
-    runner.ctrl[4] = runner.ctrl[5] = 1e-3 if mode != "open" else 0.0
-    return runner, np.array([10.0, 1.01 * params.vdc, 0.99 * params.vdc,
-                             5.0])
+    z = np.concatenate(([10.0, 1.01 * params.vdc, 0.99 * params.vdc, 5.0],
+                        runner.memory))
+    z[8] = z[9] = 1e-3 if mode != "open" else 0.0
+    return runner, z
 
 
 def _numpy_scalar_leg(params):
@@ -162,14 +171,14 @@ def test_kernel_split_is_bit_identical(params, mode, probe):
     # two calls split at step 2007, off the 10-step control grid, must end
     # exactly where one call over the same two cycles ends
     n, cut = 4000, 2007
-    whole, y_whole = _kernel_case(params, mode)
-    split, y_split = _kernel_case(params, mode)
+    whole, z_whole = _kernel_case(params, mode)
+    split, z_split = _kernel_case(params, mode)
     rec_whole, rec_split = np.empty((n, 8)), np.empty((n, 8))
-    whole.advance(y_whole, 3000, n, *probe, rec=rec_whole)
-    split.advance(y_split, 3000, cut, *probe, rec=rec_split[:cut])
-    split.advance(y_split, 3000 + cut, n - cut, *probe, rec=rec_split[cut:])
-    assert y_split.tobytes() == y_whole.tobytes()
-    assert split.ctrl.tobytes() == whole.ctrl.tobytes()
+    whole.advance(z_whole, 3000, n, *probe, rec=rec_whole)
+    split.advance(z_split, 3000, cut, *probe, rec=rec_split[:cut])
+    split.advance(z_split, 3000 + cut, n - cut, *probe, rec=rec_split[cut:])
+    assert z_split[:4].tobytes() == z_whole[:4].tobytes()
+    assert z_split[4:].tobytes() == z_whole[4:].tobytes()
     assert rec_split.tobytes() == rec_whole.tobytes()
 
 
@@ -183,13 +192,12 @@ def test_kernel_matches_plain_rk4(params, mode, probe, m2):
     # at step 3003, off the 10-step control grid
     leg = dataclasses.replace(params, modulation_index_2h=m2,
                               modulation_phase_2h=0.3)
-    runner, y = _kernel_case(leg, mode)
-    want_y, want_ctrl, want_rec = ref.rk4_steps(runner, y, 3003, 400,
-                                                *probe)
+    runner, z = _kernel_case(leg, mode)
+    want_z, want_rec = ref.rk4_steps(runner, z, 3003, 400, *probe)
     rec = np.empty((400, 8))
-    runner.advance(y, 3003, 400, *probe, rec=rec)
-    assert y.tobytes() == want_y.tobytes()
-    assert runner.ctrl.tobytes() == want_ctrl.tobytes()
+    runner.advance(z, 3003, 400, *probe, rec=rec)
+    assert z[:4].tobytes() == want_z[:4].tobytes()
+    assert z[4:].tobytes() == want_z[4:].tobytes()
     assert rec.tobytes() == want_rec.tobytes()
 
 
@@ -198,14 +206,14 @@ def test_kernel_matches_plain_rk4(params, mode, probe, m2):
 def test_recording_leaves_the_run_unchanged(params, mode, probe):
     ends = []
     for rec in (np.empty((400, 8)), None):
-        runner, y = _kernel_case(params, mode)
-        runner.advance(y, 3003, 400, *probe, rec=rec)
-        ends.append((y.tobytes(), runner.ctrl.tobytes()))
+        runner, z = _kernel_case(params, mode)
+        runner.advance(z, 3003, 400, *probe, rec=rec)
+        ends.append(z.tobytes())
     assert ends[0] == ends[1]
     # a strided record cannot be viewed flat: refused, not filled as a copy
-    runner, y = _kernel_case(params, mode)
+    runner, z = _kernel_case(params, mode)
     with pytest.raises(TypeError):
-        runner.advance(y, 3003, 400, *probe,
+        runner.advance(z, 3003, 400, *probe,
                        rec=np.empty((400, 16))[:, ::2])
 
 
@@ -220,10 +228,10 @@ def test_jit_and_python_kernels_agree(params, mode, probe, monkeypatch):
                            (td._advance_py, memoryview)):
         monkeypatch.setattr(td, "_ADVANCE", kernel)
         monkeypatch.setattr(td, "_BUFFER", buffer)
-        runner, y = _kernel_case(params, mode)
+        runner, z = _kernel_case(params, mode)
         rec = np.empty((runner.spc, 8))
-        runner.advance(y, 3003, runner.spc, *probe, rec=rec)
-        runs.append((y, rec))
+        runner.advance(z, 3003, runner.spc, *probe, rec=rec)
+        runs.append((z[:4], rec))
     (y_jit, rec_jit), (y_py, rec_py) = runs
     np.testing.assert_allclose(y_jit, y_py, rtol=1e-13)
     np.testing.assert_allclose(rec_jit, rec_py, rtol=1e-13, atol=1e-9)
@@ -519,21 +527,21 @@ def test_acv_shooting_leaves_the_circulating_memory_alone(params, monkeypatch):
     # acv alone never updates dn_pend: it is a free constant of the
     # one-cycle map (Floquet multiplier exactly 1), and moving it would
     # select another orbit, so neither settling nor a probe run may touch it
-    entry_ctrl = []
+    entry = []
     advance = td._Runner.advance
 
-    def spy(self, *args, **kwargs):
-        entry_ctrl.append(self.ctrl.copy())
-        return advance(self, *args, **kwargs)
+    def spy(self, z, *args, **kwargs):
+        entry.append(z.copy())
+        return advance(self, z, *args, **kwargs)
 
     monkeypatch.setattr(td._Runner, "advance", spy)
     td.reset_caches()
     td.measure_impedance(params, ACV, td.SimConfig(), 200.0)
     # the open-loop reference runs with all-zero memory; acv seeds xa
-    acv_calls = [ctrl for ctrl in entry_ctrl if ctrl[0] != 0.0]
+    acv_calls = [z for z in entry if z[4] != 0.0]
     assert len(acv_calls) > 10
-    for ctrl in acv_calls:
-        assert ctrl[4] == 0.0 and ctrl[5] == 0.0
+    for z in acv_calls:
+        assert z[8] == 0.0 and z[9] == 0.0
 
 
 @pytest.fixture
