@@ -7,17 +7,18 @@ Four workflows over one flat key = value configuration file:
   measure  time-domain impedance at listed frequencies, to CSV
   compare  analytic vs time-domain at listed frequencies, with tolerances
 
-Exit codes: 0 success, 2 configuration problem or unwritable output path,
-3 numerical failure, 4 tolerance failure (compare only). CSV columns are
-fixed: freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg with phase in
-(-180, 180] and 9 significant digits, so identical configurations produce
-byte-identical files.
+Exit codes: 0 success, 2 configuration problem or unwritable output path
+(refused before any work), 3 numerical failure, 4 tolerance failure
+(compare only). CSV columns are fixed: freq_hz,z_re_ohm,z_im_ohm,
+z_mag_db,z_phase_deg with phase in (-180, 180] and 9 significant digits,
+so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -248,12 +249,21 @@ def _order_of(args, cfg) -> int:
     return _option("--h", args.h, impedance_engine.ORDER)
 
 
+def _writable(path) -> str:
+    """path, refused before any work when its directory is missing or no
+    file can be written there; creates nothing."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write output: {path}")
+    return path
+
+
 def _out_path(args, cfg) -> str:
     """--out wins; the out_csv config key is the fallback."""
     path = args.out or cfg.out_csv
     if not path:
         raise ConfigError("no output path: pass --out or set out_csv")
-    return path
+    return _writable(path)
 
 
 def cmd_steady(args) -> int:
@@ -296,18 +306,19 @@ def cmd_measure(args) -> int:
     cfg = parse_config(args.config)
     freqs = _parse_freqs(args.freqs)
     out = _out_path(args, cfg)
+    trajectory = args.dump_trajectory and _writable(args.dump_trajectory)
     control = cfg.control
     points = td_sim.measure_impedance_many(cfg.params, control, cfg.sim,
                                            freqs)
     ordered = [points[f] for f in freqs]
     _write_csv(out, ordered)
     print(f"wrote {len(ordered)} rows to {out}")
-    if args.dump_trajectory:
+    if trajectory:
         # unperturbed: the campaign's probe amplitude has no frequency here
         series = td_sim.simulate(cfg.params, control,
                                  replace(cfg.sim, perturb_amplitude=0.0))
-        td_sim.write_trajectory_csv(series, args.dump_trajectory)
-        print(f"wrote steady trajectory to {args.dump_trajectory}")
+        td_sim.write_trajectory_csv(series, trajectory)
+        print(f"wrote steady trajectory to {trajectory}")
     return 0
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -72,8 +71,10 @@ class SimConfig(Checked):
     default resolves a 50 Hz cycle with 2000. settle_cycles and
     reference_settle_cycles are budgets, not fixed costs: they count every
     integrated cycle of settling, Jacobian columns included, and settling
-    stops once the orbit repeats to periodicity_tol (relative, per state).
-    Probe runs start on the forced orbit, so ramp_cycles and
+    stops once no entry of a cycle's end misses its start by more than
+    periodicity_tol, plant states scaled by their RMS over the cycle (at
+    least 1), controller memory by V_dc/2 (the insertion-index command by
+    1). Probe runs start on the forced orbit, so ramp_cycles and
     post_ramp_cycles are validated but no longer used. measure_cycles
     counts common periods, not fundamental cycles: every probe run records
     measure_cycles common periods of the fundamental and its own probe, an
@@ -107,9 +108,9 @@ class TimeSeries:
     t[0]), sampled uniformly at dt. v_g is the point-of-connection
     voltage including the series perturbation source, n_u and n_l the
     insertion indices actually applied, controller contributions and
-    probes included. periodicity_residual reports the cycle-to-cycle
-    mismatch reached at the end of settling, settle_cycles_used the
-    cycles settling integrated.
+    probes included. periodicity_residual reports the mismatch that
+    SimConfig.periodicity_tol bounds, as settling left it, and
+    settle_cycles_used the cycles settling integrated.
     """
 
     dt: float
@@ -166,8 +167,7 @@ def write_trajectory_csv(series: TimeSeries, path) -> None:
 # it would add +-0.0 to an insertion index that is never -0.0. References
 # and record are flat buffer views (_flat), numba's flat arrays over the
 # same buffers; step i records at rec[8*i] .. rec[8*i + 7], in under half
-# the time of 2-D ndarray indexing. Set MMC_HSS_NO_JIT=1 to force the
-# fallback.
+# the time of 2-D ndarray indexing.
 
 
 def _advance_py(z, step0, n_steps, dt,
@@ -288,15 +288,12 @@ def _advance_py(z, step0, n_steps, dt,
     z[7], z[8], z[9] = vm_app, dn_pend, dn_app
 
 
-_ADVANCE, _BUFFER = _advance_py, memoryview
-
-if not os.environ.get("MMC_HSS_NO_JIT"):
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        _ADVANCE, _BUFFER = njit(cache=True)(_advance_py), np.asarray
+try:
+    from numba import njit
+except ImportError:
+    _ADVANCE, _BUFFER = _advance_py, memoryview
+else:
+    _ADVANCE, _BUFFER = njit(cache=True)(_advance_py), np.asarray
 
 
 def _flat(a):
@@ -342,16 +339,6 @@ def _common_cycles(params: CircuitParams, f_p) -> int:
             f"probe at {f_p:g} Hz is not commensurate with the fundamental "
             "(common period longer than 400 cycles)")
     return cycles
-
-
-def _cycle_residual(cur, prev):
-    worst = 0.0
-    for j in range(1, 5):
-        diff = cur[:, j] - prev[:, j]
-        num = math.sqrt(float(np.mean(diff * diff)))
-        den = math.sqrt(float(np.mean(cur[:, j] ** 2)))
-        worst = max(worst, num / max(den, 1.0))
-    return worst
 
 
 _ZERO_REF = np.zeros(1)
@@ -453,19 +440,19 @@ class _Orbit:
     """Periodic orbit of one (params, config, dt), settled by shooting.
 
     Settling integrates two cycles from the plant states y and the runner's
-    initial memory, and stops there if they agree to tol. Otherwise it
-    takes Newton steps on the one-cycle map z -> P(z). The unknowns are the
-    plant states and the controller memory the mode uses; an unused entry
-    is a free constant of the map (Floquet multiplier exactly 1), and
-    moving it would select another orbit. The Jacobian phi comes from
-    finite differences of the kernel, one cycle per column, in coordinates
-    scaled per unknown. It is kept for chord steps while each step cuts the
-    residual a hundredfold and rebuilt when one does not. Below tol,
-    settling stops at the first step that no longer cuts it a hundredfold,
-    which leaves the orbit at roundoff level: it stands in for an
-    unperturbed baseline run. Every integrated cycle counts against the
-    budget; a budget too small for a Jacobian is spent on plain cycles or
-    chord steps.
+    initial memory, and stops there if the second one's mismatch is at most
+    tol; every residual is a mismatch. Otherwise it takes Newton steps on
+    the one-cycle map z -> P(z). The unknowns are the plant states and the
+    controller memory the mode uses; an unused entry is a free constant of
+    the map (Floquet multiplier exactly 1), and moving it would select
+    another orbit. The Jacobian phi comes from finite differences of the
+    kernel, one cycle per column, in coordinates scaled per unknown. It is
+    kept for chord steps while each step cuts the residual a hundredfold
+    and rebuilt when one does not. Below tol, settling stops at the first
+    step that no longer cuts it a hundredfold, which leaves the orbit at
+    roundoff level: it stands in for an unperturbed baseline run. Every
+    integrated cycle counts against the budget; a budget too small for a
+    Jacobian is spent on plain cycles or chord steps.
 
     z is the settled state and cycle the recorded cycle that ends there.
     An orbit that settled without Newton gets phi at the start of that
@@ -479,13 +466,13 @@ class _Orbit:
         self.phi = None
         self.used = 0
         spc = runner.spc
-        first, rec = np.empty((spc, 8)), np.empty((spc, 8))
-        base = self._cycle(np.concatenate((y, runner.memory)), first)
+        rec = np.empty((spc, 8))
+        base = self._cycle(np.concatenate((y, runner.memory)))
         z = self._cycle(base, rec)
         self.scale = np.concatenate((
             np.maximum(np.sqrt(np.mean(rec[:, 1:5] ** 2, axis=0)), 1.0),
             np.full(4, 0.5 * runner.params.vdc), np.ones(2)))
-        residual, last = _cycle_residual(rec, first), math.inf
+        residual, last = self.mismatch(base, z), math.inf
         while self.used < budget:
             stalled = self.phi is None or residual > _CHORD_RATE * last
             if stalled and residual <= tol:

@@ -538,6 +538,29 @@ def test_an_unwritable_output_path_exits_2(tmp_path, capsys, cfg_m0):
     assert not missing.exists()
 
 
+def test_output_paths_are_refused_before_any_work(tmp_path, capsys, cfg_m0,
+                                                  monkeypatch):
+    # every output path is checked before the sweep or the campaign runs,
+    # so a bad trajectory path leaves no CSV behind and reports no rows
+    def work(*args, **kwargs):
+        raise AssertionError("output paths are checked before any work")
+
+    monkeypatch.setattr(cli.impedance_engine, "sweep", work)
+    monkeypatch.setattr(cli.td_sim, "measure_impedance_many", work)
+    ok, bad = tmp_path / "ok.csv", str(tmp_path / "missing" / "t.csv")
+    out_csv = _write(tmp_path, "out.cfg", f"out_csv = {bad}\n")
+    for argv in (["sweep", "--config", cfg_m0, "--out", bad],
+                 ["sweep", "--config", out_csv],
+                 ["measure", "--config", cfg_m0, "--freqs", "35",
+                  "--out", str(ok), "--dump-trajectory", bad]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"config error: cannot write output: {bad}\n"
+        assert "wrote" not in out
+    assert not ok.exists()
+    assert sorted(os.listdir(tmp_path)) == ["m0.cfg", "out.cfg"]
+
+
 def test_non_finite_values_are_config_errors(tmp_path, capsys, cfg_m0):
     # NaN passes every ordered comparison, so each float key and each
     # --freqs entry is checked for finiteness before its range check

@@ -606,6 +606,23 @@ def test_settled_orbit_is_periodic_to_roundoff(params, mode):
             <= 1e-9 * max(np.abs(x).max(), 1.0)
 
 
+def test_two_cycle_settling_reports_the_boundary_mismatch(params):
+    # the circulating-current loop starts on the open-loop orbit, which it
+    # leaves alone, so its first two cycles already repeat; the residual
+    # reported for them is the scaled boundary mismatch Newton steps use
+    sim = td.SimConfig()
+    s = td.simulate(params, CCC, sim)
+    assert s.settle_cycles_used == 2
+    orbit = td._settle_campaign(params, CCC, sim)
+    ref = td._orbit(params, None, sim.dt, sim.reference_settle_cycles,
+                    sim.periodicity_tol, None)
+    runner = orbit.runner
+    z1 = td._integrate(runner, np.concatenate((ref.z[:4], runner.memory)),
+                       0, 1)
+    z2 = td._integrate(runner, z1, runner.spc, 1)
+    assert s.periodicity_residual == orbit.mismatch(z1, z2)
+
+
 @pytest.mark.parametrize("cfg", [
     # a Floquet multiplier just outside the unit circle: the states grow
     # too slowly to leave physical range within the budget, and Newton
