@@ -30,6 +30,8 @@ from .errors import (ANY, NON_NEGATIVE, POSITIVE, Checked,
 
 _CSV_HEADER = "freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg"
 
+MAX_SWEEP_POINTS = 10 ** 6  # per sweep grid, 2,000 times the default one
+
 
 class ConfigError(ValueError):
     """Bad configuration file or option; maps to exit code 2."""
@@ -116,9 +118,14 @@ class RunConfig(Checked):
     def sweep_grid(self) -> np.ndarray:
         if self.sweep_stop_hz < self.sweep_start_hz:
             raise ConfigError("sweep_stop_hz is below sweep_start_hz")
-        return np.arange(self.sweep_start_hz,
-                         self.sweep_stop_hz + 0.5 * self.sweep_step_hz,
-                         self.sweep_step_hz)
+        stop = self.sweep_stop_hz + 0.5 * self.sweep_step_hz
+        # counted before any is allocated: np.arange makes ceil(count)
+        count = (stop - self.sweep_start_hz) / self.sweep_step_hz
+        if count > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweep_step_hz = {self.sweep_step_hz:g} gives {count:.3g} "
+                f"grid points, more than {MAX_SWEEP_POINTS}")
+        return np.arange(self.sweep_start_hz, stop, self.sweep_step_hz)
 
     def dump(self, path) -> None:
         """Write the effective configuration; re-parsing it is an identity.

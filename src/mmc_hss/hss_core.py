@@ -165,14 +165,11 @@ class ShiftedSolver:
                          out=np.full(gap.shape, np.inf), where=gap > 0.0)
 
     def solve(self, shifts, b: np.ndarray) -> np.ndarray:
-        """Y with (diag(eigvals) - shifts[p]*I) Y[:, p] = b[:, p] for every
-        complex shift p.
-
-        b is (n, k), shared by all shifts, or (n, P, k) with one block per
-        shift; returns (n, P, k).
-        """
-        pivots = self.eigvals[:, None] - np.asarray(shifts, dtype=complex)
-        return (b[:, None] if b.ndim == 2 else b) / pivots[:, :, None]
+        """Y, (P, n, k), with (diag(eigvals) - shifts[p]*I) Y[p] = b[p] for
+        each of the P complex shifts; b is (n, k), shared by all shifts, or
+        (P, n, k), one block per shift."""
+        pivots = self.eigvals - np.asarray(shifts, dtype=complex)[:, None]
+        return b / pivots[:, :, None]
 
 
 def operator_matrix(blocks: np.ndarray, omega1: float) -> np.ndarray:

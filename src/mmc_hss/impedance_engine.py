@@ -14,7 +14,8 @@ runs on its probe's class alone, and M0's modes are the union of both
 classes' modes. One real eigendecomposition per class and (params, order),
 built when a probe first needs it, turns every s into an elementwise
 scaling (hss_core.ShiftedSolver): a sweep solves its grid in chunks of
-about 1 MiB, each chunk with one array of modal condition bounds. One store
+about 1 MiB, but batches every product over the points, so a point's value
+does not depend on the grid, chunk or call that solves it. One store
 keeps, per (order, class) of the current leg, that solver and the last loop
 set-up closed around it, so the single-point calls and automatic-order
 trials that follow build neither again. A loop set-up is matched to its
@@ -145,14 +146,14 @@ def _auto_order(params, freqs, evaluate):
 
     evaluate(h, idx) returns the order-h results at the indices idx into
     freqs (ImpedancePoint or the error that spoiled it). A point is
-    evaluated once per order, except that the whole grid is always solved
-    in one call, so the returned points are those of a sweep at that
-    explicit order. The result is the lowest h >= 4 whose |Z| agrees with
-    order h + 2 within AUTO_ORDER_RTOL at every point that solved at both
-    orders. Each candidate is tried first at the point where the previous
-    one disagreed most, so a candidate that fails there costs two
-    evaluations. If no h <= MAX_ORDER - 2 converges, the order-MAX_ORDER
-    results are returned with a RuntimeWarning.
+    evaluated once per order, to the value any call gives it, so the
+    returned points are those of a sweep at that explicit order. The
+    result is the lowest h >= 4 whose |Z| agrees with order h + 2 within
+    AUTO_ORDER_RTOL at every point that solved at both orders. Each
+    candidate is tried first at the point where the previous one disagreed
+    most, so a candidate that fails there costs two evaluations. If no
+    h <= MAX_ORDER - 2 converges, the order-MAX_ORDER results are returned
+    with a RuntimeWarning.
     """
     cache = {}
     floors = np.array([_ZERO_IMPEDANCE_RATIO
@@ -163,8 +164,6 @@ def _auto_order(params, freqs, evaluate):
     def results(h, idx):
         have = cache.setdefault(h, {})
         todo = [i for i in idx if i not in have]
-        if todo and len(idx) == len(freqs):
-            todo = idx
         if todo:
             have.update(zip(todo, evaluate(h, todo)))
         return [have[i] for i in idx]
@@ -239,10 +238,12 @@ class _Loop:
     diagonal and stays exact on resonator poles, where alpha = 0. Built
     once: the class's channel map F, its picks and direct v_p pickups vp,
     F in modal coordinates (modal_f = V^-1 F) and the picked rows of the
-    modes (modal_picks = V[picks]). Per point, vectorised over the points
-    of a chunk: the channel law, the modal scalings, the channel system
-    and one refinement step of the whole system against M0 - s I. A
-    point's hss_core.refusal is its modal bound's, else its channel's.
+    modes (modal_picks = V[picks]). Per point, batched over the points of
+    a chunk on the leading axis of every array: the channel law, the modal
+    scalings, the channel system and one refinement step of the whole
+    system against M0 - s I. So every product is one matmul per point, and
+    a point's value does not depend on its chunk. A point's
+    hss_core.refusal is its modal bound's, else its channel's.
     """
 
     def __init__(self, solver, params, config, op, order, parity):
@@ -253,12 +254,10 @@ class _Loop:
             params, config, op, order, parity)
         self.modal_f = solver.v_inv @ self.f_map
         self.modal_picks = solver.v[self.picks]
-        # complex values one point keeps live: modal stack, channel systems
-        # and inverses, refinement terms (tracemalloc: 0.9x at 2+ per
-        # chunk); both classes chunk at the longer class's channel count m
-        n = 2 * (2 * order + 1)
-        m = max(sum(q.size for _, q in mmc_model.class_channels(
-            config, order, cls)) for cls in (mmc_model.EVEN, mmc_model.ODD))
+        # bytes one point keeps live: modal stack, channel systems and
+        # inverses, refinement terms (tracemalloc peak per point: 0.88-1.27x
+        # at 8-32 points a chunk, every mode at orders 4-16)
+        n, m = self.f_map.shape
         self.point_bytes = 16 * ((n + 4 * m) * (m + 1) + 6 * n)
 
     def serves(self, config, op):
@@ -286,20 +285,19 @@ class _Loop:
         for start in range(0, s.size, size):
             chunk = s[start:start + size]
             x, err = self._solve_chunk(chunk, b, bx, v_p)
-            out[:, start:start + chunk.size] = x[rows]
+            out[:, start:start + chunk.size] = x[:, rows].T
             errors.extend(err)
         return out, errors
 
     def _solve_chunk(self, s, b, bx, v_p):
-        solver, f_map, picks = self.solver, self.f_map, self.picks
-        modal_picks = self.modal_picks
+        solver, f_map, modal_picks = self.solver, self.f_map, self.modal_picks
         m = f_map.shape[1]
         errors = [hss_core.refusal(bound, "shifted system matrix")
                   for bound in solver.bounds(s)]
         alpha, beta, scale = mmc_model.channel_gains(
             self.params, self.config, self.order, s, self.parity)
-        pick_scale = beta * scale
-        bc = beta * self.vp * v_p
+        pick_scale = (beta * scale)[:, :, None]
+        bc = (beta * self.vp * v_p)[:, :, None]
         # a point flagged singular may divide by zero; its values are
         # discarded with its error
         with np.errstate(all="ignore"):
@@ -307,9 +305,8 @@ class _Loop:
             yf = y[:, :, :m]
             # picked rows of X for every column: t = picks(M^-1 F) and,
             # in the last column, picks(M^-1 bx)
-            picked = (modal_picks @ y.reshape(len(y), -1)).reshape(
-                m, s.size, m + 1).transpose(1, 0, 2)
-            sys = pick_scale[:, :, None] * picked[:, :, :m]
+            picked = modal_picks @ y
+            sys = pick_scale * picked[:, :, :m]
             sys[:, np.arange(m), np.arange(m)] += alpha
             sys_inv, cond = hss_core.inverses(sys)
             errors = [e or hss_core.refusal(c, "channel system")
@@ -318,17 +315,16 @@ class _Loop:
             def close(yb, picked_b, rc):
                 # states for the modal solution yb of the state rows, its
                 # picked rows and the channel right-hand side rc
-                c = np.einsum("prc,pc->pr", sys_inv,
-                              rc + pick_scale * picked_b)
-                return c, solver.v @ (yb - np.einsum("ipc,pc->ip", yf, c))
+                c = sys_inv @ (rc + pick_scale * picked_b)
+                return c, solver.v @ (yb - yf @ c)
 
-            c, x = close(y[:, :, m], picked[:, :, m], bc)
+            c, x = close(y[:, :, m:], picked[:, :, m:], bc)
             # one refinement step of the whole system against M0 - s I
-            rx = bx[:, None] - solver.m0 @ x + s * x - f_map @ c.T
-            rc = bc - alpha * c + pick_scale * x[picks].T
-            yr = solver.solve(s, (solver.v_inv @ rx)[:, :, None])[:, :, 0]
-            x += close(yr, (modal_picks @ yr).T, rc)[1]
-        return x, errors
+            rx = bx[:, None] - solver.m0 @ x + s[:, None, None] * x - f_map @ c
+            rc = bc - alpha[:, :, None] * c + pick_scale * x[:, self.picks]
+            yr = solver.solve(s, solver.v_inv @ rx)
+            x += close(yr, modal_picks @ yr, rc)[1]
+        return x[:, :, 0], errors
 
 
 def _point(params, config, order, probe, freq_hz, response):

@@ -253,12 +253,34 @@ def test_a_bad_value_set_again_later_is_still_refused(tmp_path):
         cli.parse_config(path)
 
 
-def test_sweep_grid_validation(tmp_path):
+def test_sweep_grid_validation(tmp_path, capsys, monkeypatch):
     cfg = cli.parse_config(_write(tmp_path, "g.cfg",
                                   "sweep_start_hz = 100\n"
                                   "sweep_stop_hz = 50\n"))
     with pytest.raises(cli.ConfigError):
         cfg.sweep_grid()
+
+    # an oversize grid is counted from its three keys, not allocated: a
+    # step that would make 4.95e11 points, or a stop that would make
+    # 1e300, exits 2 naming the step key, and the engine is never reached
+    def work(*args, **kwargs):
+        raise AssertionError("the grid is refused before any work")
+
+    monkeypatch.setattr(cli.impedance_engine, "sweep", work)
+    out = tmp_path / "z.csv"
+    for text, message in (
+            ("sweep_step_hz = 1e-9\n",
+             "sweep_step_hz = 1e-09 gives 4.95e+11 grid points"),
+            ("sweep_stop_hz = 1e300\n",
+             "sweep_step_hz = 1 gives 1e+300 grid points")):
+        big = _write(tmp_path, "big.cfg", text)
+        assert cli.main(["sweep", "--config", big, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    # the limit itself is allowed
+    edge = f"sweep_start_hz = 1\nsweep_stop_hz = {cli.MAX_SWEEP_POINTS}\n"
+    cfg = cli.parse_config(_write(tmp_path, "edge.cfg", edge))
+    assert cfg.sweep_grid().size == cli.MAX_SWEEP_POINTS
 
 
 # --------------------------------------------------------------- csv contract
@@ -287,6 +309,13 @@ def test_sweep_csv_schema_and_determinism(tmp_path, capsys):
             20 * np.log10(abs(complex(re, im))), rel=1e-6)
         # 9 significant digits, formatting idempotent
         assert all(f"{float(tok):.9g}" == tok for tok in tokens)
+    # atan2 gives -180 degrees for a negative real part with a negative
+    # zero imaginary part; the (-180, 180] of the phase column maps it to
+    # 180
+    point = cli.impedance_engine.ImpedancePoint(35.0, complex(-1.0, -0.0),
+                                                "open", 4)
+    assert point.phase_deg == 180.0
+    assert cli._csv_rows([point]).splitlines()[1] == "35,-1,-0,0,180"
 
 
 def test_sweep_guard_band_row_counts(tmp_path, capsys):

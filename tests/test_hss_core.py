@@ -408,14 +408,14 @@ def test_modal_solve_matches_a_dense_solve():
     n = len(_SHIFTS)
     shared = solver.solve(_SHIFTS, solver.v_inv @ b)
     blocks = solver.solve(_SHIFTS, np.stack(
-        [solver.v_inv @ ((p + 1) * b) for p in range(n)], axis=1))
-    assert shared.shape == blocks.shape == (40, n, 3)
+        [solver.v_inv @ ((p + 1) * b) for p in range(n)]))
+    assert shared.shape == blocks.shape == (n, 40, 3)
     for p, s in enumerate(_SHIFTS):
         want = _dense_shifted_solve(m0, s, b)
         scale = np.abs(want).max()
-        np.testing.assert_allclose(solver.v @ shared[:, p], want,
+        np.testing.assert_allclose(solver.v @ shared[p], want,
                                    rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(solver.v @ blocks[:, p],
+        np.testing.assert_allclose(solver.v @ blocks[p],
                                    (p + 1) * want, rtol=0.0,
                                    atol=1e-12 * (p + 1) * scale)
 
@@ -444,7 +444,7 @@ def test_nearly_defective_operator_raises_or_solves_accurately(entry):
     y = solver.solve(shifts, solver.v_inv @ b)
     for p, s in enumerate(shifts):
         want = _dense_shifted_solve(m0, s, b)
-        assert (np.abs(solver.v @ y[:, p] - want).max()
+        assert (np.abs(solver.v @ y[p] - want).max()
                 <= 1e-9 * np.abs(want).max())
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from mmc_hss import hss_core, impedance_engine as ie, mmc_model as mm
+from mmc_hss import (hss_core, impedance_engine as ie, mmc_model as mm,
+                     td_sim)
 from mmc_hss.errors import (DegenerateResponseError, PoleAtResonanceError,
                             SingularSystemError)
 
@@ -223,13 +224,30 @@ def test_operating_point_must_match(params, op):
 
 
 def test_degenerate_response_detected(params, monkeypatch):
+    # a response at roundoff is refused, not divided by: both analytic
+    # probes, and the oracle's terminal and circulating campaigns
     def no_response(self, shifts, b):
-        return np.zeros((len(self.eigvals), np.size(shifts), b.shape[-1]),
+        return np.zeros((np.size(shifts), len(self.eigvals), b.shape[-1]),
                         dtype=complex)
 
+    def no_phasors(params, config, sim, freqs, v_amp, probe_amp, signals):
+        for f_p in freqs:
+            yield f_p, [0j] * len(signals)
+
     monkeypatch.setattr(hss_core.ShiftedSolver, "solve", no_response)
-    with pytest.raises(DegenerateResponseError):
-        ie.impedance_at(params, OPEN, 35.0, order=4)
+    monkeypatch.setattr(td_sim, "_responses", no_phasors)
+    for point, what in ((ie.impedance_at, "output-current"),
+                        (ie.circulating_impedance_at, "circulating-current")):
+        with pytest.raises(DegenerateResponseError,
+                           match=f"no {what} response at 35.0 Hz"):
+            point(params, OPEN, 35.0, order=4)
+    sim = td_sim.SimConfig()
+    for measure, what in ((td_sim.measure_impedance, "current"),
+                          (td_sim.measure_circulating_impedance,
+                           "circulating")):
+        with pytest.raises(DegenerateResponseError,
+                           match=f"no measurable {what} response at 35 Hz"):
+            measure(params, OPEN, sim, 35.0)
 
 
 def test_point_accessors(params_m0):
@@ -268,6 +286,27 @@ def test_a_shuffled_grid_sweeps_as_the_sorted_grid(params):
     assert got == want
     assert got.impedances.tobytes() == want.impedances.tobytes()
     assert ie.find_resonances(got) == ie.find_resonances(want)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_a_point_does_not_depend_on_the_grid_or_call_that_solves_it(params,
+                                                                     order):
+    # one value per (mode, order, f): a spot call and a sweep of a sparse
+    # sub-grid give the full grid's points bit for bit, wherever each point
+    # falls in its chunk
+    rng = np.random.default_rng(order)
+    both = mm.ControlConfig(mode="acv+ccc", kpv=1.0, krv=20.0, ra=20.0,
+                            sampling_period=1e-4)
+    for config in (OPEN, ACV, CCC, both):
+        full = ie.sweep(params, config, order=order)
+        want = dict(zip(full.frequencies, full.impedances))
+        sub = ie.sweep(params, config, full.frequencies[3::7], order=order)
+        assert len(sub.points) == len(full.points[3::7])
+        for f, z in zip(sub.frequencies, sub.impedances):
+            assert z == want[f], (config.mode, f)
+        for f in rng.choice(full.frequencies, 8, replace=False):
+            z = ie.impedance_at(params, config, f, order=order).impedance
+            assert z == want[f], (config.mode, f)
 
 
 def test_a_repeated_frequency_is_swept_once_and_keeps_its_resonance(params):
