@@ -26,7 +26,8 @@ import numpy as np
 
 from . import impedance_engine, mmc_model, td_sim
 from .errors import (ANY, NON_NEGATIVE, POSITIVE, Checked,
-                     InvalidValueError, PoleAtResonanceError, check)
+                     InvalidValueError, PoleAtResonanceError, check,
+                     field_rules, ruled)
 
 _CSV_HEADER = "freq_hz,z_re_ohm,z_im_ohm,z_mag_db,z_phase_deg"
 
@@ -48,45 +49,44 @@ def _number(text):
             raise exc from None
 
 
-# key -> (default, parser, owner, field): sets RunConfig.<owner>.<field>
-# (RunConfig.<field> for owner None) under the rule in that owner's RULES.
-# File order is free.
+# key -> (default, owner, field): sets RunConfig.<owner>.<field>
+# (RunConfig.<field> for owner None) under the rule that field declares.
+# The default's type picks the parser; file order is free.
 _KEYS = {
-    "vdc_v": (320e3, float, "params", "vdc"),
-    "arm_inductance_h": (0.36, float, "params", "arm_inductance"),
-    "arm_resistance_ohm": (1.0, float, "params", "arm_resistance"),
-    "sm_capacitance_f": (140e-6, float, "params", "sm_capacitance"),
-    "sm_per_arm": (20, _number, "params", "sm_per_arm"),
-    "fundamental_hz": (50.0, float, "params", "fundamental_freq"),
-    "modulation_index": (0.847, float, "params", "modulation_index"),
-    "modulation_phase_rad": (0.0, float, "params", "modulation_phase"),
-    "modulation_index_2h": (0.0, float, "params", "modulation_index_2h"),
-    "modulation_phase_2h_rad": (0.0, float, "params", "modulation_phase_2h"),
-    "load_resistance_ohm": (550.0, float, "params", "load_resistance"),
-    "load_inductance_h": (0.0, float, "params", "load_inductance"),
-    "control_mode": ("open", str, "control", "mode"),
-    "kpv": (1.0, float, "control", "kpv"),
-    "krv": (20.0, float, "control", "krv"),
-    "kf": (0.0, float, "control", "kf"),
-    "resonant_damping": (0.0, float, "control", "resonant_damping"),
-    "ra_ohm": (20.0, float, "control", "ra"),
-    "sampling_period_s": (1e-4, float, "control", "sampling_period"),
-    "dt_s": (1e-5, float, "sim", "dt"),
-    "settle_cycles": (300, _number, "sim", "settle_cycles"),
-    "measure_cycles": (2, _number, "sim", "measure_cycles"),
-    "ramp_cycles": (20, _number, "sim", "ramp_cycles"),
-    "post_ramp_cycles": (30, _number, "sim", "post_ramp_cycles"),
-    "perturb_amplitude_v": (0.0, float, "sim", "perturb_amplitude"),
-    "periodicity_tol": (1e-6, float, "sim", "periodicity_tol"),
-    "reference_settle_cycles": (800, _number, "sim",
-                                "reference_settle_cycles"),
-    "harmonic_order": (4, _number, None, "harmonic_order"),
-    "sweep_start_hz": (5.0, float, None, "sweep_start_hz"),
-    "sweep_stop_hz": (500.0, float, None, "sweep_stop_hz"),
-    "sweep_step_hz": (1.0, float, None, "sweep_step_hz"),
+    "vdc_v": (320e3, "params", "vdc"),
+    "arm_inductance_h": (0.36, "params", "arm_inductance"),
+    "arm_resistance_ohm": (1.0, "params", "arm_resistance"),
+    "sm_capacitance_f": (140e-6, "params", "sm_capacitance"),
+    "sm_per_arm": (20, "params", "sm_per_arm"),
+    "fundamental_hz": (50.0, "params", "fundamental_freq"),
+    "modulation_index": (0.847, "params", "modulation_index"),
+    "modulation_phase_rad": (0.0, "params", "modulation_phase"),
+    "modulation_index_2h": (0.0, "params", "modulation_index_2h"),
+    "modulation_phase_2h_rad": (0.0, "params", "modulation_phase_2h"),
+    "load_resistance_ohm": (550.0, "params", "load_resistance"),
+    "load_inductance_h": (0.0, "params", "load_inductance"),
+    "control_mode": ("open", "control", "mode"),
+    "kpv": (1.0, "control", "kpv"),
+    "krv": (20.0, "control", "krv"),
+    "kf": (0.0, "control", "kf"),
+    "resonant_damping": (0.0, "control", "resonant_damping"),
+    "ra_ohm": (20.0, "control", "ra"),
+    "sampling_period_s": (1e-4, "control", "sampling_period"),
+    "dt_s": (1e-5, "sim", "dt"),
+    "settle_cycles": (300, "sim", "settle_cycles"),
+    "measure_cycles": (2, "sim", "measure_cycles"),
+    "ramp_cycles": (20, "sim", "ramp_cycles"),
+    "post_ramp_cycles": (30, "sim", "post_ramp_cycles"),
+    "perturb_amplitude_v": (0.0, "sim", "perturb_amplitude"),
+    "periodicity_tol": (1e-6, "sim", "periodicity_tol"),
+    "reference_settle_cycles": (800, "sim", "reference_settle_cycles"),
+    "harmonic_order": (4, None, "harmonic_order"),
+    "sweep_start_hz": (5.0, None, "sweep_start_hz"),
+    "sweep_stop_hz": (500.0, None, "sweep_stop_hz"),
+    "sweep_step_hz": (1.0, None, "sweep_step_hz"),
     # negative = automatic
-    "guard_band_hz": (-1.0, float, None, "guard_band_hz"),
-    "out_csv": ("", str, None, "out_csv"),
+    "guard_band_hz": (-1.0, None, "guard_band_hz"),
+    "out_csv": ("", None, "out_csv"),
 }
 
 
@@ -97,18 +97,12 @@ class RunConfig(Checked):
     params: mmc_model.CircuitParams
     control: mmc_model.ControlConfig
     sim: td_sim.SimConfig
-    harmonic_order: int
-    sweep_start_hz: float
-    sweep_stop_hz: float
-    sweep_step_hz: float
-    guard_band_hz: float
-    out_csv: str
-
-    RULES = {
-        "harmonic_order": impedance_engine.ORDER, "sweep_start_hz": POSITIVE,
-        "sweep_stop_hz": POSITIVE, "sweep_step_hz": POSITIVE,
-        "guard_band_hz": ANY, "out_csv": ANY,
-    }
+    harmonic_order: int = ruled(impedance_engine.ORDER)
+    sweep_start_hz: float = ruled(POSITIVE)
+    sweep_stop_hz: float = ruled(POSITIVE)
+    sweep_step_hz: float = ruled(POSITIVE)
+    guard_band_hz: float = ruled(ANY)
+    out_csv: str = ruled(ANY)
 
     @property
     def guard_band(self) -> float | None:
@@ -147,12 +141,12 @@ _OWNERS = {"params": mmc_model.CircuitParams,
 
 def _config_values(cfg: RunConfig) -> dict:
     return {key: getattr(getattr(cfg, owner) if owner else cfg, name)
-            for key, (_, _, owner, name) in _KEYS.items()}
+            for key, (_, owner, name) in _KEYS.items()}
 
 
 def _build_config(values: dict, lines: dict) -> RunConfig:
     fields = {owner: {} for owner in _OWNERS}
-    for key, (_, _, owner, name) in _KEYS.items():
+    for key, (_, owner, name) in _KEYS.items():
         fields[owner][name] = values[key]
     run = fields.pop(None)
     for owner, owned in fields.items():
@@ -162,7 +156,7 @@ def _build_config(values: dict, lines: dict) -> RunConfig:
             # a cross-field rule (each value kept its own on its line):
             # point at the last line that set a key of the rejecting object
             set_here = [lines[k] for k, spec in _KEYS.items()
-                        if spec[2] == owner and k in lines]
+                        if spec[1] == owner and k in lines]
             where = f" (line {max(set_here)})" if set_here else ""
             raise ConfigError(f"invalid configuration{where}: {exc}") from exc
     return RunConfig(**run)
@@ -194,10 +188,11 @@ def parse_config(path) -> RunConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        _, parse, owner, name = _KEYS[key]
+        default, owner, name = _KEYS[key]
+        parse = _number if isinstance(default, int) else type(default)
         try:
             values[key] = check(name, parse(value),
-                                _OWNERS[owner].RULES[name])
+                                field_rules(_OWNERS[owner])[name])
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: "
                               f"{getattr(exc, 'reason', exc)}") from exc
@@ -334,6 +329,13 @@ def cmd_compare(args) -> int:
     _option("--tol-phase", args.tol_phase, NON_NEGATIVE)
     cfg = parse_config(args.config)
     freqs = _parse_freqs(args.freqs)
+    band, inside = impedance_engine.guard_band(
+        cfg.params, cfg.control, np.array(freqs), cfg.guard_band)
+    if inside.any():
+        refused = ",".join(f"{f:g}" for f, i in zip(freqs, inside) if i)
+        raise ConfigError(
+            f"--freqs {refused}: within the {band:g} Hz guard band around "
+            f"the {cfg.params.fundamental_freq:g} Hz fundamental")
     analytic = {
         f: impedance_engine.impedance_at(cfg.params, cfg.control, f,
                                          order=cfg.harmonic_order)

@@ -2,8 +2,8 @@
 values are checked against.
 
 A value that breaks its rule raises InvalidValueError where it is taken,
-before any work: parameter objects (Checked) check their RULES table of
-field -> rule on construction, entry points check their arguments, and
+before any work: parameter objects (Checked) check each field declared
+with ruled() on construction, entry points check their arguments, and
 the CLI reports the owner's reason against the key and line that set the
 value. Every number must be finite. A rule across several values
 (combined modulation, sweep_stop_hz below sweep_start_hz, an operating
@@ -11,6 +11,8 @@ point of other params) raises plain ValueError. The other classes cover
 failures that only show up once the numerics run.
 """
 
+import dataclasses
+import functools
 import math
 import numbers
 
@@ -59,12 +61,24 @@ def check(field, value, rules=ANY):
     return value
 
 
+def ruled(rules, default=dataclasses.MISSING):
+    """A dataclass field whose value must keep rules (see Checked)."""
+    return dataclasses.field(default=default, metadata={"rule": rules})
+
+
+@functools.cache
+def field_rules(cls) -> dict:
+    """field -> rule of each field of cls declared with ruled(), in order."""
+    return {f.name: f.metadata["rule"] for f in dataclasses.fields(cls)
+            if "rule" in f.metadata}
+
+
 class Checked:
     """Base of the parameter objects: construction checks every field
-    named in the class's RULES table (field -> rule)."""
+    declared with ruled(), in field order."""
 
     def __post_init__(self):
-        for name, rules in self.RULES.items():
+        for name, rules in field_rules(type(self)).items():
             check(name, getattr(self, name), rules)
 
 

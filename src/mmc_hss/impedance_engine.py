@@ -435,6 +435,17 @@ def _guard_band(config) -> float:
     return 0.0
 
 
+def guard_band(params, config, freqs, guard_band_hz=None):
+    """(half-width, mask of the array freqs inside) of the band around f1
+    that sweep excludes: guard_band_hz wide when given, else as wide as
+    _guard_band(config) says (None: open loop); 0 or less excludes none."""
+    if guard_band_hz is None:
+        guard_band_hz = _guard_band(config or mmc_model.ControlConfig())
+    check("guard_band_hz", guard_band_hz, ANY)
+    inside = np.abs(freqs - params.fundamental_freq) <= guard_band_hz + 1e-12
+    return guard_band_hz, inside & (guard_band_hz > 0.0)
+
+
 def sweep(params, config, freqs=None, order: int | None = None,
           guard_band_hz: float | None = None) -> SweepResult:
     """Impedance over a frequency grid.
@@ -456,16 +467,9 @@ def sweep(params, config, freqs=None, order: int | None = None,
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
     check("freqs", freqs, POSITIVE)
-    config = mmc_model.ControlConfig() if config is None else config
-    if guard_band_hz is None:
-        guard_band_hz = _guard_band(config)
-    check("guard_band_hz", guard_band_hz, ANY)
-    if guard_band_hz > 0.0:
-        keep = np.abs(freqs - params.fundamental_freq) > guard_band_hz + 1e-12
-    else:
-        keep = np.ones(freqs.shape, dtype=bool)
-    excluded = tuple(freqs[~keep])
-    freqs = freqs[keep]
+    _, inside = guard_band(params, config, freqs, guard_band_hz)
+    excluded = tuple(freqs[inside])
+    freqs = freqs[~inside]
 
     order, results = _evaluate(params, config, freqs, order, None, "series",
                                strict=False)

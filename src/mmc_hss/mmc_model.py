@@ -61,7 +61,7 @@ import numpy as np
 
 from . import hss_core
 from .errors import (ANY, COUNT, FRACTION, NON_NEGATIVE, POSITIVE,
-                     Checked, check, rule)
+                     Checked, check, rule, ruled)
 
 CONTROL_MODES = ("open", "acv", "ccc", "acv+ccc")
 MODE = rule(CONTROL_MODES.__contains__,
@@ -72,27 +72,20 @@ MODE = rule(CONTROL_MODES.__contains__,
 class CircuitParams(Checked):
     """Electrical parameters of one phase leg plus its passive load."""
 
-    vdc: float                     # pole-to-pole dc voltage, V
-    arm_inductance: float          # per arm, H
-    arm_resistance: float          # per arm, ohm
-    sm_capacitance: float          # per submodule, F
-    sm_per_arm: int
-    fundamental_freq: float        # Hz
-    modulation_index: float        # fundamental insertion-index amplitude
-    modulation_phase: float = 0.0  # rad
-    modulation_index_2h: float = 0.0   # optional second-harmonic injection
-    modulation_phase_2h: float = 0.0
-    load_resistance: float = 0.0   # series ac load, ohm
-    load_inductance: float = 0.0   # series ac load, H
-
-    RULES = {
-        "vdc": POSITIVE, "arm_inductance": POSITIVE,
-        "arm_resistance": NON_NEGATIVE, "sm_capacitance": POSITIVE,
-        "sm_per_arm": COUNT, "fundamental_freq": POSITIVE,
-        "modulation_index": FRACTION, "modulation_phase": ANY,
-        "modulation_index_2h": FRACTION, "modulation_phase_2h": ANY,
-        "load_resistance": NON_NEGATIVE, "load_inductance": NON_NEGATIVE,
-    }
+    vdc: float = ruled(POSITIVE)  # pole-to-pole dc voltage, V
+    arm_inductance: float = ruled(POSITIVE)  # per arm, H
+    arm_resistance: float = ruled(NON_NEGATIVE)  # per arm, ohm
+    sm_capacitance: float = ruled(POSITIVE)  # per submodule, F
+    sm_per_arm: int = ruled(COUNT)
+    fundamental_freq: float = ruled(POSITIVE)  # Hz
+    # fundamental insertion-index amplitude
+    modulation_index: float = ruled(FRACTION)
+    modulation_phase: float = ruled(ANY, 0.0)  # rad
+    # optional second-harmonic injection
+    modulation_index_2h: float = ruled(FRACTION, 0.0)
+    modulation_phase_2h: float = ruled(ANY, 0.0)
+    load_resistance: float = ruled(NON_NEGATIVE, 0.0)  # series ac load, ohm
+    load_inductance: float = ruled(NON_NEGATIVE, 0.0)  # series ac load, H
 
     def __post_init__(self):
         super().__post_init__()
@@ -129,19 +122,13 @@ class ControlConfig(Checked):
     ra (ohm) behind the same delay.
     """
 
-    mode: str = "open"
-    kpv: float = 0.0
-    krv: float = 0.0
-    kf: float = 0.0
-    resonant_damping: float = 0.0
-    ra: float = 0.0
-    sampling_period: float = 100e-6
-
-    RULES = {
-        "mode": MODE, "kpv": NON_NEGATIVE, "krv": NON_NEGATIVE,
-        "kf": NON_NEGATIVE, "resonant_damping": NON_NEGATIVE, "ra": ANY,
-        "sampling_period": POSITIVE,
-    }
+    mode: str = ruled(MODE, "open")
+    kpv: float = ruled(NON_NEGATIVE, 0.0)
+    krv: float = ruled(NON_NEGATIVE, 0.0)
+    kf: float = ruled(NON_NEGATIVE, 0.0)
+    resonant_damping: float = ruled(NON_NEGATIVE, 0.0)
+    ra: float = ruled(ANY, 0.0)
+    sampling_period: float = ruled(POSITIVE, 100e-6)
 
     @property
     def has_acv(self) -> bool:

@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (COUNT, NON_NEGATIVE, POSITIVE, WHOLE, Checked,
-                     DegenerateResponseError, DivergenceError, check)
+                     DegenerateResponseError, DivergenceError, check, ruled)
 from .impedance_engine import ImpedancePoint
 from .mmc_model import CircuitParams, ControlConfig
 
@@ -81,23 +81,15 @@ class SimConfig(Checked):
     unprobed run measure_cycles fundamental cycles.
     """
 
-    dt: float = 1e-5
-    settle_cycles: int = 300
-    measure_cycles: int = 2
-    ramp_cycles: int = 20
-    post_ramp_cycles: int = 30
-    perturb_freq: float = 0.0
-    perturb_amplitude: float = 0.0
-    periodicity_tol: float = 1e-6
-    reference_settle_cycles: int = 800
-
-    RULES = {
-        "dt": POSITIVE, "settle_cycles": COUNT, "measure_cycles": COUNT,
-        "ramp_cycles": WHOLE + NON_NEGATIVE,
-        "post_ramp_cycles": WHOLE + NON_NEGATIVE,
-        "perturb_freq": NON_NEGATIVE, "perturb_amplitude": NON_NEGATIVE,
-        "periodicity_tol": POSITIVE, "reference_settle_cycles": COUNT,
-    }
+    dt: float = ruled(POSITIVE, 1e-5)
+    settle_cycles: int = ruled(COUNT, 300)
+    measure_cycles: int = ruled(COUNT, 2)
+    ramp_cycles: int = ruled(WHOLE + NON_NEGATIVE, 20)
+    post_ramp_cycles: int = ruled(WHOLE + NON_NEGATIVE, 30)
+    perturb_freq: float = ruled(NON_NEGATIVE, 0.0)
+    perturb_amplitude: float = ruled(NON_NEGATIVE, 0.0)
+    periodicity_tol: float = ruled(POSITIVE, 1e-6)
+    reference_settle_cycles: int = ruled(COUNT, 800)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ indices and loop filters in the time and frequency domain, the
 closed-loop response stack, the full-size channel map and channel law of
 both parity classes together, the full-size perturbed system with those
 channels closed densely, full-size dense solves of the steady state and
-of the circulating probe, and plain fixed-step RK4 of the time-domain
-kernel. Plain functions on arrays; like the package, every frequency
-domain reference takes the Laplace variable s, j*omega on the imaginary
-axis.
+of the circulating probe, plain fixed-step RK4 of the time-domain
+kernel, and randomised legs and controllers to run them on. Plain
+functions on arrays; like the package, every frequency domain reference
+takes the Laplace variable s, j*omega on the imaginary axis.
 """
 
 import cmath
@@ -175,6 +175,33 @@ def closed_loop_response(params, config, op, order, s, v_p=1.0):
     if error is not None:
         raise error
     return mmc_model.from_class(x[:, 0], order, odd)
+
+
+def random_leg(rng):
+    """A CircuitParams drawn from rng: a 50 Hz leg with any valid
+    modulation, second harmonic included, and an R-L load."""
+    m = rng.uniform(0.6, 0.95)
+    return mmc_model.CircuitParams(
+        vdc=rng.uniform(200e3, 640e3), arm_inductance=rng.uniform(0.1, 0.6),
+        arm_resistance=rng.uniform(0.2, 3.0),
+        sm_capacitance=rng.uniform(80e-6, 250e-6),
+        sm_per_arm=int(rng.integers(10, 41)), fundamental_freq=50.0,
+        modulation_index=m, modulation_phase=rng.uniform(-np.pi, np.pi),
+        modulation_index_2h=rng.uniform(0.0, 1.0 - m),
+        modulation_phase_2h=rng.uniform(-np.pi, np.pi),
+        load_resistance=rng.uniform(0.0, 800.0),
+        load_inductance=rng.uniform(0.0, 0.2),
+    )
+
+
+def random_control(rng, mode):
+    """A ControlConfig of mode with gains, damping and sampling period
+    drawn from rng."""
+    return mmc_model.ControlConfig(
+        mode=mode, kpv=rng.uniform(0.0, 2.0), krv=rng.uniform(0.0, 40.0),
+        kf=rng.uniform(0.0, 0.5),
+        resonant_damping=rng.choice([0.0, rng.uniform(1.0, 10.0)]),
+        ra=rng.uniform(-5.0, 40.0), sampling_period=rng.uniform(5e-5, 2e-4))
 
 
 def dense_steady_stack(params, order):

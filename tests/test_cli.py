@@ -49,6 +49,25 @@ def test_parse_defaults(cfg_default):
     assert grid[0] == 5.0 and grid[-1] == 500.0 and grid.size == 496
 
 
+def test_readme_key_table_matches_the_cli_keys():
+    # the README's "Configuration keys" table repeats every key and its
+    # default by hand; it must name the same keys with equal defaults
+    with open(os.path.join(_REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Configuration keys", 1)[1]
+    table = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if line.startswith("| `"):
+            key, text = (c.strip().strip("`") for c in line.split("|")[1:3])
+            table[key] = text
+    assert set(table) == set(cli._KEYS)
+    for key, (default, _, _) in cli._KEYS.items():
+        text = table[key]
+        if isinstance(default, str):
+            assert ("" if text == "empty" else text) == default, key
+        else:
+            assert float(text) == default, key
+
+
 def test_parse_overrides_comments_and_spacing(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "a.cfg", """
 # reference leg, voltage loop closed
@@ -238,7 +257,7 @@ def test_cli_and_library_refuse_the_same_values(tmp_path, cfg_default):
         with pytest.raises(cli.ConfigError) as info:
             cli.parse_config(path)
         assert str(info.value) == f"line 2: key {key!r}: {reason}"
-        _, _, owner, field = cli._KEYS[key]
+        _, owner, field = cli._KEYS[key]
         with pytest.raises(InvalidValueError) as info:
             dataclasses.replace(getattr(base, owner) if owner else base,
                                 **{field: value})
@@ -519,6 +538,26 @@ def test_compare_refuses_bad_tolerances_before_any_work(cfg_m0, capsys,
             ("--tol-phase", "-1", "--tol-phase -1.0: must not be negative")):
         assert cli.main(["compare", "--config", cfg_m0, "--freqs", "35",
                          option, value]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_compare_refuses_guard_banded_frequencies_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # the analytic point at f1 is a roundoff zero under an undamped
+    # resonator; compare refuses what sweep excludes, naming the band
+    def work(*args, **kwargs):
+        raise AssertionError("guard-banded frequencies are refused first")
+
+    monkeypatch.setattr(cli.td_sim, "measure_impedance_many", work)
+    monkeypatch.setattr(cli.impedance_engine, "impedance_at", work)
+    for text, freqs, message in (
+            ("control_mode = acv\n", "35,50",
+             "--freqs 50: within the 2 Hz guard band around the 50 Hz "
+             "fundamental"),
+            ("control_mode = acv\nguard_band_hz = 20\n", "35,50,71",
+             "--freqs 35,50: within the 20 Hz guard band")):
+        cfg = _write(tmp_path, "acv.cfg", text)
+        assert cli.main(["compare", "--config", cfg, "--freqs", freqs]) == 2
         assert message in capsys.readouterr().err
 
 

@@ -420,16 +420,21 @@ def test_modal_solve_matches_a_dense_solve():
                                    atol=1e-12 * (p + 1) * scale)
 
 
-@pytest.mark.parametrize("entry", [(1, 1), (1, 0)])
-def test_nearly_defective_operator_raises_or_solves_accurately(entry):
-    # a 2x2 Jordan block, perturbed by 1e-14 on its diagonal or in its
+@pytest.mark.parametrize("entry, eps, refusable", [
+    ((1, 1), 1e-14, True), ((1, 0), 1e-14, True), ((1, 0), 1e-10, False),
+], ids=["entry0", "entry1", "entry1-solved"])
+def test_nearly_defective_operator_raises_or_solves_accurately(
+        entry, eps, refusable):
+    # a 2x2 Jordan block, perturbed by eps on its diagonal or in its
     # corner, inside an orthogonal similarity of a random real 40x40
     # operator of order 0: the modal solve must either be accurate or
-    # refuse the operator
+    # refuse the operator. Both 1e-14 cases are refused (mode condition
+    # 6.5e7 and 2.2e7); a 1e-10 corner splits the pair enough (2.2e5,
+    # under MODE_COND_LIMIT) that the accurate branch must be taken.
     rng = np.random.default_rng(12)
     a0 = np.zeros((40, 40))
     a0[:2, :2] = [[2.0, 1.0], [0.0, 2.0]]
-    a0[entry] += 1e-14
+    a0[entry] += eps
     a0[2:, 2:] = rng.standard_normal((38, 38))
     q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     a = (q @ a0 @ q.T)[None]
@@ -438,6 +443,7 @@ def test_nearly_defective_operator_raises_or_solves_accurately(entry):
     try:
         solver = hc.ShiftedSolver(hc.operator_matrix(a, 314.0), 0)
     except SingularSystemError as err:
+        assert refusable
         assert err.cond_estimate > hc.MODE_COND_LIMIT
         return
     m0 = solver.m0

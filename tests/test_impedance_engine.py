@@ -19,24 +19,6 @@ from mmc_hss.errors import (DegenerateResponseError, PoleAtResonanceError,
 
 
 @pytest.fixture(scope="module")
-def params():
-    return mm.CircuitParams(
-        vdc=320e3, arm_inductance=0.36, arm_resistance=1.0,
-        sm_capacitance=140e-6, sm_per_arm=20, fundamental_freq=50.0,
-        modulation_index=0.847, load_resistance=550.0,
-    )
-
-
-@pytest.fixture(scope="module")
-def params_m0():
-    return mm.CircuitParams(
-        vdc=320e3, arm_inductance=0.36, arm_resistance=1.0,
-        sm_capacitance=140e-6, sm_per_arm=20, fundamental_freq=50.0,
-        modulation_index=0.0, load_resistance=550.0,
-    )
-
-
-@pytest.fixture(scope="module")
 def op(params):
     return mm.steady_state(params, 4)
 
@@ -632,29 +614,6 @@ def test_open_loop_resonance_map(params):
 # ------------------------------------------- randomised operating points
 
 
-def _random_leg(rng):
-    m = rng.uniform(0.6, 0.95)
-    return mm.CircuitParams(
-        vdc=rng.uniform(200e3, 640e3), arm_inductance=rng.uniform(0.1, 0.6),
-        arm_resistance=rng.uniform(0.2, 3.0),
-        sm_capacitance=rng.uniform(80e-6, 250e-6),
-        sm_per_arm=int(rng.integers(10, 41)), fundamental_freq=50.0,
-        modulation_index=m, modulation_phase=rng.uniform(-np.pi, np.pi),
-        modulation_index_2h=rng.uniform(0.0, 1.0 - m),
-        modulation_phase_2h=rng.uniform(-np.pi, np.pi),
-        load_resistance=rng.uniform(0.0, 800.0),
-        load_inductance=rng.uniform(0.0, 0.2),
-    )
-
-
-def _random_control(rng, mode):
-    return mm.ControlConfig(
-        mode=mode, kpv=rng.uniform(0.0, 2.0), krv=rng.uniform(0.0, 40.0),
-        kf=rng.uniform(0.0, 0.5),
-        resonant_damping=rng.choice([0.0, rng.uniform(1.0, 10.0)]),
-        ra=rng.uniform(-5.0, 40.0), sampling_period=rng.uniform(5e-5, 2e-4))
-
-
 def _dense_impedance(params, config, op, order, f):
     # the assembled perturbed system of the mode, solved densely
     wp = 2.0 * np.pi * f
@@ -670,7 +629,7 @@ def test_modal_factor_of_random_legs():
     rng = np.random.default_rng(20261019)
     for h in (4, 8, 16):
         for _ in range(3):
-            leg = _random_leg(rng)
+            leg = ref.random_leg(rng)
             omegas = 2.0 * np.pi * rng.uniform(5.0, 500.0, size=4)
             for parity in (mm.EVEN, mm.ODD):
                 solver = ie._loop(leg, OPEN, None, h, parity).solver
@@ -714,9 +673,9 @@ def test_circulating_probe_matches_dense_solve_on_random_legs():
     rng = np.random.default_rng(20261020)
     worst = 0.0
     for _ in range(6):
-        params = _random_leg(rng)
+        params = ref.random_leg(rng)
         for mode in mm.CONTROL_MODES:
-            config = _random_control(rng, mode)
+            config = ref.random_control(rng, mode)
             for h in (4, 8):
                 op = mm.steady_state(params, h)
                 for f in rng.uniform(5.0, 495.0, size=3):
@@ -777,9 +736,9 @@ def test_resolvent_matches_dense_solve_on_random_legs():
     rng = np.random.default_rng(20261018)
     worst_dense = worst_chunk = 0.0
     for _ in range(20):
-        params = _random_leg(rng)
+        params = ref.random_leg(rng)
         for mode in mm.CONTROL_MODES:
-            config = _random_control(rng, mode)
+            config = ref.random_control(rng, mode)
             for h in (4, 8):
                 op = mm.steady_state(params, h)
                 grid = np.sort(rng.uniform(5.0, 495.0, size=7))

@@ -21,27 +21,6 @@ from mmc_hss.errors import PoleAtResonanceError
 
 
 @pytest.fixture(scope="module")
-def params():
-    return mm.CircuitParams(
-        vdc=320e3, arm_inductance=0.36, arm_resistance=1.0,
-        sm_capacitance=140e-6, sm_per_arm=20, fundamental_freq=50.0,
-        modulation_index=0.847, load_resistance=550.0,
-    )
-
-
-@pytest.fixture(scope="module")
-def params_m0(params):
-    return mm.CircuitParams(
-        vdc=params.vdc, arm_inductance=params.arm_inductance,
-        arm_resistance=params.arm_resistance,
-        sm_capacitance=params.sm_capacitance,
-        sm_per_arm=params.sm_per_arm,
-        fundamental_freq=params.fundamental_freq,
-        modulation_index=0.0, load_resistance=params.load_resistance,
-    )
-
-
-@pytest.fixture(scope="module")
 def op(params):
     return mm.steady_state(params, 6)
 

@@ -12,24 +12,6 @@ from mmc_hss import impedance_engine as ie, mmc_model as mm, td_sim as td
 from mmc_hss.errors import DivergenceError
 
 
-@pytest.fixture(scope="module")
-def params():
-    return mm.CircuitParams(
-        vdc=320e3, arm_inductance=0.36, arm_resistance=1.0,
-        sm_capacitance=140e-6, sm_per_arm=20, fundamental_freq=50.0,
-        modulation_index=0.847, load_resistance=550.0,
-    )
-
-
-@pytest.fixture(scope="module")
-def params_m0():
-    return mm.CircuitParams(
-        vdc=320e3, arm_inductance=0.36, arm_resistance=1.0,
-        sm_capacitance=140e-6, sm_per_arm=20, fundamental_freq=50.0,
-        modulation_index=0.0, load_resistance=550.0,
-    )
-
-
 ACV = mm.ControlConfig(mode="acv", kpv=1.0, krv=20.0, sampling_period=1e-4)
 CCC = mm.ControlConfig(mode="ccc", ra=20.0, sampling_period=1e-4)
 
